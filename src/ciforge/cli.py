@@ -13,6 +13,7 @@ Reports go to standard output; diagnostics to standard error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -244,7 +245,7 @@ def _timeout_seconds() -> float:
         return DEFAULT_TIMEOUT_SECS
     try:
         value = float(raw)
-        if value <= 0:
+        if not math.isfinite(value) or value <= 0:
             raise ValueError
     except ValueError:
         print(

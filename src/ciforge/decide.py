@@ -30,20 +30,14 @@ from .errors import (
     PointNotOnVarietyError,
 )
 from .fields import Scalar
-from .groebner import (
-    QuotientRecord,
-    ideal_equal,
-    ideal_member,
-    projective_dimension,
-    reduced_groebner,
-    truncated_generators,
-)
+from .groebner import Ideal, QuotientRecord, reduced_groebner
 from .linalg import ExactMatrix, kernel_basis, linear_relation_polys, rank
 from .poly import (
     Polynomial,
     PolynomialRing,
     ProjectivePoint,
     differential_at,
+    distinct_nonzero,
     evaluate,
     homogeneous_degree,
     is_homogeneous,
@@ -61,7 +55,6 @@ class GeneratorSystem:
         object.__setattr__(self, "gens", tuple(self.gens))
         if not self.gens:
             raise ValueError("generator system must be nonempty")
-        seen: set[frozenset] = set()
         for g in self.gens:
             if g.ring != self.ring:
                 raise ValueError("generator outside the declared ring")
@@ -69,10 +62,8 @@ class GeneratorSystem:
                 raise ValueError("zero generator")
             if not is_homogeneous(g):
                 raise NotHomogeneousError("generators must be homogeneous")
-            fingerprint = frozenset(g.terms.items())
-            if fingerprint in seen:
-                raise ValueError("duplicate generator")
-            seen.add(fingerprint)
+        if len(list(distinct_nonzero(self.gens))) != len(self.gens):
+            raise ValueError("duplicate generator")
 
     @classmethod
     def from_polynomials(
@@ -83,17 +74,7 @@ class GeneratorSystem:
             if not polys:
                 raise ValueError("cannot infer the ring of an empty list")
             ring = polys[0].ring
-        seen: set[frozenset] = set()
-        kept: list[Polynomial] = []
-        for p in polys:
-            if p.is_zero():
-                continue
-            fingerprint = frozenset(p.terms.items())
-            if fingerprint in seen:
-                continue
-            seen.add(fingerprint)
-            kept.append(p)
-        return cls(ring, tuple(kept))
+        return cls(ring, tuple(p for _, p in distinct_nonzero(polys)))
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -113,7 +94,7 @@ def degree_sequence(system: GeneratorSystem) -> DegreeSequence:
     return DegreeSequence.from_degrees(system.degrees)
 
 
-def _require_on_variety(system: GeneratorSystem, x: ProjectivePoint) -> None:
+def _require_on_variety(system: GeneratorSystem | Ideal, x: ProjectivePoint) -> None:
     for i, g in enumerate(system.gens):
         if evaluate(g, x):
             raise PointNotOnVarietyError(
@@ -129,7 +110,16 @@ class SmoothnessReport:
     jacobian_rank: int
 
 
-def smoothness_check(system: GeneratorSystem, x: ProjectivePoint) -> SmoothnessReport:
+def _ideal(system: GeneratorSystem | Ideal) -> Ideal:
+    """The ideal ``system`` generates; an `Ideal` stands for itself."""
+    if isinstance(system, Ideal):
+        return system
+    return Ideal(system.gens, ring=system.ring)
+
+
+def smoothness_check(
+    system: GeneratorSystem | Ideal, x: ProjectivePoint
+) -> SmoothnessReport:
     """Codimension of the zero locus and the Jacobian-rank smoothness verdict at ``x``.
 
     Smooth means: the differentials of the generators at ``x`` span a space of
@@ -138,10 +128,11 @@ def smoothness_check(system: GeneratorSystem, x: ProjectivePoint) -> SmoothnessR
     vanishes at x.
     """
     _require_on_variety(system, x)
-    dimension = projective_dimension(system.gens)
-    codim = (system.ring.num_vars - 1) - dimension
+    ideal = _ideal(system)
+    dimension = ideal.dimension()
+    codim = (ideal.ring.num_vars - 1) - dimension
     jacobian = ExactMatrix.from_rows(
-        system.ring.field, [differential_at(g, x) for g in system.gens]
+        ideal.ring.field, [differential_at(g, x) for g in ideal.gens]
     )
     jac_rank = rank(jacobian)
     return SmoothnessReport(codim, jac_rank == codim, dimension, jac_rank)
@@ -164,7 +155,9 @@ class TrivialContainment:
     remainder: Polynomial
 
 
-def trivially_contains(system: GeneratorSystem, f: Polynomial) -> TrivialContainment:
+def trivially_contains(
+    system: GeneratorSystem | Ideal, f: Polynomial
+) -> TrivialContainment:
     """Whether ``f`` is a combination of ideal members of strictly lower degree.
 
     ``f`` must be a nonzero homogeneous member of the ideal (checked).
@@ -174,13 +167,14 @@ def trivially_contains(system: GeneratorSystem, f: Polynomial) -> TrivialContain
     d = homogeneous_degree(f)
     if not isinstance(d, int):
         raise NotHomogeneousError("containment test needs a homogeneous polynomial")
-    member, _ = ideal_member(f, system.gens)
+    ideal = _ideal(system)
+    member, _ = ideal.member(f)
     if not member:
         raise NotInIdealError(f"{f} is not in the ideal")
-    truncated = tuple(truncated_generators(system.gens, d))
+    truncated = ideal.truncated(d)
     if not truncated:
         return TrivialContainment(False, (), (), truncated, f)
-    member, record = ideal_member(f, truncated)
+    member, record = ideal.truncated_ideal(d).member(f)
     if not member:
         return TrivialContainment(False, (), (), truncated, record.remainder)
     members = []
@@ -328,8 +322,13 @@ def reduce_to_ci(
 
     ``check_invariants`` re-verifies ideal equality with the input after each
     iteration; ``on_iteration`` observes (before, outcome, after) triples.
+
+    Every rewrite keeps the ideal, so its basis is computed once, here, and
+    serves the smoothness check, every containment test and the invariant.
     """
-    report = smoothness_check(system, x)
+    _require_on_variety(system, x)
+    ideal = Ideal(system.gens, ring=system.ring)
+    report = smoothness_check(ideal, x)
     if not report.smooth:
         raise NotSmoothError(
             f"point {x} is not a smooth point: Jacobian rank "
@@ -338,7 +337,6 @@ def reduce_to_ci(
     codim = report.codim
     ring = system.ring
     fingerprint = input_fingerprint(ring, system.gens, x)
-    original = system.gens
 
     trace: list[DegreeSequence] = []
     current = system
@@ -358,8 +356,7 @@ def reduce_to_ci(
         else:
             gens = list(current.gens)
             gens[outcome.index] = outcome.new_poly
-            swapped = GeneratorSystem.from_polynomials(gens, ring)
-            containment = trivially_contains(swapped, outcome.new_poly)
+            containment = trivially_contains(ideal, outcome.new_poly)
             if not containment.trivial:
                 return NonCICertificate(
                     input_hash=fingerprint,
@@ -386,8 +383,10 @@ def reduce_to_ci(
                 f"degree sequence failed to decrease: {previous} to {now}"
             )
         trace.append(now)
-        if check_invariants and not ideal_equal(new_system.gens, original, ring=ring):
-            raise AssertionError("rewrite changed the ideal")
+        if check_invariants:
+            now_basis = reduced_groebner(new_system.gens, ring=ring)
+            if now_basis.elements != ideal.basis.elements:
+                raise AssertionError("rewrite changed the ideal")
         if on_iteration is not None:
             on_iteration(current, outcome, new_system)
         current = new_system
@@ -407,7 +406,7 @@ def check_condition_iv(
     f: Polynomial,
     family: Sequence[Polynomial],
     x: ProjectivePoint,
-    system: GeneratorSystem,
+    system: GeneratorSystem | Ideal,
 ) -> bool:
     """Whether the tangent space of Z(f) at ``x`` contains the intersection
     of the tangent spaces of the Z(family member)s.
@@ -423,8 +422,8 @@ def check_condition_iv(
     deg_f = homogeneous_degree(f)
     if not isinstance(deg_f, int):
         raise NotHomogeneousError("need a homogeneous polynomial")
-    basis = reduced_groebner(system.gens, ring=system.ring)
-    member, _ = ideal_member(f, system.gens, basis=basis)
+    ideal = _ideal(system)
+    member, _ = ideal.member(f)
     if not member:
         raise NotInIdealError("polynomial is not in the ideal")
     for b in family:
@@ -437,14 +436,14 @@ def check_condition_iv(
             raise ValueError(
                 f"family member degree {deg_b} not below the polynomial degree {deg_f}"
             )
-        b_member, _ = ideal_member(b, system.gens, basis=basis)
+        b_member, _ = ideal.member(b)
         if not b_member:
             raise NotInIdealError("family member is not in the ideal")
     target = differential_at(f, x)
     rows = [differential_at(b, x) for b in family]
     if not rows:
         return not any(target)
-    field = system.ring.field
+    field = ideal.ring.field
     without = ExactMatrix.from_rows(field, rows)
     with_target = ExactMatrix.from_rows(field, rows + [list(target)])
     return rank(with_target) == rank(without)
@@ -461,27 +460,42 @@ def verify_certificate(
 
     The input hash must match (error if not); every other property is
     recomputed without trusting the producer, and the verdict is returned.
+    The input ideal's basis is computed once and serves every check.
     """
-    fingerprint = input_fingerprint(system.ring, system.gens, x)
+    ring = system.ring
+    fingerprint = input_fingerprint(ring, system.gens, x)
     if fingerprint != cert.input_hash:
         raise CertificateMismatchError(
             "certificate was produced for a different input"
         )
+    if cert.field_tag != ring.field.tag or cert.var_names != ring.var_names:
+        return False
     if not _trace_decreasing(cert.trace):
         return False
-    report = smoothness_check(system, x)
+    _require_on_variety(system, x)
+    ideal = Ideal(system.gens, ring=ring)
+    report = smoothness_check(ideal, x)
     if cert.codim != report.codim:
         return False
     if isinstance(cert, CICertificate):
         if len(cert.final_gens) != cert.codim:
             return False
-        return ideal_equal(cert.final_gens, system.gens, ring=system.ring)
+        final = reduced_groebner(cert.final_gens, ring=ring)
+        return final.elements == ideal.basis.elements
+    # The non-CI argument rests on the smoothness hypothesis at the point.
+    if not report.smooth or cert.point != x:
+        return False
     witness = cert.witness
     if witness.is_zero():
         return False
-    member, _ = ideal_member(witness, system.gens)
+    member, _ = ideal.member(witness)
     if not member:
         return False
     if any(differential_at(witness, x)):
         return False
-    return not trivially_contains(system, witness).trivial
+    containment = trivially_contains(ideal, witness)
+    return (
+        not containment.trivial
+        and containment.truncated_basis == cert.truncated_basis
+        and containment.remainder == cert.remainder
+    )

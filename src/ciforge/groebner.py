@@ -24,9 +24,9 @@ from .errors import (
 from .fields import Scalar
 from .poly import (
     Exponents,
-    NOT_HOMOGENEOUS,
     Polynomial,
     PolynomialRing,
+    distinct_nonzero,
     grevlex_key,
     homogeneous_degree,
     is_homogeneous,
@@ -200,27 +200,6 @@ class GroebnerBasis:
         return [leading_monomial(g, self.order) for g in self.elements]
 
 
-def _normalize_generators(
-    gens: Sequence[Polynomial], ring: PolynomialRing
-) -> list[tuple[Polynomial, int]]:
-    """Drop zero generators and exact duplicates; remember original positions."""
-    seen: set[frozenset] = set()
-    out: list[tuple[Polynomial, int]] = []
-    for i, g in enumerate(gens):
-        if g.ring != ring:
-            raise RingMismatchError("generators belong to different rings")
-        if g.is_zero():
-            continue
-        if not is_homogeneous(g):
-            raise NotHomogeneousError("generators must be homogeneous")
-        fingerprint = frozenset(g.terms.items())
-        if fingerprint in seen:
-            continue
-        seen.add(fingerprint)
-        out.append((g, i))
-    return out
-
-
 def reduced_groebner(
     gens: Sequence[Polynomial],
     order: MonomialOrder = GREVLEX,
@@ -240,13 +219,16 @@ def reduced_groebner(
             raise ValueError("cannot infer the ring of an empty generator list")
         ring = gens[0].ring
     source = tuple(gens)
-    normalized = _normalize_generators(source, ring)
+    if any(g.ring != ring for g in source):
+        raise RingMismatchError("generators belong to different rings")
 
     basis: list[Polynomial] = []
     reps: list[list[Polynomial]] = []  # over `source`, aligned with `basis`
     zero_rep = [ring.zero()] * len(source)
 
-    for g, position in normalized:
+    for position, g in distinct_nonzero(source):
+        if not is_homogeneous(g):
+            raise NotHomogeneousError("generators must be homogeneous")
         rep = list(zero_rep)
         rep[position] = ring.one()
         basis.append(g)
@@ -360,35 +342,111 @@ def reduced_groebner(
     )
 
 
-def ideal_member(
-    f: Polynomial,
-    gens: Sequence[Polynomial],
-    order: MonomialOrder = GREVLEX,
-    *,
-    basis: GroebnerBasis | None = None,
-) -> tuple[bool, QuotientRecord]:
-    """Membership of ``f`` in the ideal generated by ``gens``, with cofactors.
+class Ideal:
+    """The ideal generated by ``gens``, with its reduced basis computed once.
 
-    Returns (member, record) where the record expresses f over the ORIGINAL
-    generators: f = sum(cofactor_i * gens_i) + remainder, remainder zero
-    exactly when f is a member.  Cofactors come from composing the division
-    quotients with the Buchberger transcript.
+    Membership, the below-degree part and the dimension are all read off that
+    one basis.  The reduced basis of each below-degree part is kept by degree:
+    it depends only on the ideal and the degree, so every containment test in
+    one degree shares one computation.
     """
-    if not is_homogeneous(f):
-        raise NotHomogeneousError("membership test requires a homogeneous polynomial")
-    if basis is None:
-        basis = reduced_groebner(gens, order, ring=f.ring)
-    gens = basis.source_gens
-    record = normal_form(f, basis.elements, order)
-    cofactors = [f.ring.zero()] * len(gens)
-    for q, rep in zip(record.quotients, basis.representations):
-        if q.is_zero():
-            continue
-        for i, r in enumerate(rep):
-            if not r.is_zero():
-                cofactors[i] = cofactors[i] + q * r
-    composed = QuotientRecord(tuple(cofactors), record.remainder)
-    return record.remainder.is_zero(), composed
+
+    def __init__(
+        self,
+        gens: Sequence[Polynomial],
+        order: MonomialOrder = GREVLEX,
+        *,
+        ring: PolynomialRing | None = None,
+    ) -> None:
+        self.basis = reduced_groebner(gens, order, ring=ring)
+        self._below: dict[int, Ideal] = {}
+
+    @property
+    def ring(self) -> PolynomialRing:
+        return self.basis.ring
+
+    @property
+    def gens(self) -> tuple[Polynomial, ...]:
+        return self.basis.source_gens
+
+    def member(self, f: Polynomial) -> tuple[bool, QuotientRecord]:
+        """Membership of ``f``, with cofactors over the generators.
+
+        Returns (member, record) where the record expresses f over ``gens``:
+        f = sum(cofactor_i * gens_i) + remainder, remainder zero exactly when
+        f is a member.  Cofactors come from composing the division quotients
+        with the Buchberger transcript.
+        """
+        if not is_homogeneous(f):
+            raise NotHomogeneousError(
+                "membership test requires a homogeneous polynomial"
+            )
+        basis = self.basis
+        record = normal_form(f, basis.elements, basis.order)
+        cofactors = [f.ring.zero()] * len(basis.source_gens)
+        for q, rep in zip(record.quotients, basis.representations):
+            if q.is_zero():
+                continue
+            for i, r in enumerate(rep):
+                if not r.is_zero():
+                    cofactors[i] = cofactors[i] + q * r
+        composed = QuotientRecord(tuple(cofactors), record.remainder)
+        return record.remainder.is_zero(), composed
+
+    def truncated(self, m: int) -> tuple[Polynomial, ...]:
+        """Generators of the ideal spanned by all members of degree below ``m``.
+
+        These are the reduced grevlex basis elements of degree < m.  Why this
+        is enough: grevlex refines total degree, so dividing a homogeneous
+        member of degree d by the reduced basis only ever invokes basis
+        elements whose degrees are at most d.  Hence every member of degree
+        < m is a combination of basis elements of degree < m, and conversely
+        each such element is itself a member of degree < m.
+        """
+        if not self.basis.order.is_graded:
+            raise ValueError("degree truncation needs a graded monomial order")
+        return tuple(g for g in self.basis.elements if homogeneous_degree(g) < m)
+
+    def truncated_ideal(self, m: int) -> "Ideal":
+        """The ideal generated by ``truncated(m)``, computed once per ``m``."""
+        below = self._below.get(m)
+        if below is None:
+            below = self._below[m] = Ideal(self.truncated(m), ring=self.ring)
+        return below
+
+    def dimension(self) -> int:
+        """Dimension of the projective vanishing locus.
+
+        Computed as (Krull dimension of the affine cone) − 1, the cone
+        dimension being the maximum size of a variable subset S such that no
+        leading monomial of the reduced basis is supported entirely inside S.
+        Returns −1 for the empty projective locus.
+        """
+        for g in self.basis.elements:
+            if homogeneous_degree(g) == 0:
+                raise ImproperIdealError("ideal contains a nonzero constant")
+        lm_masks = []
+        for lm in self.basis.leading_monomials():
+            mask = 0
+            for i, e in enumerate(lm):
+                if e:
+                    mask |= 1 << i
+            lm_masks.append(mask)
+        best = 0
+        for subset in range(1 << self.ring.num_vars):
+            size = subset.bit_count()
+            if size <= best:
+                continue
+            if all(mask & ~subset for mask in lm_masks):
+                best = size
+        return best - 1
+
+
+def ideal_member(
+    f: Polynomial, gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX
+) -> tuple[bool, QuotientRecord]:
+    """Membership of ``f`` in the ideal generated by ``gens``; see `Ideal.member`."""
+    return Ideal(gens, order, ring=f.ring).member(f)
 
 
 def ideal_equal(
@@ -410,56 +468,16 @@ def ideal_equal(
 
 
 def truncated_generators(gens: Sequence[Polynomial], m: int) -> list[Polynomial]:
-    """Generators of the ideal spanned by all members of degree below ``m``.
-
-    These are the reduced grevlex basis elements of degree < m.  Why this is
-    enough: grevlex refines total degree, so dividing a homogeneous member of
-    degree d by the reduced basis only ever invokes basis elements whose
-    degrees are at most d.  Hence every member of degree < m is a combination
-    of basis elements of degree < m, and conversely each such element is
-    itself a member of degree < m.
-    """
+    """The basis elements of degree below ``m``; see `Ideal.truncated`."""
     if m < 1:
         raise ValueError("degree cut must be at least 1")
     if not gens:
         return []
-    basis = reduced_groebner(gens, GREVLEX)
-    out = []
-    for g in basis.elements:
-        d = homogeneous_degree(g)
-        if isinstance(d, int) and d < m:
-            out.append(g)
-    return out
+    return list(Ideal(gens).truncated(m))
 
 
 def projective_dimension(gens: Sequence[Polynomial]) -> int:
-    """Dimension of the projective vanishing locus defined by ``gens``.
-
-    Computed as (Krull dimension of the affine cone) − 1, the cone dimension
-    being the maximum size of a variable subset S such that no leading
-    monomial of the reduced grevlex basis is supported entirely inside S.
-    Returns −1 for the empty projective locus.
-    """
+    """Dimension of the projective zero locus of ``gens``; see `Ideal.dimension`."""
     if not gens:
         raise ValueError("need at least one generator")
-    ring = gens[0].ring
-    basis = reduced_groebner(gens, GREVLEX, ring=ring)
-    for g in basis.elements:
-        if homogeneous_degree(g) == 0:
-            raise ImproperIdealError("ideal contains a nonzero constant")
-    n = ring.num_vars
-    lm_masks = []
-    for lm in basis.leading_monomials():
-        mask = 0
-        for i, e in enumerate(lm):
-            if e:
-                mask |= 1 << i
-        lm_masks.append(mask)
-    best = 0
-    for subset in range(1 << n):
-        size = subset.bit_count()
-        if size <= best:
-            continue
-        if all(mask & ~subset for mask in lm_masks):
-            best = size
-    return best - 1
+    return Ideal(gens, ring=gens[0].ring).dimension()

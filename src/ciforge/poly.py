@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotHomogeneousError, RingMismatchError
 from .fields import Field, Fraction, PrimeFieldElement, Scalar
@@ -224,6 +224,19 @@ def homogeneous_degree(p: Polynomial) -> int | _DegreeMarker:
 def is_homogeneous(p: Polynomial) -> bool:
     """True for the zero polynomial and for single-degree polynomials."""
     return homogeneous_degree(p) is not NOT_HOMOGENEOUS
+
+
+def distinct_nonzero(polys: Sequence[Polynomial]) -> Iterator[tuple[int, Polynomial]]:
+    """(position, polynomial) for each nonzero entry, skipping exact repeats."""
+    seen: set[frozenset] = set()
+    for i, p in enumerate(polys):
+        if p.is_zero():
+            continue
+        fingerprint = frozenset(p.terms.items())
+        if fingerprint in seen:
+            continue
+        seen.add(fingerprint)
+        yield i, p
 
 
 @dataclass(frozen=True)

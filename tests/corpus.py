@@ -117,6 +117,36 @@ COORDINATE_SUBSPACE = CorpusIdeal(
     expect_final_count=3,
 )
 
+# The twisted cubic cone inside the hyperplane T4 = 0 of P^4: a non-CI whose
+# failed containment test runs against a nonempty truncated basis, (T4).
+CUBIC_IN_HYPERPLANE = CorpusIdeal(
+    name="cubic_in_hyperplane",
+    ring=P4,
+    gen_exprs=("T4", "T0*T2 - T1^2", "T1*T3 - T2^2", "T0*T3 - T1*T2"),
+    point_coords=(1, 1, 1, 1, 0),
+    codim=3,
+    expect_ci=False,
+    expect_final_count=None,
+)
+
+# Two quadrics through (1:0:0:0) padded with three combinations of them, in
+# degrees 3, 3 and 4: the loop makes four Replaced steps, three in degree 3.
+PLANTED_QUADRICS = CorpusIdeal(
+    name="planted_quadrics",
+    ring=P3,
+    gen_exprs=(
+        "T0*T1 + T2^2",
+        "T0*T2 + T3^2",
+        "T1*(T0*T1 + T2^2) + T3*(T0*T2 + T3^2)",
+        "T2*(T0*T1 + T2^2) - T1*(T0*T2 + T3^2)",
+        "T2^2*(T0*T1 + T2^2) + T3^2*(T0*T2 + T3^2)",
+    ),
+    point_coords=(1, 0, 0, 0),
+    codim=2,
+    expect_ci=True,
+    expect_final_count=2,
+)
+
 CORPUS: tuple[CorpusIdeal, ...] = (
     TWISTED_CUBIC,
     RATIONAL_NORMAL_QUARTIC,
@@ -124,4 +154,6 @@ CORPUS: tuple[CorpusIdeal, ...] = (
     QUADRIC_HYPERSURFACE,
     FERMAT_CUBIC,
     COORDINATE_SUBSPACE,
+    CUBIC_IN_HYPERPLANE,
+    PLANTED_QUADRICS,
 )

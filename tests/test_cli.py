@@ -119,6 +119,22 @@ class TestVerifyCommand:
         assert run_command(["verify", str(cubic_file), "--cert", str(cert_path)]) == 3
         assert "verified: no" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda text: text.replace("T", "S"),  # rename T0..T3 to S0..S3
+            lambda text: text.replace('"field":"q"', '"field":"fp:32003"'),
+        ],
+        ids=["renamed-vars", "other-field"],
+    )
+    def test_certificate_ring_must_match(self, cubic_file, tmp_path, capsys, tamper):
+        cert_path = tmp_path / "cert.json"
+        run_command(["decide", str(cubic_file), "--out", str(cert_path)])
+        cert_path.write_text(tamper(cert_path.read_text()))
+        capsys.readouterr()
+        assert run_command(["verify", str(cubic_file), "--cert", str(cert_path)]) == 3
+        assert "verified: no" in capsys.readouterr().out
+
 
 class TestOtherCommands:
     def test_groebner(self, cubic_file, capsys):
@@ -217,6 +233,13 @@ class TestUsageAndParsing:
 
     def test_bad_timeout_env_ignored(self, cubic_file, capsys, monkeypatch):
         monkeypatch.setenv("CIFORGE_TIMEOUT_SECS", "soon")
+        assert run_command(["decide", str(cubic_file)]) == 3
+        assert "ignoring bad" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_timeout_ignored(self, cubic_file, capsys, monkeypatch, value):
+        # A non-finite limit would switch the time bound off.
+        monkeypatch.setenv("CIFORGE_TIMEOUT_SECS", value)
         assert run_command(["decide", str(cubic_file)]) == 3
         assert "ignoring bad" in capsys.readouterr().err
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from ciforge import decide, groebner
 from ciforge import (
     CICertificate,
     GeneratorSystem,
@@ -15,6 +17,7 @@ from ciforge import (
     NotInIdealError,
     NotSmoothError,
     PointNotOnVarietyError,
+    Polynomial,
     PolynomialRing,
     ProjectivePoint,
     QQ,
@@ -24,13 +27,22 @@ from ciforge import (
     check_condition_iv,
     degree_sequence,
     differential_at,
+    homogeneous_degree,
     ideal_equal,
+    input_fingerprint,
     parse_polynomial,
     reduce_to_ci,
     smoothness_check,
     subst_step,
     trivially_contains,
     verify_certificate,
+)
+
+from corpus import (
+    CUBIC_IN_HYPERPLANE,
+    LINE_QUADRIC_REDUNDANT,
+    PLANTED_QUADRICS,
+    TWISTED_CUBIC,
 )
 
 
@@ -313,3 +325,90 @@ class TestVerify:
         cert = reduce_to_ci(lqr_system, ones)
         with pytest.raises(CertificateMismatchError):
             verify_certificate(cert, twisted_cubic_system, ones)
+
+    def test_rejects_non_ci_claim_at_singular_point(self, p3):
+        # (T0^2) is principal, hence a CI; (0:1:0:0) is a singular point of it,
+        # so the non-CI argument does not apply there.
+        square = parse_polynomial("T0^2", p3)
+        system = GeneratorSystem(p3, (square,))
+        x = ProjectivePoint(tuple(QQ.scalar(c) for c in (0, 1, 0, 0)))
+        forged = NonCICertificate(
+            input_hash=input_fingerprint(p3, system.gens, x),
+            field_tag=p3.field.tag,
+            var_names=p3.var_names,
+            codim=1,
+            witness=square,
+            point=x,
+            truncated_basis=(),
+            remainder=square,
+            trace=(degree_sequence(system),),
+        )
+        assert not verify_certificate(forged, system, x)
+
+    def test_rejects_other_point_or_record(self, twisted_cubic_system, ones):
+        cert = reduce_to_ci(twisted_cubic_system, ones)
+        assert isinstance(cert, NonCICertificate)
+        twos = ProjectivePoint(tuple(QQ.scalar(2) for _ in range(4)))
+        w = cert.witness
+        for tampered in (
+            replace(cert, point=twos),
+            replace(cert, truncated_basis=(w,)),
+            replace(cert, remainder=w + w),
+        ):
+            assert not verify_certificate(tampered, twisted_cubic_system, ones)
+
+
+def _count_bases(monkeypatch) -> list[tuple[Polynomial, ...]]:
+    """Record the generator list of every Groebner basis computed from now on."""
+    calls: list[tuple[Polynomial, ...]] = []
+    compute = groebner.reduced_groebner
+
+    def counting(gens, *args, **kwargs):
+        calls.append(tuple(gens))
+        return compute(gens, *args, **kwargs)
+
+    for module in (groebner, decide):
+        monkeypatch.setattr(module, "reduced_groebner", counting)
+    return calls
+
+
+class TestBasisWork:
+    """The input ideal's basis is computed once per decide and per verify."""
+
+    @pytest.mark.parametrize(
+        "entry", [LINE_QUADRIC_REDUNDANT, PLANTED_QUADRICS], ids=lambda e: e.name
+    )
+    def test_decide_one_basis_plus_one_per_truncation_degree(self, monkeypatch, entry):
+        system, x = entry.system, entry.point
+        degrees = set()
+
+        def observe(before, outcome, after):
+            if isinstance(outcome, Replaced):
+                degrees.add(homogeneous_degree(outcome.new_poly))
+
+        calls = _count_bases(monkeypatch)
+        reduce_to_ci(system, x, on_iteration=observe)
+        assert degrees, "the instance must exercise Replaced steps"
+        assert calls[0] == system.gens
+        assert len(calls) <= 1 + len(degrees)
+
+    def test_verify_ci_two_bases(self, monkeypatch):
+        system, x = PLANTED_QUADRICS.system, PLANTED_QUADRICS.point
+        cert = reduce_to_ci(system, x)
+        calls = _count_bases(monkeypatch)
+        assert verify_certificate(cert, system, x)
+        assert calls == [system.gens, cert.final_gens]
+
+    @pytest.mark.parametrize(
+        "entry", [TWISTED_CUBIC, CUBIC_IN_HYPERPLANE], ids=lambda e: e.name
+    )
+    def test_verify_non_ci_one_basis_plus_truncated(self, monkeypatch, entry):
+        system, x = entry.system, entry.point
+        cert = reduce_to_ci(system, x)
+        assert isinstance(cert, NonCICertificate)
+        calls = _count_bases(monkeypatch)
+        assert verify_certificate(cert, system, x)
+        expected = [system.gens]
+        if cert.truncated_basis:
+            expected.append(cert.truncated_basis)
+        assert calls == expected

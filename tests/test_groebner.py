@@ -9,6 +9,7 @@ import pytest
 from ciforge import (
     BuchbergerTimeout,
     GREVLEX,
+    Ideal,
     ImproperIdealError,
     LEX,
     NotHomogeneousError,
@@ -245,6 +246,21 @@ class TestTruncated:
     def test_bad_cut(self, p3):
         with pytest.raises(ValueError):
             truncated_generators([p3.variable(0)], 0)
+
+
+class TestIdeal:
+    def test_truncated_ideal_computed_once_per_degree(self, p3):
+        ideal = Ideal(
+            [parse_polynomial("T0 - T1", p3), parse_polynomial("T0*T3 - T1*T2", p3)]
+        )
+        below = ideal.truncated_ideal(3)
+        assert ideal.truncated_ideal(3) is below
+        assert ideal.truncated_ideal(2) is not below
+        assert strs(below.gens) == ["T0 - T1", "T1*T2 - T1*T3"]
+
+    def test_truncation_needs_a_graded_order(self, twisted_cubic):
+        with pytest.raises(ValueError):
+            Ideal(list(twisted_cubic), LEX).truncated(3)
 
 
 class TestDimension:
