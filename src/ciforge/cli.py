@@ -272,8 +272,8 @@ def run_command(argv: Sequence[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except BuchbergerTimeout:
-        print("error: computation exceeded the time limit", file=sys.stderr)
+    except BuchbergerTimeout as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

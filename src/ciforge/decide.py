@@ -30,8 +30,8 @@ from .errors import (
     PointNotOnVarietyError,
 )
 from .fields import Scalar
-from .groebner import Ideal, QuotientRecord, reduced_groebner
-from .linalg import ExactMatrix, kernel_basis, linear_relation_polys, rank
+from .groebner import Ideal, QuotientRecord, check_deadline, reduced_groebner
+from .linalg import ExactMatrix, first_kernel_vector, linear_relation_polys, rank
 from .poly import (
     Polynomial,
     PolynomialRing,
@@ -230,8 +230,17 @@ def _removed_record(
     return QuotientRecord(tuple(quotients), system.ring.zero())
 
 
-def subst_step(system: GeneratorSystem, x: ProjectivePoint) -> RewriteOutcome:
+def subst_step(
+    system: GeneratorSystem,
+    x: ProjectivePoint,
+    differentials: Sequence[Sequence[Scalar]] | None = None,
+) -> RewriteOutcome:
     """One rewrite step from a linear relation among differentials at ``x``.
+
+    ``differentials`` are the generators' differentials at ``x``, in order.
+    A caller that passes them must already have checked that ``x`` lies on
+    the variety; without them the point is checked and they are computed
+    here.
 
     Takes the first canonical kernel vector of the differential matrix.  On
     its support, if the top-degree generators are linearly dependent as
@@ -242,13 +251,15 @@ def subst_step(system: GeneratorSystem, x: ProjectivePoint) -> RewriteOutcome:
     combination again removes a generator; a nonzero one replaces the
     highest-index top-degree generator (Replaced).
     """
-    _require_on_variety(system, x)
+    if differentials is None:
+        _require_on_variety(system, x)
+        differentials = [differential_at(g, x) for g in system.gens]
+    elif len(differentials) != len(system.gens):
+        raise ValueError("need one differential per generator")
     ring = system.ring
-    columns = [differential_at(g, x) for g in system.gens]
-    kernel = kernel_basis(ExactMatrix.from_columns(ring.field, columns))
-    if not kernel:
+    relation = first_kernel_vector(ExactMatrix.from_columns(ring.field, differentials))
+    if relation is None:
         return Independent()
-    relation = kernel[0]
     support = [i for i, c in enumerate(relation) if c]
     degrees = system.degrees
     top_degree = max(degrees[i] for i in support)
@@ -302,6 +313,21 @@ def subst_step(system: GeneratorSystem, x: ProjectivePoint) -> RewriteOutcome:
     return Replaced(j, combined, full_relation, full_cofactors)
 
 
+def _carried_differentials(
+    before: GeneratorSystem,
+    columns: list[tuple[Scalar, ...]],
+    after: GeneratorSystem,
+    x: ProjectivePoint,
+) -> list[tuple[Scalar, ...]]:
+    """The differentials of ``after``'s generators at ``x``: a generator that
+    survives from ``before`` (the same object) keeps its column, and only a
+    spliced-in member is differentiated."""
+    known = {id(g): column for g, column in zip(before.gens, columns)}
+    return [
+        known[id(g)] if id(g) in known else differential_at(g, x) for g in after.gens
+    ]
+
+
 IterationObserver = Callable[[GeneratorSystem, RewriteOutcome, GeneratorSystem], None]
 
 
@@ -325,6 +351,9 @@ def reduce_to_ci(
 
     Every rewrite keeps the ideal, so its basis is computed once, here, and
     serves the smoothness check, every containment test and the invariant.
+    Likewise each generator's differential at ``x`` is computed once and
+    carried to the systems it survives into.  Every generator a step adds is
+    an ideal member, so it vanishes at ``x`` and the point needs no re-check.
     """
     _require_on_variety(system, x)
     ideal = Ideal(system.gens, ring=system.ring)
@@ -343,8 +372,10 @@ def reduce_to_ci(
     if len(current) > codim:
         trace.append(degree_sequence(current))
 
+    columns = [differential_at(g, x) for g in current.gens]
     while len(current) > codim:
-        outcome = subst_step(current, x)
+        check_deadline("rewrite loop")
+        outcome = subst_step(current, x, columns)
         if isinstance(outcome, Independent):
             raise AssertionError(
                 "differentials independent although the system exceeds the codimension"
@@ -389,6 +420,7 @@ def reduce_to_ci(
                 raise AssertionError("rewrite changed the ideal")
         if on_iteration is not None:
             on_iteration(current, outcome, new_system)
+        columns = _carried_differentials(current, columns, new_system, x)
         current = new_system
 
     assert len(current) == codim, "system shrank below the codimension"
@@ -449,8 +481,26 @@ def check_condition_iv(
     return rank(with_target) == rank(without)
 
 
-def _trace_decreasing(trace: Sequence[DegreeSequence]) -> bool:
-    return all(seq_succ(a, b) for a, b in zip(trace, trace[1:]))
+def _trace_fits(cert: Certificate, system: GeneratorSystem) -> bool:
+    """Whether the trace could be the one a run on ``system`` records.
+
+    It is empty exactly when the input already has codimension size, and
+    otherwise starts at the input's degree sequence and strictly decreases;
+    a CI trace ends at the final generators' degree sequence.
+    """
+    trace = cert.trace
+    if not trace:
+        return len(system) == cert.codim
+    if len(system) == cert.codim or trace[0] != degree_sequence(system):
+        return False
+    if not all(seq_succ(a, b) for a, b in zip(trace, trace[1:])):
+        return False
+    if isinstance(cert, CICertificate):
+        degrees = [homogeneous_degree(g) for g in cert.final_gens]
+        if not all(isinstance(d, int) and d >= 1 for d in degrees):
+            return False
+        return trace[-1] == DegreeSequence.from_degrees(degrees)
+    return True
 
 
 def verify_certificate(
@@ -470,12 +520,10 @@ def verify_certificate(
         )
     if cert.field_tag != ring.field.tag or cert.var_names != ring.var_names:
         return False
-    if not _trace_decreasing(cert.trace):
-        return False
     _require_on_variety(system, x)
     ideal = Ideal(system.gens, ring=ring)
     report = smoothness_check(ideal, x)
-    if cert.codim != report.codim:
+    if cert.codim != report.codim or not _trace_fits(cert, system):
         return False
     if isinstance(cert, CICertificate):
         if len(cert.final_gens) != cert.codim:

@@ -73,14 +73,15 @@ def leading_coefficient(p: Polynomial, order: MonomialOrder = GREVLEX) -> Scalar
 
 
 # ---------------------------------------------------------------------------
-# Cooperative time limit for basis computations.
+# Cooperative time limit for basis computations and the rewrite loop.
 
 _deadline: ContextVar[float | None] = ContextVar("basis_deadline", default=None)
 
 
 @contextmanager
 def basis_time_limit(seconds: float) -> Iterator[None]:
-    """Bound the wall-clock time of basis computations started in this context."""
+    """Bound the wall-clock time of basis computations and rewrite loops
+    started in this context."""
     token = _deadline.set(time.monotonic() + seconds)
     try:
         yield
@@ -88,10 +89,11 @@ def basis_time_limit(seconds: float) -> Iterator[None]:
         _deadline.reset(token)
 
 
-def _check_deadline() -> None:
+def check_deadline(phase: str) -> None:
+    """Raise `BuchbergerTimeout`, naming ``phase``, once the limit has passed."""
     deadline = _deadline.get()
     if deadline is not None and time.monotonic() > deadline:
-        raise BuchbergerTimeout("basis computation exceeded its time limit")
+        raise BuchbergerTimeout(f"{phase} exceeded its time limit")
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +252,7 @@ def reduced_groebner(
     heapq.heapify(queue)
 
     while queue:
-        _check_deadline()
+        check_deadline("basis computation")
         _, _, i, j = heapq.heappop(queue)
         pending.discard(frozenset((i, j)))
         lcm = monomial_lcm(lms[i], lms[j])

@@ -1,8 +1,10 @@
 """Exact dense linear algebra over the coefficient field.
 
-Everything goes through one reduced-row-echelon routine.  The echelon form of
-a matrix is unique, so rank, kernel bases, and relation vectors come out
-deterministic no matter which pivot happened to be selected along the way.
+Rank and kernel bases go through one reduced-row-echelon routine.  The
+echelon form of a matrix is unique, so they come out deterministic no matter
+which pivot happened to be selected along the way.  `first_kernel_vector`
+eliminates column by column instead and stops at the first dependent column;
+the vector it returns is unique too, and equals the first kernel basis vector.
 """
 
 from __future__ import annotations
@@ -149,6 +151,41 @@ def kernel_basis(matrix: ExactMatrix) -> list[Vector]:
     return basis
 
 
+def first_kernel_vector(matrix: ExactMatrix) -> Vector | None:
+    """``kernel_basis(matrix)[0]``, or None when the kernel is trivial.
+
+    That vector belongs to the first column that depends on the columns
+    before it.  Those earlier columns are independent, so its coefficients
+    are unique and elimination can stop there.  Each column is reduced
+    against the independent columns before it, and its combination is
+    tracked over columns ``0..j`` only.
+    """
+    field = matrix.field
+    zero, one = field.zero, field.one
+    # Reduced independent columns: (pivot row, column scaled to 1 there,
+    # combination of the original columns 0..j that gives it).
+    reduced: list[tuple[int, list[Scalar], list[Scalar]]] = []
+    for j in range(matrix.cols):
+        column = [row[j] for row in matrix.rows]
+        combination = [zero] * j + [one]
+        for pivot, basis_column, basis_combination in reduced:
+            factor = column[pivot]
+            if not factor:
+                continue
+            column = [a - factor * b if b else a for a, b in zip(column, basis_column)]
+            for k, c in enumerate(basis_combination):
+                if c:
+                    combination[k] -= factor * c
+        pivot = next((i for i, v in enumerate(column) if v), None)
+        if pivot is None:
+            return tuple(combination) + (zero,) * (matrix.cols - j - 1)
+        inv = one / column[pivot]
+        reduced.append(
+            (pivot, [v * inv for v in column], [c * inv for c in combination])
+        )
+    return None
+
+
 def linear_relation_polys(polys: Sequence[Polynomial]) -> Vector | None:
     """A nonzero vector c with sum(c_i * polys_i) = 0, or None if independent.
 
@@ -175,5 +212,4 @@ def linear_relation_polys(polys: Sequence[Polynomial]) -> Vector | None:
     rows = tuple(
         tuple(p.terms.get(mono, field.zero) for p in polys) for mono in monomials
     )
-    basis = kernel_basis(ExactMatrix(field, rows, len(polys)))
-    return basis[0] if basis else None
+    return first_kernel_vector(ExactMatrix(field, rows, len(polys)))

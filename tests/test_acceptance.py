@@ -211,6 +211,15 @@ def test_criterion_5_substitution_postconditions():
                 assert ideal_equal(swapped, before, ring=system.ring)
 
 
+def test_subst_step_given_differentials():
+    """Passing the generators' differentials changes no outcome of a step."""
+    rng = random.Random(20260824)
+    for _ in range(200):
+        system, x = _random_vanishing_system(rng)
+        columns = [differential_at(g, x) for g in system.gens]
+        assert subst_step(system, x, columns) == subst_step(system, x)
+
+
 def test_criterion_6_euler_identity():
     with reported(6, "Euler identity on 1000 random polynomials"):
         rng = random.Random(1729)

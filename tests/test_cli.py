@@ -119,6 +119,17 @@ class TestVerifyCommand:
         assert run_command(["verify", str(cubic_file), "--cert", str(cert_path)]) == 3
         assert "verified: no" in capsys.readouterr().out
 
+    def test_forged_trace_refuted(self, lqr_file, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        run_command(["decide", str(lqr_file), "--out", str(cert_path)])
+        data = json.loads(cert_path.read_text())
+        # A strictly decreasing trace that belongs to some other input.
+        data["trace"] = [[0] * 8 + [1], [0] * 7 + [1]]
+        cert_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run_command(["verify", str(lqr_file), "--cert", str(cert_path)]) == 3
+        assert "verified: no" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "tamper",
         [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ import pytest
 
 from ciforge import decide, groebner
 from ciforge import (
+    BuchbergerTimeout,
     CICertificate,
+    DegreeSequence,
     GeneratorSystem,
     Independent,
     NonCICertificate,
@@ -24,6 +27,7 @@ from ciforge import (
     Removed,
     Replaced,
     CertificateMismatchError,
+    basis_time_limit,
     check_condition_iv,
     degree_sequence,
     differential_at,
@@ -56,6 +60,21 @@ def lqr_system(p3):
         ],
         p3,
     )
+
+
+@pytest.fixture
+def linear_combinations():
+    """Three independent linear forms in T1..T4 plus five Q-combinations of
+    them, at (1:0:0:0:0): a complete intersection decided by five Removed
+    steps."""
+    ring = PolynomialRing(QQ, ("T0", "T1", "T2", "T3", "T4"))
+    f1, f2, f3 = (
+        parse_polynomial(s, ring)
+        for s in ("T1 + 2*T2 - T3 + T4", "T1 - T2 + 3*T3 + 2*T4", "2*T1 + T2 + T3 - T4")
+    )
+    combinations = (f1 + f2, f1 - f3 * 2, f2 * 3 + f3, f1 + f2 + f3, f1 * 3 - f2 + f3 * 2)
+    point = ProjectivePoint((QQ.one,) + (QQ.zero,) * 4)
+    return GeneratorSystem(ring, (f1, f2, f3) + combinations), point
 
 
 @pytest.fixture
@@ -193,6 +212,10 @@ class TestSubstStep:
         with pytest.raises(PointNotOnVarietyError):
             subst_step(twisted_cubic_system, x)
 
+    def test_differentials_must_match_the_generators(self, lqr_system, ones):
+        with pytest.raises(ValueError):
+            subst_step(lqr_system, ones, [differential_at(lqr_system.gens[0], ones)])
+
     def test_replacement_preserves_ideal(self, lqr_system, ones):
         outcome = subst_step(lqr_system, ones)
         gens = list(lqr_system.gens)
@@ -246,6 +269,21 @@ class TestReduceToCI:
             ),
         )
         assert seen == [(3, "Replaced", 2)]
+
+    def test_rewrite_loop_honours_the_time_limit(self, monkeypatch, linear_combinations):
+        # A Removed-only loop computes no basis, so only the loop itself can
+        # notice that the limit has passed.
+        system, x = linear_combinations
+        steps = []
+
+        def observe(before, outcome, after):
+            steps.append(outcome)
+            monkeypatch.setattr(groebner.time, "monotonic", lambda: math.inf)
+
+        with basis_time_limit(3600.0):
+            with pytest.raises(BuchbergerTimeout, match="rewrite loop"):
+                reduce_to_ci(system, x, on_iteration=observe)
+        assert len(steps) == 1
 
 
 class TestConditionIV:
@@ -345,6 +383,31 @@ class TestVerify:
         )
         assert not verify_certificate(forged, system, x)
 
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            (),
+            (DegreeSequence.from_degrees((9,)), DegreeSequence.from_degrees((8,))),
+            (DegreeSequence((1, 2)), DegreeSequence((0, 1))),
+            (DegreeSequence((1, 2)), DegreeSequence((1, 3)), DegreeSequence((1, 1))),
+        ],
+        ids=["empty", "foreign-descent", "wrong-end", "not-decreasing"],
+    )
+    def test_rejects_trace_not_bound_to_input(self, trace):
+        system, x = LINE_QUADRIC_REDUNDANT.system, LINE_QUADRIC_REDUNDANT.point
+        cert = reduce_to_ci(system, x)
+        assert verify_certificate(cert, system, x)
+        assert not verify_certificate(replace(cert, trace=trace), system, x)
+
+    def test_rejects_trace_for_codimension_sized_input(self, p3):
+        f = parse_polynomial("T0*T3 - T1*T2", p3)
+        system = GeneratorSystem(p3, (f,))
+        x = ProjectivePoint((QQ.one, QQ.zero, QQ.zero, QQ.zero))
+        cert = reduce_to_ci(system, x)
+        assert verify_certificate(cert, system, x)
+        forged = replace(cert, trace=(degree_sequence(system),))
+        assert not verify_certificate(forged, system, x)
+
     def test_rejects_other_point_or_record(self, twisted_cubic_system, ones):
         cert = reduce_to_ci(twisted_cubic_system, ones)
         assert isinstance(cert, NonCICertificate)
@@ -412,3 +475,50 @@ class TestBasisWork:
         if cert.truncated_basis:
             expected.append(cert.truncated_basis)
         assert calls == expected
+
+
+class TestStepWork:
+    """A rewrite step costs only what changed: each input generator is
+    evaluated and differentiated at the point a bounded number of times per
+    decide, however many steps run."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"evaluate": 0, "differential_at": 0}
+        for name in counts:
+
+            def counting(*args, _name=name, _original=getattr(decide, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(decide, name, counting)
+        return counts
+
+    def test_removed_steps(self, counts, linear_combinations):
+        system, x = linear_combinations
+        outcomes = []
+        cert = reduce_to_ci(
+            system, x, on_iteration=lambda before, outcome, after: outcomes.append(outcome)
+        )
+        assert isinstance(cert, CICertificate)
+        assert len(outcomes) >= 5
+        assert all(isinstance(o, Removed) for o in outcomes)
+        assert counts["evaluate"] <= 2 * len(system)
+        assert counts["differential_at"] <= 2 * len(system)
+
+    def test_replaced_steps(self, counts):
+        system, x = PLANTED_QUADRICS.system, PLANTED_QUADRICS.point
+        spliced = replaced = 0
+
+        def observe(before, outcome, after):
+            nonlocal spliced, replaced
+            if isinstance(outcome, Replaced):
+                replaced += 1
+                spliced += sum(
+                    all(g is not h for h in before.gens) for g in after.gens
+                )
+
+        reduce_to_ci(system, x, on_iteration=observe)
+        assert replaced, "the instance must exercise Replaced steps"
+        assert counts["evaluate"] <= 2 * len(system)
+        assert counts["differential_at"] <= 2 * len(system) + spliced + replaced

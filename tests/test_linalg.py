@@ -14,6 +14,7 @@ from ciforge import (
     PrimeField,
     QQ,
     RingMismatchError,
+    first_kernel_vector,
     kernel_basis,
     linear_relation_polys,
     parse_polynomial,
@@ -82,6 +83,58 @@ class TestKernel:
             assert m.multiply_vector(v) == (Fraction(0),) * nrows
             last_nonzero = max(i for i, c in enumerate(v) if c)
             assert v[last_nonzero] == 1
+
+
+FIELDS = [QQ, PrimeField(7), PrimeField(32003)]
+
+
+@st.composite
+def field_matrices(draw):
+    """A matrix over Q, F_7 or F_32003 with up to 4 rows and 5 columns; about
+    half the entries are zero, the others are small fractions."""
+    field = draw(st.sampled_from(FIELDS))
+    nrows = draw(st.integers(0, 4))
+    ncols = draw(st.integers(0, 5))
+    entry = st.one_of(
+        st.just(field.zero),
+        st.builds(field.scalar, st.integers(-6, 6), st.integers(1, 4)),
+    )
+    rows = draw(
+        st.lists(
+            st.tuples(*[entry] * ncols), min_size=nrows, max_size=nrows
+        )
+    )
+    return ExactMatrix(field, tuple(rows), ncols)
+
+
+class TestFirstKernelVector:
+    @given(field_matrices())
+    def test_equals_first_kernel_basis_vector(self, m):
+        assert first_kernel_vector(m) == (kernel_basis(m) or [None])[0]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize(
+        "rows, cols, expected",
+        [
+            ((), 3, (1, 0, 0)),  # no rows: every column is zero
+            (((), ()), 0, None),  # no columns: no kernel
+            (((0, 1, 2), (0, 3, 4)), 3, (1, 0, 0)),  # zero first column
+            (((1, 0), (0, 1), (1, 1)), 2, None),  # full column rank
+            (((1, 2, 0, 1), (1, 2, 1, 0)), 4, (-2, 1, 0, 0)),  # stops at column 1
+            (((1, 0, 1, 5), (0, 1, 1, 7)), 4, (-1, -1, 1, 0)),
+        ],
+        ids=["no-rows", "no-columns", "zero-first-column", "full-rank", "early", "later"],
+    )
+    def test_edge_cases(self, field, rows, cols, expected):
+        m = ExactMatrix(
+            field, tuple(tuple(field.scalar(v) for v in row) for row in rows), cols
+        )
+        got = first_kernel_vector(m)
+        assert got == (kernel_basis(m) or [None])[0]
+        if expected is None:
+            assert got is None
+        else:
+            assert got == tuple(field.scalar(v) for v in expected)
 
 
 class TestRelations:
