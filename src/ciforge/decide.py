@@ -76,6 +76,20 @@ class GeneratorSystem:
             ring = polys[0].ring
         return cls(ring, tuple(p for _, p in distinct_nonzero(polys)))
 
+    def without(self, index: int) -> "GeneratorSystem":
+        """The system minus generator ``index``.
+
+        What remains of a valid system is valid, so its generators are not
+        checked again.
+        """
+        gens = self.gens[:index] + self.gens[index + 1 :]
+        if not gens:
+            raise ValueError("generator system must be nonempty")
+        smaller = object.__new__(GeneratorSystem)
+        object.__setattr__(smaller, "ring", self.ring)
+        object.__setattr__(smaller, "gens", gens)
+        return smaller
+
     @property
     def degrees(self) -> tuple[int, ...]:
         out = []
@@ -381,9 +395,7 @@ def reduce_to_ci(
                 "differentials independent although the system exceeds the codimension"
             )
         if isinstance(outcome, Removed):
-            gens = list(current.gens)
-            del gens[outcome.index]
-            new_system = GeneratorSystem(ring, tuple(gens))
+            new_system = current.without(outcome.index)
         else:
             gens = list(current.gens)
             gens[outcome.index] = outcome.new_poly

@@ -1,4 +1,4 @@
-"""Monomial orders, division with quotient tracking, and Buchberger's algorithm.
+"""Division with quotient tracking, and Buchberger's algorithm, in grevlex.
 
 The basis computation keeps a transcript: every basis element carries a
 representation over the original generators, so ideal membership can hand back
@@ -13,7 +13,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     BuchbergerTimeout,
@@ -38,38 +38,8 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A monomial order with variable precedence T_0 > T_1 > ... > T_N."""
-
-    kind: str  # "grevlex" or "lex"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown monomial order {self.kind!r}")
-
-    def key(self, exponents: Exponents) -> tuple:
-        if self.kind == "grevlex":
-            return grevlex_key(exponents)
-        return exponents
-
-    @property
-    def is_graded(self) -> bool:
-        return self.kind == "grevlex"
-
-
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
-
-
-def leading_monomial(p: Polynomial, order: MonomialOrder = GREVLEX) -> Exponents:
-    if p.is_zero():
-        raise ValueError("zero polynomial has no leading monomial")
-    return max(p.terms, key=order.key)
-
-
-def leading_coefficient(p: Polynomial, order: MonomialOrder = GREVLEX) -> Scalar:
-    return p.terms[leading_monomial(p, order)]
+def leading_coefficient(p: Polynomial) -> Scalar:
+    return p.terms[p.lead]
 
 
 # ---------------------------------------------------------------------------
@@ -115,68 +85,93 @@ class QuotientRecord:
         return total
 
 
+#: Leading-term steps between two deadline checks inside one division.
+_STEPS_PER_DEADLINE_CHECK = 1024
+
+
 def _divide_terms(
-    dividend: dict[Exponents, Scalar],
-    divisors: Sequence[tuple[Exponents, Scalar, dict[Exponents, Scalar]]],
-    order: MonomialOrder,
+    dividend: Mapping[Exponents, Scalar],
+    divisors: Sequence[tuple[Exponents, Scalar, Mapping[Exponents, Scalar]]],
 ) -> tuple[list[dict[Exponents, Scalar]], dict[Exponents, Scalar]]:
     """Core division loop on raw term maps.
 
-    Each divisor is given as (leading monomial, leading coefficient, terms).
-    At every step the current leading monomial of the work polynomial is
-    either cancelled by the first divisor whose leading monomial divides it
-    or moved to the remainder, so the loop strictly descends in the order.
+    Each divisor is given as (leading monomial, leading coefficient, terms),
+    where the leading monomial is the key object stored in terms.  At every
+    step the current leading monomial of the work polynomial is either
+    cancelled by the first divisor whose leading monomial divides it or moved
+    to the remainder, so the loop strictly descends in grevlex.
+
+    The work polynomial's monomials sit in a min-heap under the key
+    (-degree, reversed exponents), which pops the grevlex-greatest first.  A
+    monomial is pushed when it enters the work polynomial; one that has left
+    it since is skipped when popped.  Nothing at or above a processed
+    monomial is ever added again, so each monomial is processed once.
     """
     work = dict(dividend)
+    heap = [(-sum(e), e[::-1], e) for e in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     remainder: dict[Exponents, Scalar] = {}
     quotients: list[dict[Exponents, Scalar]] = [{} for _ in divisors]
-    key = order.key
-    while work:
-        lm = max(work, key=key)
-        lc = work[lm]
-        for i, (glm, glc, gterms) in enumerate(divisors):
+    steps = 0
+    while heap:
+        lm = pop(heap)[2]
+        lc = work.pop(lm, None)
+        if lc is None:
+            continue
+        steps += 1
+        if steps % _STEPS_PER_DEADLINE_CHECK == 0:
+            check_deadline("division")
+        for q, (glm, glc, gterms) in zip(quotients, divisors):
             if monomial_divides(glm, lm):
                 shift = monomial_div(lm, glm)
                 factor = lc / glc
-                q = quotients[i]
-                previous = q.get(shift)
-                q[shift] = factor if previous is None else previous + factor
+                q[shift] = factor  # lm is processed once, so shift is new
+                minus = -factor
+                # The divisor's leading term cancels lm, which already left
+                # the work polynomial.
                 for ge, gc in gterms.items():
+                    if ge is glm:
+                        continue
                     e = monomial_mul(shift, ge)
                     value = work.get(e)
-                    value = -factor * gc if value is None else value - factor * gc
-                    if value:
-                        work[e] = value
+                    if value is None:
+                        work[e] = minus * gc
+                        push(heap, (-sum(e), e[::-1], e))
                     else:
-                        work.pop(e, None)
+                        value = value + minus * gc
+                        if value:
+                            work[e] = value
+                        else:
+                            del work[e]
                 break
         else:
             remainder[lm] = lc
-            del work[lm]
     return quotients, remainder
 
 
-def normal_form(
-    f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX
-) -> QuotientRecord:
-    """Divide ``f`` by ``basis`` in the given order.
+def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> QuotientRecord:
+    """Divide ``f`` by ``basis`` in grevlex.
 
     Deterministic: the leading reducible monomial is always cancelled by the
     first basis element whose leading monomial divides it.  The remainder has
-    no monomial divisible by any basis leading monomial.
+    no monomial divisible by any basis leading monomial.  A long division
+    honours `basis_time_limit`.
     """
     ring = f.ring
-    prepared = []
+    divisors = []
     for g in basis:
         if g.ring != ring:
             raise RingMismatchError("divisor in a different ring")
         if g.is_zero():
             raise ValueError("zero divisor in basis")
-        lm = leading_monomial(g, order)
-        prepared.append((lm, g.terms[lm], dict(g.terms)))
-    quotients, remainder = _divide_terms(dict(f.terms), prepared, order)
+        lm = g.lead
+        divisors.append((lm, g.terms[lm], g.terms))
+    quotients, remainder = _divide_terms(f.terms, divisors)
+    zero = ring.zero()
     return QuotientRecord(
-        tuple(Polynomial(ring, q) for q in quotients), Polynomial(ring, remainder)
+        tuple(Polynomial(ring, q) if q else zero for q in quotients),
+        Polynomial(ring, remainder),
     )
 
 
@@ -193,27 +188,25 @@ class GroebnerBasis:
     """
 
     ring: PolynomialRing
-    order: MonomialOrder
     elements: tuple[Polynomial, ...]
     source_gens: tuple[Polynomial, ...]
     representations: tuple[tuple[Polynomial, ...], ...]
 
     def leading_monomials(self) -> list[Exponents]:
-        return [leading_monomial(g, self.order) for g in self.elements]
+        return [g.lead for g in self.elements]
 
 
 def reduced_groebner(
     gens: Sequence[Polynomial],
-    order: MonomialOrder = GREVLEX,
     *,
     ring: PolynomialRing | None = None,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``.
+    """Reduced grevlex Groebner basis of the ideal generated by ``gens``.
 
     Buchberger's algorithm with the coprime and chain criteria and normal pair
     selection (lowest lcm degree first, ties by pair creation order).  Zero
     generators are dropped and duplicates merged before computation.  The
-    result is the unique reduced basis for (ideal, order), independent of
+    result is the unique reduced basis of the ideal, independent of
     generator order.
     """
     if ring is None:
@@ -236,7 +229,7 @@ def reduced_groebner(
         basis.append(g)
         reps.append(rep)
 
-    lms = [leading_monomial(g, order) for g in basis]
+    lms = [g.lead for g in basis]
     lcs = [g.terms[lm] for g, lm in zip(basis, lms)]
 
     pending: set[frozenset[int]] = set()
@@ -280,7 +273,7 @@ def reduced_groebner(
         mono_i = ring.monomial(shift_i, ring.field.one / lcs[i])
         mono_j = ring.monomial(shift_j, ring.field.one / lcs[j])
         s_poly = basis[i] * mono_i - basis[j] * mono_j
-        record = normal_form(s_poly, basis, order)
+        record = normal_form(s_poly, basis)
         if record.remainder.is_zero():
             continue
         rep = [
@@ -292,7 +285,7 @@ def reduced_groebner(
         new_index = len(basis)
         basis.append(record.remainder)
         reps.append(rep)
-        new_lm = leading_monomial(record.remainder, order)
+        new_lm = record.remainder.lead
         lms.append(new_lm)
         lcs.append(record.remainder.terms[new_lm])
         for k in range(new_index):
@@ -316,7 +309,7 @@ def reduced_groebner(
     # Monic + tail-reduce each survivor against the others.  Leading monomials
     # are pairwise non-divisible at this point, so reduction only rewrites
     # tails; one pass over ascending leading monomials yields the reduced form.
-    keep.sort(key=lambda i: order.key(lms[i]))
+    keep.sort(key=lambda i: grevlex_key(lms[i]))
     final: list[Polynomial] = []
     final_reps: list[list[Polynomial]] = []
     for i in keep:
@@ -326,7 +319,7 @@ def reduced_groebner(
     for pos in range(len(final)):
         others = final[:pos] + final[pos + 1 :]
         other_reps = final_reps[:pos] + final_reps[pos + 1 :]
-        record = normal_form(final[pos], others, order)
+        record = normal_form(final[pos], others)
         reduced = record.remainder
         rep = final_reps[pos]
         for q, other in zip(record.quotients, other_reps):
@@ -337,7 +330,6 @@ def reduced_groebner(
 
     return GroebnerBasis(
         ring,
-        order,
         tuple(final),
         source,
         tuple(tuple(rep) for rep in final_reps),
@@ -356,11 +348,10 @@ class Ideal:
     def __init__(
         self,
         gens: Sequence[Polynomial],
-        order: MonomialOrder = GREVLEX,
         *,
         ring: PolynomialRing | None = None,
     ) -> None:
-        self.basis = reduced_groebner(gens, order, ring=ring)
+        self.basis = reduced_groebner(gens, ring=ring)
         self._below: dict[int, Ideal] = {}
 
     @property
@@ -384,7 +375,7 @@ class Ideal:
                 "membership test requires a homogeneous polynomial"
             )
         basis = self.basis
-        record = normal_form(f, basis.elements, basis.order)
+        record = normal_form(f, basis.elements)
         cofactors = [f.ring.zero()] * len(basis.source_gens)
         for q, rep in zip(record.quotients, basis.representations):
             if q.is_zero():
@@ -405,8 +396,6 @@ class Ideal:
         < m is a combination of basis elements of degree < m, and conversely
         each such element is itself a member of degree < m.
         """
-        if not self.basis.order.is_graded:
-            raise ValueError("degree truncation needs a graded monomial order")
         return tuple(g for g in self.basis.elements if homogeneous_degree(g) < m)
 
     def truncated_ideal(self, m: int) -> "Ideal":
@@ -445,16 +434,15 @@ class Ideal:
 
 
 def ideal_member(
-    f: Polynomial, gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX
+    f: Polynomial, gens: Sequence[Polynomial]
 ) -> tuple[bool, QuotientRecord]:
     """Membership of ``f`` in the ideal generated by ``gens``; see `Ideal.member`."""
-    return Ideal(gens, order, ring=f.ring).member(f)
+    return Ideal(gens, ring=f.ring).member(f)
 
 
 def ideal_equal(
     a: Sequence[Polynomial],
     b: Sequence[Polynomial],
-    order: MonomialOrder = GREVLEX,
     *,
     ring: PolynomialRing | None = None,
 ) -> bool:
@@ -464,8 +452,8 @@ def ideal_equal(
         if not candidates:
             return True
         ring = candidates[0]
-    basis_a = reduced_groebner(a, order, ring=ring)
-    basis_b = reduced_groebner(b, order, ring=ring)
+    basis_a = reduced_groebner(a, ring=ring)
+    basis_b = reduced_groebner(b, ring=ring)
     return basis_a.elements == basis_b.elements
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import add, le, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotHomogeneousError, RingMismatchError
@@ -43,26 +45,34 @@ def monomial_degree(exponents: Exponents) -> int:
 
 
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Exponents, b: Exponents) -> bool:
     """True iff the monomial with exponents ``a`` divides the one with ``b``."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: Exponents, b: Exponents) -> Exponents:
     """Exponents of a/b; caller must ensure b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-# Canonical display order: graded reverse-lexicographic, T_0 > T_1 > ... > T_N.
+# The one monomial order: graded reverse-lexicographic, T_0 > T_1 > ... > T_N.
+# It orders printed terms, leading monomials and division.
 def grevlex_key(exponents: Exponents) -> tuple:
-    return (sum(exponents), tuple(-e for e in reversed(exponents)))
+    return (sum(exponents), tuple(map(neg, reversed(exponents))))
+
+
+def leading_monomial(p: "Polynomial") -> Exponents:
+    """The grevlex-greatest monomial of ``p``; `Polynomial.lead` keeps it."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has no leading monomial")
+    return max(p.terms, key=grevlex_key)
 
 
 @dataclass(frozen=True)
@@ -130,6 +140,15 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    @cached_property
+    def lead(self) -> Exponents:
+        """The leading monomial, computed on first use and then kept.
+
+        It is the key object stored in ``terms``, so ``terms[p.lead]`` is the
+        leading coefficient.  Division asks each divisor for it many times.
+        """
+        return leading_monomial(self)
 
     def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in canonical (grevlex descending) order."""

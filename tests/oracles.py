@@ -3,6 +3,7 @@
 Nothing here touches the package's Groebner or elimination code: ranks come
 from a local row reduction, and ideal slices are spanned the naive way, by
 multiplying generators with every monomial of the complementary degree.
+Division is the textbook loop that rescans for the leading monomial.
 """
 
 from __future__ import annotations
@@ -89,3 +90,41 @@ def minimal_generator_total(gens, num_vars: int) -> int:
     return sum(
         minimal_generator_count_at(gens, num_vars, d) for d in range(1, top + 1)
     )
+
+
+def _grevlex_greatest(monomials):
+    """Greatest exponent tuple in grevlex with T_0 > T_1 > ... > T_N."""
+    return max(monomials, key=lambda e: (sum(e), tuple(-x for x in reversed(e))))
+
+
+def reference_division(dividend: dict, divisors: list[dict]):
+    """Multivariate division on term maps: (quotient maps, remainder map).
+
+    Each step rescans the work polynomial for its grevlex-greatest monomial
+    and cancels it with the first divisor whose leading monomial divides it,
+    or moves it to the remainder.
+    """
+    leads = [_grevlex_greatest(g) for g in divisors]
+    work = dict(dividend)
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    while work:
+        lm = _grevlex_greatest(work)
+        lc = work[lm]
+        for g, glm, q in zip(divisors, leads, quotients):
+            if all(a <= b for a, b in zip(glm, lm)):
+                shift = tuple(a - b for a, b in zip(lm, glm))
+                factor = lc / g[glm]
+                q[shift] = factor if shift not in q else q[shift] + factor
+                for e, c in g.items():
+                    m = tuple(a + b for a, b in zip(shift, e))
+                    value = -factor * c if m not in work else work[m] - factor * c
+                    if value:
+                        work[m] = value
+                    else:
+                        del work[m]
+                break
+        else:
+            remainder[lm] = lc
+            del work[lm]
+    return quotients, remainder

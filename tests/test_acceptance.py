@@ -35,8 +35,8 @@ from ciforge import (
     subst_step,
     verify_certificate,
 )
-from ciforge.groebner import leading_coefficient, leading_monomial
-from ciforge.poly import monomial_div, monomial_divides, monomial_lcm
+from ciforge.groebner import leading_coefficient
+from ciforge.poly import leading_monomial, monomial_div, monomial_divides, monomial_lcm
 
 from corpus import CORPUS
 from oracles import degree_monomials, ideal_slice_dim, minimal_generator_total

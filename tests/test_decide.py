@@ -107,6 +107,12 @@ class TestGeneratorSystem:
     def test_degree_sequence(self, lqr_system):
         assert degree_sequence(lqr_system).counts == (1, 2)
 
+    def test_without(self, lqr_system):
+        g0, g1, g2 = lqr_system.gens
+        assert lqr_system.without(1) == GeneratorSystem(lqr_system.ring, (g0, g2))
+        with pytest.raises(ValueError):
+            lqr_system.without(0).without(0).without(0)
+
 
 class TestSmoothness:
     def test_twisted_cubic_smooth_point(self, twisted_cubic_system, ones):
@@ -505,6 +511,24 @@ class TestStepWork:
         assert all(isinstance(o, Removed) for o in outcomes)
         assert counts["evaluate"] <= 2 * len(system)
         assert counts["differential_at"] <= 2 * len(system)
+
+    def test_removed_steps_do_not_revalidate(self, monkeypatch, linear_combinations):
+        system, x = linear_combinations
+        validated = []
+        original = GeneratorSystem.__post_init__
+
+        def counting(self):
+            validated.append(self)
+            original(self)
+
+        monkeypatch.setattr(GeneratorSystem, "__post_init__", counting)
+        outcomes = []
+        reduce_to_ci(
+            system, x, on_iteration=lambda before, outcome, after: outcomes.append(outcome)
+        )
+        assert len(outcomes) >= 5
+        assert all(isinstance(o, Removed) for o in outcomes)
+        assert validated == []
 
     def test_replaced_steps(self, counts):
         system, x = PLANTED_QUADRICS.system, PLANTED_QUADRICS.point
