@@ -38,20 +38,16 @@ from .poly import (
 )
 
 
-def leading_coefficient(p: Polynomial) -> Scalar:
-    return p.terms[p.lead]
-
-
 # ---------------------------------------------------------------------------
-# Cooperative time limit for basis computations and the rewrite loop.
+# Cooperative time limit for every long-running phase.
 
 _deadline: ContextVar[float | None] = ContextVar("basis_deadline", default=None)
 
 
 @contextmanager
 def basis_time_limit(seconds: float) -> Iterator[None]:
-    """Bound the wall-clock time of basis computations and rewrite loops
-    started in this context."""
+    """Bound the wall-clock time of basis computations, divisions, row
+    reductions and rewrite loops started in this context."""
     token = _deadline.set(time.monotonic() + seconds)
     try:
         yield
@@ -76,13 +72,6 @@ class QuotientRecord:
 
     quotients: tuple[Polynomial, ...]
     remainder: Polynomial
-
-    def expand(self, divisors: Sequence[Polynomial]) -> Polynomial:
-        """Reassemble the dividend from quotients and remainder."""
-        total = self.remainder
-        for q, d in zip(self.quotients, divisors):
-            total = total + q * d
-        return total
 
 
 #: Leading-term steps between two deadline checks inside one division.

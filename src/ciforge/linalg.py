@@ -1,19 +1,19 @@
 """Exact dense linear algebra over the coefficient field.
 
-Rank and kernel bases go through one reduced-row-echelon routine.  The
-echelon form of a matrix is unique, so they come out deterministic no matter
-which pivot happened to be selected along the way.  `first_kernel_vector`
-eliminates column by column instead and stops at the first dependent column;
-the vector it returns is unique too, and equals the first kernel basis vector.
+Rank, kernel bases and the first kernel vector all read one column-by-column
+elimination.  The relation it finds for each dependent column is unique, so
+every answer is deterministic and equals the one read off the reduced
+row-echelon form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import NotHomogeneousError, RingMismatchError
-from .fields import Field, Fraction, Scalar
+from .fields import Field, Scalar
+from .groebner import check_deadline
 from .poly import (
     NOT_HOMOGENEOUS,
     Polynomial,
@@ -65,100 +65,17 @@ class ExactMatrix:
     def num_rows(self) -> int:
         return len(self.rows)
 
-    def multiply_vector(self, v: Sequence[Scalar]) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        zero = self.field.zero
-        return tuple(sum((a * b for a, b in zip(row, v)), zero) for row in self.rows)
 
+def _column_relations(matrix: ExactMatrix) -> Iterator[Vector | None]:
+    """For each column in turn, None if it is independent of the columns
+    before it, else the relation that makes it dependent.
 
-def _select_pivot(rows: list[list[Scalar]], start: int, col: int, field: Field) -> int | None:
-    """Row index of the chosen pivot in ``col`` at or below ``start``, or None.
-
-    Over the rationals the candidate with the largest numerator magnitude is
-    taken (ties to the earliest row) to damp coefficient growth; over a prime
-    field the first nonzero entry wins.
-    """
-    best: int | None = None
-    best_size = -1
-    for r in range(start, len(rows)):
-        entry = rows[r][col]
-        if not entry:
-            continue
-        if not isinstance(entry, Fraction):
-            return r
-        size = abs(entry.numerator)
-        if size > best_size:
-            best, best_size = r, size
-    return best
-
-
-def _rref(matrix: ExactMatrix) -> tuple[list[list[Scalar]], list[int]]:
-    rows = [list(r) for r in matrix.rows]
-    field = matrix.field
-    pivots: list[int] = []
-    row = 0
-    for col in range(matrix.cols):
-        if row >= len(rows):
-            break
-        pivot_row = _select_pivot(rows, row, col, field)
-        if pivot_row is None:
-            continue
-        rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
-        inv = field.one / rows[row][col]
-        rows[row] = [v * inv for v in rows[row]]
-        for r in range(len(rows)):
-            if r != row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
-        pivots.append(col)
-        row += 1
-    return rows, pivots
-
-
-def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row-echelon form and its pivot columns."""
-    rows, pivots = _rref(matrix)
-    reduced = ExactMatrix(matrix.field, tuple(tuple(r) for r in rows), matrix.cols)
-    return reduced, tuple(pivots)
-
-
-def rank(matrix: ExactMatrix) -> int:
-    return len(_rref(matrix)[1])
-
-
-def kernel_basis(matrix: ExactMatrix) -> list[Vector]:
-    """Canonical basis of the right null space.
-
-    One vector per free column, ordered by that column index ascending.  Each
-    vector has 1 in its free column and zeros in every later coordinate, so
-    the last nonzero coordinate is always 1.
-    """
-    rows, pivots = _rref(matrix)
-    field = matrix.field
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for free in range(matrix.cols):
-        if free in pivot_set:
-            continue
-        v = [field.zero] * matrix.cols
-        v[free] = field.one
-        for i, p in enumerate(pivots):
-            entry = rows[i][free]
-            if entry:
-                v[p] = -entry
-        basis.append(tuple(v))
-    return basis
-
-
-def first_kernel_vector(matrix: ExactMatrix) -> Vector | None:
-    """``kernel_basis(matrix)[0]``, or None when the kernel is trivial.
-
-    That vector belongs to the first column that depends on the columns
-    before it.  Those earlier columns are independent, so its coefficients
-    are unique and elimination can stop there.  Each column is reduced
-    against the independent columns before it, and its combination is
-    tracked over columns ``0..j`` only.
+    That relation is the vector with 1 in the column, zeros after it and at
+    every earlier dependent column, that the matrix sends to zero.  The
+    independent columns before it are a basis of their span, so it is unique:
+    it is the canonical kernel vector of the reduced row-echelon form.  Each
+    column is reduced against the independent columns before it, and its
+    combination is tracked over columns ``0..j`` only.
     """
     field = matrix.field
     zero, one = field.zero, field.one
@@ -166,6 +83,7 @@ def first_kernel_vector(matrix: ExactMatrix) -> Vector | None:
     # combination of the original columns 0..j that gives it).
     reduced: list[tuple[int, list[Scalar], list[Scalar]]] = []
     for j in range(matrix.cols):
+        check_deadline("row reduction")
         column = [row[j] for row in matrix.rows]
         combination = [zero] * j + [one]
         for pivot, basis_column, basis_combination in reduced:
@@ -178,12 +96,35 @@ def first_kernel_vector(matrix: ExactMatrix) -> Vector | None:
                     combination[k] -= factor * c
         pivot = next((i for i, v in enumerate(column) if v), None)
         if pivot is None:
-            return tuple(combination) + (zero,) * (matrix.cols - j - 1)
+            yield tuple(combination) + (zero,) * (matrix.cols - j - 1)
+            continue
         inv = one / column[pivot]
         reduced.append(
             (pivot, [v * inv for v in column], [c * inv for c in combination])
         )
-    return None
+        yield None
+
+
+def rank(matrix: ExactMatrix) -> int:
+    return sum(relation is None for relation in _column_relations(matrix))
+
+
+def kernel_basis(matrix: ExactMatrix) -> list[Vector]:
+    """Canonical basis of the right null space.
+
+    One vector per dependent column, ordered by that column index ascending.
+    Each vector has 1 in its column and zeros in every later coordinate, so
+    the last nonzero coordinate is always 1.
+    """
+    return [v for v in _column_relations(matrix) if v is not None]
+
+
+def first_kernel_vector(matrix: ExactMatrix) -> Vector | None:
+    """``kernel_basis(matrix)[0]``, or None when the kernel is trivial.
+
+    Elimination stops at the first dependent column.
+    """
+    return next((v for v in _column_relations(matrix) if v is not None), None)
 
 
 def linear_relation_polys(polys: Sequence[Polynomial]) -> Vector | None:

@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .fields import RationalField
 from .poly import Polynomial, PolynomialRing
 
 _TOKEN_RE = re.compile(
@@ -114,11 +113,11 @@ class _Parser:
         token = self.current
         if token.kind == "number":
             self.advance()
-            if "/" in token.text and not isinstance(self.ring.field, RationalField):
-                raise ParseError(
-                    "rational literals are only accepted over the rationals", token.pos
-                )
-            return self.ring.constant(self.ring.field.scalar_from_str(token.text))
+            try:
+                value = self.ring.field.scalar_from_str(token.text)
+            except ParseError as exc:
+                raise ParseError(str(exc), token.pos) from exc
+            return self.ring.constant(value)
         if token.kind == "name":
             self.advance()
             index = self.var_index.get(token.text)

@@ -327,10 +327,6 @@ def differential_at(p: Polynomial, x: ProjectivePoint) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
-def format_scalar(c: Scalar) -> str:
-    return str(c)
-
-
 def format_polynomial(p: Polynomial) -> str:
     """Canonical print form: grevlex-descending terms, ``^`` powers, ``*`` products.
 
@@ -350,11 +346,11 @@ def format_polynomial(p: Polynomial) -> str:
         negative = isinstance(coeff, Fraction) and coeff < 0
         magnitude = -coeff if negative else coeff
         if not factors:
-            body = format_scalar(magnitude)
+            body = str(magnitude)
         elif magnitude == one:
             body = "*".join(factors)
         else:
-            body = format_scalar(magnitude) + "*" + "*".join(factors)
+            body = str(magnitude) + "*" + "*".join(factors)
         if not pieces:
             pieces.append("-" + body if negative else body)
         else:

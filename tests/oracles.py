@@ -1,9 +1,10 @@
 """Independent brute-force oracles built on degree-by-degree linear algebra.
 
 Nothing here touches the package's Groebner or elimination code: ranks come
-from a local row reduction, and ideal slices are spanned the naive way, by
-multiplying generators with every monomial of the complementary degree.
-Division is the textbook loop that rescans for the leading monomial.
+from a local row reduction, kernels from a local reduced row-echelon form, and
+ideal slices are spanned the naive way, by multiplying generators with every
+monomial of the complementary degree.  Division is the textbook loop that
+rescans for the leading monomial.
 """
 
 from __future__ import annotations
@@ -37,6 +38,42 @@ def row_reduce_rank(rows: list[list]) -> int:
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def reference_kernel_basis(matrix) -> list[tuple]:
+    """Canonical right null space basis of an `ExactMatrix`, by Gauss-Jordan.
+
+    One vector per free column of the reduced row-echelon form, ascending:
+    1 in the free column, minus the free column's entry of each pivot row
+    at that row's pivot column, zeros elsewhere.
+    """
+    field = matrix.field
+    rows = [list(r) for r in matrix.rows]
+    pivots: list[int] = []
+    for col in range(matrix.cols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        inv = field.one / rows[top][col]
+        rows[top] = [v * inv for v in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+    basis = []
+    for free in range(matrix.cols):
+        if free in pivots:
+            continue
+        v = [field.zero] * matrix.cols
+        v[free] = field.one
+        for i, p in enumerate(pivots):
+            if rows[i][free]:
+                v[p] = -rows[i][free]
+        basis.append(tuple(v))
+    return basis
 
 
 def _slice_rows(gens, num_vars: int, degree: int, *, min_cofactor_degree: int):

@@ -113,6 +113,11 @@ class TestParsing:
             parse_polynomial("x + ?", p2)
         assert info.value.position == 4
 
+    def test_zero_denominator_position(self, p2):
+        with pytest.raises(ParseError, match="bad rational literal") as info:
+            parse_polynomial("x + 1/0*y", p2)
+        assert info.value.position == 4
+
     def test_trailing_garbage(self, p2):
         with pytest.raises(ParseError):
             parse_polynomial("x y", p2)
@@ -123,8 +128,12 @@ class TestParsing:
 
     def test_rational_literal_needs_q(self):
         ring = PolynomialRing(PrimeField(7), ("x", "y"))
-        with pytest.raises(ParseError, match="rational literals"):
+        with pytest.raises(ParseError, match="rational literals") as caught:
             parse_polynomial("1/2*x", ring)
+        assert caught.value.position == 0
+        with pytest.raises(ParseError, match="rational literals") as caught:
+            parse_polynomial("x + 3/4*y", ring)
+        assert caught.value.position == 4
         f = parse_polynomial("9*x + 3*y", ring)
         assert str(f) == "2*x + 3*y"
 
