@@ -12,7 +12,7 @@ codimension-sized generating set exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .certificates import (
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fields import Scalar
 from .groebner import Ideal, QuotientRecord, check_deadline, reduced_groebner
-from .linalg import ExactMatrix, first_kernel_vector, linear_relation_polys, rank
+from .linalg import ColumnElimination, ExactMatrix, rank
 from .poly import (
     Polynomial,
     PolynomialRing,
@@ -40,28 +40,36 @@ from .poly import (
     distinct_nonzero,
     evaluate,
     homogeneous_degree,
-    is_homogeneous,
 )
 
 
 @dataclass(frozen=True)
 class GeneratorSystem:
-    """A nonempty list of nonzero homogeneous generators, no exact duplicates."""
+    """A nonempty list of nonzero homogeneous generators, no exact duplicates.
+
+    ``degrees`` holds each generator's degree, computed once when the system
+    is validated.
+    """
 
     ring: PolynomialRing
     gens: tuple[Polynomial, ...]
+    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gens", tuple(self.gens))
         if not self.gens:
             raise ValueError("generator system must be nonempty")
+        degrees = []
         for g in self.gens:
             if g.ring != self.ring:
                 raise ValueError("generator outside the declared ring")
             if g.is_zero():
                 raise ValueError("zero generator")
-            if not is_homogeneous(g):
+            d = homogeneous_degree(g)
+            if not isinstance(d, int):
                 raise NotHomogeneousError("generators must be homogeneous")
+            degrees.append(d)
+        object.__setattr__(self, "degrees", tuple(degrees))
         if len(list(distinct_nonzero(self.gens))) != len(self.gens):
             raise ValueError("duplicate generator")
 
@@ -80,7 +88,7 @@ class GeneratorSystem:
         """The system minus generator ``index``.
 
         What remains of a valid system is valid, so its generators are not
-        checked again.
+        checked again, and their degrees are kept.
         """
         gens = self.gens[:index] + self.gens[index + 1 :]
         if not gens:
@@ -88,16 +96,10 @@ class GeneratorSystem:
         smaller = object.__new__(GeneratorSystem)
         object.__setattr__(smaller, "ring", self.ring)
         object.__setattr__(smaller, "gens", gens)
+        object.__setattr__(
+            smaller, "degrees", self.degrees[:index] + self.degrees[index + 1 :]
+        )
         return smaller
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        out = []
-        for g in self.gens:
-            d = homogeneous_degree(g)
-            assert isinstance(d, int)
-            out.append(d)
-        return tuple(out)
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -140,8 +142,12 @@ def smoothness_check(
     dimension exactly the codimension.  The span over the generators equals
     the span over the whole ideal because d_x(G*F) = G(x) * d_x(F) whenever F
     vanishes at x.
+
+    Given a `GeneratorSystem`, it first checks that ``x`` lies on the
+    variety.  Given an `Ideal`, the caller has checked that already.
     """
-    _require_on_variety(system, x)
+    if not isinstance(system, Ideal):
+        _require_on_variety(system, x)
     ideal = _ideal(system)
     dimension = ideal.dimension()
     codim = (ideal.ring.num_vars - 1) - dimension
@@ -248,22 +254,29 @@ def subst_step(
     system: GeneratorSystem,
     x: ProjectivePoint,
     differentials: Sequence[Sequence[Scalar]] | None = None,
+    elimination: ColumnElimination | None = None,
 ) -> RewriteOutcome:
     """One rewrite step from a linear relation among differentials at ``x``.
 
     ``differentials`` are the generators' differentials at ``x``, in order.
     A caller that passes them must already have checked that ``x`` lies on
     the variety; without them the point is checked and they are computed
-    here.
+    here.  ``elimination``, when given, holds the elimination of a prefix
+    of these columns, all independent, as a previous step left it; it is
+    extended in place up to the first dependent column.
 
-    Takes the first canonical kernel vector of the differential matrix.  On
-    its support, if the top-degree generators are linearly dependent as
-    polynomials, one of them is redundant (Removed).  Otherwise the relation
-    lifts to a polynomial combination with vanishing differential: lower
-    degrees are raised to the top degree by powers of the pivot coordinate,
-    scaled so the multiplier still takes the kernel value at ``x``.  A zero
-    combination again removes a generator; a nonzero one replaces the
-    highest-index top-degree generator (Replaced).
+    Takes the first canonical kernel vector of the differential matrix and
+    lifts it to a polynomial combination with vanishing differential: lower
+    degrees are raised to the top degree of the support by powers of the
+    pivot coordinate, scaled so the multiplier still takes the kernel value
+    at ``x``.  A zero combination removes the last generator of the support
+    (Removed); a nonzero one replaces the highest-index top-degree generator
+    (Replaced).
+
+    The columns before the relation's last one are independent, so the
+    top-degree generators of the support are linearly dependent as
+    polynomials only when they are the whole support and the relation's
+    combination of them is zero: that case is the zero combination.
     """
     if differentials is None:
         _require_on_variety(system, x)
@@ -271,26 +284,17 @@ def subst_step(
     elif len(differentials) != len(system.gens):
         raise ValueError("need one differential per generator")
     ring = system.ring
-    relation = first_kernel_vector(ExactMatrix.from_columns(ring.field, differentials))
+    if elimination is None:
+        elimination = ColumnElimination(ring.field)
+    elif not len(elimination.reduced) == elimination.width <= len(differentials):
+        raise ValueError("a carried elimination must cover independent leading columns")
+    relation = elimination.first_relation(differentials)
     if relation is None:
         return Independent()
     support = [i for i, c in enumerate(relation) if c]
     degrees = system.degrees
     top_degree = max(degrees[i] for i in support)
     top = [i for i in support if degrees[i] == top_degree]
-
-    block_relation = linear_relation_polys([system.gens[i] for i in top])
-    if block_relation is not None:
-        # The top-degree block is linearly dependent as polynomials; solve for
-        # the last generator the relation touches.
-        last = max(i for i, c in zip(top, block_relation) if c)
-        pivot_coeff = block_relation[top.index(last)]
-        combination = {
-            i: ring.constant(-c / pivot_coeff)
-            for i, c in zip(top, block_relation)
-            if c and i != last
-        }
-        return Removed(last, _removed_record(system, last, combination))
 
     k = x.pivot
     inv_xk = ring.field.one / x.coords[k]
@@ -305,9 +309,6 @@ def subst_step(
     for i in support:
         combined = combined + cofactors[i] * system.gens[i]
 
-    differential = differential_at(combined, x)
-    assert not any(differential), "replacement differential failed to vanish"
-
     j = max(top)
     if combined.is_zero():
         # The lifted combination collapses; the relation already expresses
@@ -318,13 +319,13 @@ def subst_step(
         }
         return Removed(j, _removed_record(system, j, others))
 
-    full_relation = tuple(
-        relation[i] if i in support else ring.field.zero for i in range(len(system.gens))
-    )
+    differential = differential_at(combined, x)
+    assert not any(differential), "replacement differential failed to vanish"
+
     full_cofactors = tuple(
         cofactors.get(i, ring.zero()) for i in range(len(system.gens))
     )
-    return Replaced(j, combined, full_relation, full_cofactors)
+    return Replaced(j, combined, relation, full_cofactors)
 
 
 def _carried_differentials(
@@ -366,8 +367,10 @@ def reduce_to_ci(
     Every rewrite keeps the ideal, so its basis is computed once, here, and
     serves the smoothness check, every containment test and the invariant.
     Likewise each generator's differential at ``x`` is computed once and
-    carried to the systems it survives into.  Every generator a step adds is
-    an ideal member, so it vanishes at ``x`` and the point needs no re-check.
+    carried to the systems it survives into, and so is the elimination of
+    the differentials up to the first position a step changes.  Every
+    generator a step adds is an ideal member, so it vanishes at ``x`` and the
+    point needs no re-check.
     """
     _require_on_variety(system, x)
     ideal = Ideal(system.gens, ring=system.ring)
@@ -387,9 +390,10 @@ def reduce_to_ci(
         trace.append(degree_sequence(current))
 
     columns = [differential_at(g, x) for g in current.gens]
+    elimination = ColumnElimination(ring.field)
     while len(current) > codim:
         check_deadline("rewrite loop")
-        outcome = subst_step(current, x, columns)
+        outcome = subst_step(current, x, columns, elimination)
         if isinstance(outcome, Independent):
             raise AssertionError(
                 "differentials independent although the system exceeds the codimension"
@@ -433,6 +437,9 @@ def reduce_to_ci(
         if on_iteration is not None:
             on_iteration(current, outcome, new_system)
         columns = _carried_differentials(current, columns, new_system, x)
+        # Generators before outcome.index are kept in place, so the
+        # elimination of their columns still holds.
+        elimination.truncate(outcome.index)
         current = new_system
 
     assert len(current) == codim, "system shrank below the codimension"

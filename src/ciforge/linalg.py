@@ -1,7 +1,8 @@
 """Exact dense linear algebra over the coefficient field.
 
 Rank, kernel bases and the first kernel vector all read one column-by-column
-elimination.  The relation it finds for each dependent column is unique, so
+elimination, `ColumnElimination`, which the rewrite loop also carries from
+step to step.  The relation it finds for each dependent column is unique, so
 every answer is deterministic and equals the one read off the reduced
 row-echelon form.
 """
@@ -66,27 +67,41 @@ class ExactMatrix:
         return len(self.rows)
 
 
-def _column_relations(matrix: ExactMatrix) -> Iterator[Vector | None]:
-    """For each column in turn, None if it is independent of the columns
-    before it, else the relation that makes it dependent.
+class ColumnElimination:
+    """A column-by-column elimination that can be resumed.
 
-    That relation is the vector with 1 in the column, zeros after it and at
-    every earlier dependent column, that the matrix sends to zero.  The
-    independent columns before it are a basis of their span, so it is unique:
-    it is the canonical kernel vector of the reduced row-echelon form.  Each
-    column is reduced against the independent columns before it, and its
-    combination is tracked over columns ``0..j`` only.
+    Columns are fed in order; each is reduced against the independent columns
+    before it.  An independent column is kept as (pivot row, column scaled to
+    1 there, combination of the original columns ``0..j`` that gives it).  A
+    dependent column is not kept; `add` returns its relation instead.
+
+    A reduced column and its combination depend only on the columns before
+    it, so after `truncate(index)` the kept part is exactly the elimination
+    of the first ``index`` columns, and feeding different columns from there
+    gives what a fresh elimination of the new matrix would.
     """
-    field = matrix.field
-    zero, one = field.zero, field.one
-    # Reduced independent columns: (pivot row, column scaled to 1 there,
-    # combination of the original columns 0..j that gives it).
-    reduced: list[tuple[int, list[Scalar], list[Scalar]]] = []
-    for j in range(matrix.cols):
+
+    def __init__(self, field: Field) -> None:
+        self.field = field
+        self.reduced: list[tuple[int, list[Scalar], list[Scalar]]] = []
+        self.width = 0  # columns fed so far, dependent ones included
+
+    def add(self, column: Sequence[Scalar]) -> Vector | None:
+        """Feed column ``j = width``.  None if it is independent of the
+        columns before it, else the relation that makes it dependent.
+
+        That relation is the vector over columns ``0..j`` with 1 at ``j`` and
+        zeros at every earlier dependent column that the matrix sends to
+        zero.  The independent columns before it are a basis of their span,
+        so it is unique: it is the canonical kernel vector of the reduced
+        row-echelon form.
+        """
         check_deadline("row reduction")
-        column = [row[j] for row in matrix.rows]
+        zero, one = self.field.zero, self.field.one
+        j = self.width
+        self.width += 1
         combination = [zero] * j + [one]
-        for pivot, basis_column, basis_combination in reduced:
+        for pivot, basis_column, basis_combination in self.reduced:
             factor = column[pivot]
             if not factor:
                 continue
@@ -96,13 +111,38 @@ def _column_relations(matrix: ExactMatrix) -> Iterator[Vector | None]:
                     combination[k] -= factor * c
         pivot = next((i for i, v in enumerate(column) if v), None)
         if pivot is None:
-            yield tuple(combination) + (zero,) * (matrix.cols - j - 1)
-            continue
+            return tuple(combination)
         inv = one / column[pivot]
-        reduced.append(
-            (pivot, [v * inv for v in column], [c * inv for c in combination])
-        )
-        yield None
+        self.reduced.append((pivot, [v * inv for v in column], [c * inv for c in combination]))
+        return None
+
+    def first_relation(self, columns: Sequence[Sequence[Scalar]]) -> Vector | None:
+        """Feed ``columns[width:]`` up to the first dependent one and return
+        its relation padded with zeros to ``len(columns)``; None if every
+        column is independent.  The first ``width`` columns must be the ones
+        already fed."""
+        for column in columns[self.width :]:
+            relation = self.add(column)
+            if relation is not None:
+                return relation + (self.field.zero,) * (len(columns) - len(relation))
+        return None
+
+    def truncate(self, index: int) -> None:
+        """Forget columns ``index`` onwards."""
+        if index < self.width:
+            self.reduced = [r for r in self.reduced if len(r[2]) <= index]
+            self.width = index
+
+
+def _column_relations(matrix: ExactMatrix) -> Iterator[Vector | None]:
+    """`ColumnElimination.add` for each column of ``matrix`` in turn, each
+    relation padded with zeros to the full width."""
+    elimination = ColumnElimination(matrix.field)
+    for j in range(matrix.cols):
+        relation = elimination.add([row[j] for row in matrix.rows])
+        if relation is not None:
+            relation += (matrix.field.zero,) * (matrix.cols - j - 1)
+        yield relation
 
 
 def rank(matrix: ExactMatrix) -> int:

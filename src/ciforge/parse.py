@@ -5,6 +5,10 @@ rationals only), declared variable names, ``+ - * ^``, and parentheses.  A
 ``/`` is part of a literal only when squeezed between digits; anywhere else it
 is rejected, so there is no polynomial division.  ``^`` takes a nonnegative
 integer exponent.  Multiplication must be written out: ``2*T0``, not ``2T0``.
+
+Parsing honours `basis_time_limit`: the parser expands powers itself and
+checks the limit before every polynomial product, so an input such as
+``(T0 + T1)^100000`` stops with `BuchbergerTimeout` naming ``parsing``.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError
+from .groebner import check_deadline
 from .poly import Polynomial, PolynomialRing
 
 _TOKEN_RE = re.compile(
@@ -95,7 +100,9 @@ class _Parser:
         result = self.power()
         while self.current.kind == "op" and self.current.text == "*":
             self.advance()
-            result = result * self.power()
+            factor = self.power()
+            check_deadline("parsing")
+            result = result * factor
         return result
 
     def power(self) -> Polynomial:
@@ -106,7 +113,11 @@ class _Parser:
             if token.kind != "number" or "/" in token.text:
                 raise ParseError("exponent must be a nonnegative integer", token.pos)
             self.advance()
-            return base ** int(token.text)
+            result = self.ring.one()
+            for _ in range(int(token.text)):
+                check_deadline("parsing")
+                result = result * base
+            return result
         return base
 
     def atom(self) -> Polynomial:

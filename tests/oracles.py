@@ -4,12 +4,26 @@ Nothing here touches the package's Groebner or elimination code: ranks come
 from a local row reduction, kernels from a local reduced row-echelon form, and
 ideal slices are spanned the naive way, by multiplying generators with every
 monomial of the complementary degree.  Division is the textbook loop that
-rescans for the leading monomial.
+rescans for the leading monomial.  The rewrite step is the one first written,
+which also searched the top-degree block for a linear relation among the
+generators as polynomials.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+from ciforge import (
+    ExactMatrix,
+    Independent,
+    PointNotOnVarietyError,
+    QuotientRecord,
+    Removed,
+    Replaced,
+    differential_at,
+    evaluate,
+    homogeneous_degree,
+)
 
 
 def degree_monomials(num_vars: int, degree: int) -> list[tuple[int, ...]]:
@@ -165,3 +179,85 @@ def reference_division(dividend: dict, divisors: list[dict]):
             remainder[lm] = lc
             del work[lm]
     return quotients, remainder
+
+
+def _first_kernel_vector(matrix):
+    basis = reference_kernel_basis(matrix)
+    return basis[0] if basis else None
+
+
+def _removed_record(system, index, combination):
+    zero = system.ring.zero()
+    quotients = tuple(
+        combination.get(i, zero) for i in range(len(system.gens)) if i != index
+    )
+    return QuotientRecord(quotients, zero)
+
+
+def reference_subst_step(system, x):
+    """One rewrite step as first written, on a `GeneratorSystem`.
+
+    Takes the first canonical kernel vector of the differentials at ``x``.
+    If the top-degree generators of its support are linearly dependent as
+    polynomials, the last one that relation touches is removed.  Otherwise
+    the relation is lifted to the top degree by powers of the pivot
+    coordinate; a zero lift removes the highest-index top-degree generator,
+    a nonzero one replaces it.
+    """
+    for i, g in enumerate(system.gens):
+        if evaluate(g, x):
+            raise PointNotOnVarietyError(f"generator {i} does not vanish at {x}")
+    ring = system.ring
+    field = ring.field
+    differentials = [differential_at(g, x) for g in system.gens]
+    relation = _first_kernel_vector(ExactMatrix.from_columns(field, differentials))
+    if relation is None:
+        return Independent()
+    support = [i for i, c in enumerate(relation) if c]
+    degrees = [homogeneous_degree(g) for g in system.gens]
+    top_degree = max(degrees[i] for i in support)
+    top = [i for i in support if degrees[i] == top_degree]
+
+    monomials = sorted({e for i in top for e in system.gens[i].terms})
+    block = ExactMatrix(
+        field,
+        tuple(
+            tuple(system.gens[i].terms.get(m, field.zero) for i in top)
+            for m in monomials
+        ),
+        len(top),
+    )
+    block_relation = _first_kernel_vector(block)
+    if block_relation is not None:
+        last = max(i for i, c in zip(top, block_relation) if c)
+        pivot_coeff = block_relation[top.index(last)]
+        combination = {
+            i: ring.constant(-c / pivot_coeff)
+            for i, c in zip(top, block_relation)
+            if c and i != last
+        }
+        return Removed(last, _removed_record(system, last, combination))
+
+    k = x.pivot
+    inv_xk = field.one / x.coords[k]
+    cofactors = {}
+    for i in support:
+        lift = top_degree - degrees[i]
+        cofactors[i] = ring.monomial(
+            tuple(lift if j == k else 0 for j in range(ring.num_vars)),
+            relation[i] * inv_xk**lift,
+        )
+    combined = ring.zero()
+    for i in support:
+        combined = combined + cofactors[i] * system.gens[i]
+    assert not any(differential_at(combined, x))
+
+    j = max(top)
+    if combined.is_zero():
+        others = {i: cofactors[i] * (field.one / -relation[j]) for i in support if i != j}
+        return Removed(j, _removed_record(system, j, others))
+    full_relation = tuple(
+        relation[i] if i in support else field.zero for i in range(len(system.gens))
+    )
+    full_cofactors = tuple(cofactors.get(i, ring.zero()) for i in range(len(system.gens)))
+    return Replaced(j, combined, full_relation, full_cofactors)

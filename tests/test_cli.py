@@ -242,6 +242,13 @@ class TestUsageAndParsing:
         assert run_command(["decide", str(cubic_file)]) == 1
         assert "time limit" in capsys.readouterr().err
 
+    def test_parsing_honours_the_time_limit(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "huge_power.ideal"
+        path.write_text("field: q\nvars: T0 T1\npoint: 1 -1\ngens:\n(T0 + T1)^100000\n")
+        monkeypatch.setenv("CIFORGE_TIMEOUT_SECS", "1")
+        assert run_command(["decide", str(path)]) == 1
+        assert "parsing exceeded its time limit" in capsys.readouterr().err
+
     def test_bad_timeout_env_ignored(self, cubic_file, capsys, monkeypatch):
         monkeypatch.setenv("CIFORGE_TIMEOUT_SECS", "soon")
         assert run_command(["decide", str(cubic_file)]) == 3

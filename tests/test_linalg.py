@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ciforge import groebner
+from ciforge.linalg import ColumnElimination
 from ciforge import (
     BuchbergerTimeout,
     ExactMatrix,
@@ -168,6 +169,68 @@ class TestFirstKernelVector:
             assert got is None
         else:
             assert got == tuple(field.scalar(v) for v in expected)
+
+
+@st.composite
+def column_edits(draw):
+    """Columns of height 0-4 over Q, F_7 or F_32003, and a list of edits:
+    delete or replace the column at a drawn position."""
+    field = draw(st.sampled_from(FIELDS))
+    height = draw(st.integers(0, 4))
+    entry = st.one_of(
+        st.just(field.zero),
+        st.builds(field.scalar, st.integers(-6, 6), st.integers(1, 4)),
+    )
+    column = st.tuples(*[entry] * height)
+    columns = draw(st.lists(column, max_size=7))
+    edits = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["delete", "replace"]), st.integers(0, 99), column),
+            max_size=6,
+        )
+    )
+    return field, columns, edits
+
+
+class TestResumedElimination:
+    """The rewrite loop carries one elimination from step to step: it keeps
+    the columns before the first changed position and feeds the rest."""
+
+    @staticmethod
+    def fresh(field, columns):
+        return first_kernel_vector(ExactMatrix(field, tuple(zip(*columns)), len(columns)))
+
+    @given(column_edits())
+    def test_resumed_equals_fresh(self, case):
+        field, columns, edits = case
+        elimination = ColumnElimination(field)
+        relation = elimination.first_relation(columns)
+        assert relation == self.fresh(field, columns)
+        for kind, where, column in edits:
+            if not columns:
+                break
+            # As in the loop, a step changes a position no later than the
+            # first dependent column, whose relation ends with a 1.
+            end = len(columns) if relation is None else max(
+                i for i, c in enumerate(relation) if c
+            ) + 1
+            i = where % end
+            if kind == "delete":
+                del columns[i]
+            else:
+                columns[i] = column
+            elimination.truncate(i)
+            relation = elimination.first_relation(columns)
+            assert relation == self.fresh(field, columns)
+
+    def test_truncate_keeps_only_the_prefix(self):
+        elimination = ColumnElimination(QQ)
+        columns = [(QQ.one, QQ.zero), (QQ.zero, QQ.one), (QQ.one, QQ.one)]
+        assert elimination.first_relation(columns) == (-1, -1, 1)
+        elimination.truncate(1)
+        assert (elimination.width, len(elimination.reduced)) == (1, 1)
+        assert elimination.first_relation([columns[0], columns[2]]) is None
+        assert elimination.width == 2
 
 
 class TestRelations:
