@@ -296,12 +296,13 @@ def subst_step(
     top_degree = max(degrees[i] for i in support)
     top = [i for i in support if degrees[i] == top_degree]
 
+    field = ring.field
     k = x.pivot
-    inv_xk = ring.field.one / x.coords[k]
+    inv_xk = field.div(field.one, x.coords[k])
     cofactors: dict[int, Polynomial] = {}
     for i in support:
         lift = top_degree - degrees[i]
-        scale = relation[i] * inv_xk**lift
+        scale = field.mul(relation[i], field.pow(inv_xk, lift))
         cofactors[i] = ring.monomial(
             tuple(lift if j == k else 0 for j in range(ring.num_vars)), scale
         )
@@ -313,10 +314,8 @@ def subst_step(
     if combined.is_zero():
         # The lifted combination collapses; the relation already expresses
         # generator j (top block, constant multiplier) over the others.
-        lam = relation[j]
-        others = {
-            i: cofactors[i] * (ring.field.one / -lam) for i in support if i != j
-        }
+        scale = field.div(field.one, field.neg(relation[j]))
+        others = {i: cofactors[i] * scale for i in support if i != j}
         return Removed(j, _removed_record(system, j, others))
 
     differential = differential_at(combined, x)

@@ -1,14 +1,18 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Scalars over the rationals are stdlib ``fractions.Fraction`` values, which are
-always in lowest terms with a positive denominator.  Scalars over F_p are
-``PrimeFieldElement`` instances holding a representative in [0, p).  Code that
-manipulates scalars generically relies only on the arithmetic operators, which
-both kinds support.
+A scalar over the rationals is a stdlib ``fractions.Fraction``, always in
+lowest terms with a positive denominator.  A scalar over F_p is a plain
+``int`` in [0, p).  Scalars carry no field of their own, so the field object
+owns the arithmetic: ``add``, ``sub``, ``mul``, ``neg``, ``div`` and ``pow``,
+the coercion ``scalar`` and the constants ``zero`` and ``one``.  Code outside
+this module does scalar arithmetic only through these, binding them to locals
+in hot loops.  Over Q they are the ``operator`` builtins, so they cost no
+Python frame.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -16,6 +20,8 @@ from math import isqrt
 from .errors import ParseError
 
 MAX_PRIME = 2**31
+
+Scalar = Fraction | int
 
 
 def _is_prime(n: int) -> bool:
@@ -30,101 +36,29 @@ def _is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class PrimeFieldElement:
-    """An element of F_p, stored as its canonical representative in [0, p)."""
-
-    value: int
-    p: int
-
-    def _lift(self, other: object) -> "PrimeFieldElement | None":
-        if isinstance(other, PrimeFieldElement):
-            return other if other.p == self.p else None
-        if isinstance(other, int):
-            return PrimeFieldElement(other % self.p, self.p)
-        return None
-
-    def __add__(self, other: object) -> "PrimeFieldElement":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement((self.value + o.value) % self.p, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "PrimeFieldElement":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement((self.value - o.value) % self.p, self.p)
-
-    def __rsub__(self, other: object) -> "PrimeFieldElement":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other: object) -> "PrimeFieldElement":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement((self.value * o.value) % self.p, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "PrimeFieldElement":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        if o.value == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return self * PrimeFieldElement(pow(o.value, -1, self.p), self.p)
-
-    def __rtruediv__(self, other: object) -> "PrimeFieldElement":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self) -> "PrimeFieldElement":
-        return PrimeFieldElement(-self.value % self.p, self.p)
-
-    def __pow__(self, exponent: int) -> "PrimeFieldElement":
-        if exponent < 0:
-            return PrimeFieldElement(1, self.p) / self ** (-exponent)
-        return PrimeFieldElement(pow(self.value, exponent, self.p), self.p)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-Scalar = Fraction | PrimeFieldElement
-
-
-@dataclass(frozen=True, slots=True)
 class RationalField:
-    """Descriptor for the field of rational numbers."""
+    """The field of rational numbers; its scalars are ``Fraction`` values."""
 
-    @property
-    def characteristic(self) -> int:
-        return 0
+    characteristic = 0
+    tag = "q"
+    zero = Fraction(0)
+    one = Fraction(1)
 
-    @property
-    def tag(self) -> str:
-        return "q"
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    div = staticmethod(operator.truediv)
+    pow = staticmethod(operator.pow)
 
-    def scalar(self, numerator: int, denominator: int = 1) -> Fraction:
-        return Fraction(numerator, denominator)
+    def scalar(self, value: Scalar, denominator: int = 1) -> Fraction:
+        """A Fraction as it is, or ``value / denominator`` for two integers."""
+        if type(value) is Fraction and denominator == 1:
+            return value
+        return Fraction(operator.index(value), operator.index(denominator))
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def __contains__(self, value: object) -> bool:
+        return type(value) is Fraction
 
     def scalar_from_str(self, text: str) -> Fraction:
         try:
@@ -138,9 +72,12 @@ class RationalField:
 
 @dataclass(frozen=True, slots=True)
 class PrimeField:
-    """Descriptor for F_p, p an odd prime below 2^31."""
+    """F_p, p an odd prime below 2^31; its scalars are ints in [0, p)."""
 
     p: int
+
+    zero = 0
+    one = 1
 
     def __post_init__(self) -> None:
         if not (2 < self.p < MAX_PRIME) or not _is_prime(self.p):
@@ -154,21 +91,39 @@ class PrimeField:
     def tag(self) -> str:
         return f"fp:{self.p}"
 
-    def scalar(self, numerator: int, denominator: int = 1) -> PrimeFieldElement:
-        value = PrimeFieldElement(numerator % self.p, self.p)
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def div(self, a: int, b: int) -> int:
+        if not b:
+            raise ZeroDivisionError("division by zero in a prime field")
+        return a * pow(b, -1, self.p) % self.p
+
+    def pow(self, a: int, exponent: int) -> int:
+        if exponent < 0 and not a:
+            raise ZeroDivisionError("zero to a negative power in a prime field")
+        return pow(a, exponent, self.p)
+
+    def scalar(self, value: int, denominator: int = 1) -> int:
+        """``value / denominator`` reduced into [0, p); both must be integers."""
+        value = operator.index(value) % self.p
         if denominator != 1:
-            value = value / PrimeFieldElement(denominator % self.p, self.p)
+            value = self.div(value, operator.index(denominator) % self.p)
         return value
 
-    @property
-    def zero(self) -> PrimeFieldElement:
-        return PrimeFieldElement(0, self.p)
+    def __contains__(self, value: object) -> bool:
+        return type(value) is int and 0 <= value < self.p
 
-    @property
-    def one(self) -> PrimeFieldElement:
-        return PrimeFieldElement(1, self.p)
-
-    def scalar_from_str(self, text: str) -> PrimeFieldElement:
+    def scalar_from_str(self, text: str) -> int:
         text = text.strip()
         if "/" in text:
             raise ParseError("rational literals are only accepted over the rationals")

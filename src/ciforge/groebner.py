@@ -21,7 +21,7 @@ from .errors import (
     NotHomogeneousError,
     RingMismatchError,
 )
-from .fields import Scalar
+from .fields import Field, Scalar
 from .poly import (
     Exponents,
     Polynomial,
@@ -79,10 +79,11 @@ _STEPS_PER_DEADLINE_CHECK = 1024
 
 
 def _divide_terms(
+    field: Field,
     dividend: Mapping[Exponents, Scalar],
     divisors: Sequence[tuple[Exponents, Scalar, Mapping[Exponents, Scalar]]],
 ) -> tuple[list[dict[Exponents, Scalar]], dict[Exponents, Scalar]]:
-    """Core division loop on raw term maps.
+    """Core division loop on raw term maps over ``field``.
 
     Each divisor is given as (leading monomial, leading coefficient, terms),
     where the leading monomial is the key object stored in terms.  At every
@@ -100,6 +101,7 @@ def _divide_terms(
     heap = [(-sum(e), e[::-1], e) for e in work]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
+    add, mul, neg, div = field.add, field.mul, field.neg, field.div
     remainder: dict[Exponents, Scalar] = {}
     quotients: list[dict[Exponents, Scalar]] = [{} for _ in divisors]
     steps = 0
@@ -114,9 +116,9 @@ def _divide_terms(
         for q, (glm, glc, gterms) in zip(quotients, divisors):
             if monomial_divides(glm, lm):
                 shift = monomial_div(lm, glm)
-                factor = lc / glc
+                factor = div(lc, glc)
                 q[shift] = factor  # lm is processed once, so shift is new
-                minus = -factor
+                minus = neg(factor)
                 # The divisor's leading term cancels lm, which already left
                 # the work polynomial.
                 for ge, gc in gterms.items():
@@ -125,10 +127,10 @@ def _divide_terms(
                     e = monomial_mul(shift, ge)
                     value = work.get(e)
                     if value is None:
-                        work[e] = minus * gc
+                        work[e] = mul(minus, gc)
                         push(heap, (-sum(e), e[::-1], e))
                     else:
-                        value = value + minus * gc
+                        value = add(value, mul(minus, gc))
                         if value:
                             work[e] = value
                         else:
@@ -156,11 +158,11 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> QuotientRecord:
             raise ValueError("zero divisor in basis")
         lm = g.lead
         divisors.append((lm, g.terms[lm], g.terms))
-    quotients, remainder = _divide_terms(f.terms, divisors)
+    quotients, remainder = _divide_terms(ring.field, f.terms, divisors)
     zero = ring.zero()
     return QuotientRecord(
-        tuple(Polynomial(ring, q) if q else zero for q in quotients),
-        Polynomial(ring, remainder),
+        tuple(Polynomial._trusted(ring, q) if q else zero for q in quotients),
+        Polynomial._trusted(ring, remainder),
     )
 
 
@@ -220,6 +222,7 @@ def reduced_groebner(
 
     lms = [g.lead for g in basis]
     lcs = [g.terms[lm] for g, lm in zip(basis, lms)]
+    div, one = ring.field.div, ring.field.one
 
     pending: set[frozenset[int]] = set()
     queue: list[tuple[int, int, int, int]] = []  # (lcm degree, creation idx, i, j)
@@ -259,8 +262,8 @@ def reduced_groebner(
 
         shift_i = monomial_div(lcm, lms[i])
         shift_j = monomial_div(lcm, lms[j])
-        mono_i = ring.monomial(shift_i, ring.field.one / lcs[i])
-        mono_j = ring.monomial(shift_j, ring.field.one / lcs[j])
+        mono_i = ring.monomial(shift_i, div(one, lcs[i]))
+        mono_j = ring.monomial(shift_j, div(one, lcs[j]))
         s_poly = basis[i] * mono_i - basis[j] * mono_j
         record = normal_form(s_poly, basis)
         if record.remainder.is_zero():
@@ -302,7 +305,7 @@ def reduced_groebner(
     final: list[Polynomial] = []
     final_reps: list[list[Polynomial]] = []
     for i in keep:
-        inv = ring.field.one / lcs[i]
+        inv = div(one, lcs[i])
         final.append(basis[i] * inv)
         final_reps.append([r * inv for r in reps[i]])
     for pos in range(len(final)):

@@ -41,11 +41,11 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(
-        cls, field: Field, rows: Sequence[Sequence[Scalar | int]], cols: int | None = None
+        cls, field: Field, rows: Sequence[Sequence[Scalar]], cols: int | None = None
     ) -> "ExactMatrix":
-        converted = tuple(
-            tuple(field.scalar(v) if isinstance(v, int) else v for v in row) for row in rows
-        )
+        """Each entry passes through ``field.scalar``."""
+        scalar = field.scalar
+        converted = tuple(tuple(scalar(v) for v in row) for row in rows)
         if cols is None:
             if not converted:
                 raise ValueError("cannot infer column count of an empty matrix")
@@ -54,7 +54,7 @@ class ExactMatrix:
 
     @classmethod
     def from_columns(
-        cls, field: Field, columns: Sequence[Sequence[Scalar | int]]
+        cls, field: Field, columns: Sequence[Sequence[Scalar]]
     ) -> "ExactMatrix":
         if not columns:
             raise ValueError("need at least one column")
@@ -97,23 +97,26 @@ class ColumnElimination:
         row-echelon form.
         """
         check_deadline("row reduction")
-        zero, one = self.field.zero, self.field.one
+        field = self.field
+        sub, mul = field.sub, field.mul
         j = self.width
         self.width += 1
-        combination = [zero] * j + [one]
+        combination = [field.zero] * j + [field.one]
         for pivot, basis_column, basis_combination in self.reduced:
             factor = column[pivot]
             if not factor:
                 continue
-            column = [a - factor * b if b else a for a, b in zip(column, basis_column)]
+            column = [sub(a, mul(factor, b)) if b else a for a, b in zip(column, basis_column)]
             for k, c in enumerate(basis_combination):
                 if c:
-                    combination[k] -= factor * c
+                    combination[k] = sub(combination[k], mul(factor, c))
         pivot = next((i for i, v in enumerate(column) if v), None)
         if pivot is None:
             return tuple(combination)
-        inv = one / column[pivot]
-        self.reduced.append((pivot, [v * inv for v in column], [c * inv for c in combination]))
+        inv = field.div(field.one, column[pivot])
+        self.reduced.append(
+            (pivot, [mul(v, inv) for v in column], [mul(c, inv) for c in combination])
+        )
         return None
 
     def first_relation(self, columns: Sequence[Sequence[Scalar]]) -> Vector | None:

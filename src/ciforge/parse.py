@@ -86,10 +86,12 @@ class _Parser:
         return result
 
     def expression(self) -> Polynomial:
-        sign = 1
+        negative = False
         if self.current.kind == "op" and self.current.text in "+-":
-            sign = -1 if self.advance().text == "-" else 1
-        result = self.term() * sign
+            negative = self.advance().text == "-"
+        result = self.term()
+        if negative:
+            result = -result
         while self.current.kind == "op" and self.current.text in "+-":
             op = self.advance().text
             rhs = self.term()

@@ -15,7 +15,7 @@ from operator import add, le, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotHomogeneousError, RingMismatchError
-from .fields import Field, Fraction, PrimeFieldElement, Scalar
+from .fields import Field, Scalar
 
 Exponents = tuple[int, ...]
 
@@ -102,9 +102,7 @@ class PolynomialRing:
     def one(self) -> "Polynomial":
         return self.constant(self.field.one)
 
-    def constant(self, value: Scalar | int) -> "Polynomial":
-        if isinstance(value, int):
-            value = self.field.scalar(value)
+    def constant(self, value: Scalar) -> "Polynomial":
         return Polynomial(self, {(0,) * self.num_vars: value})
 
     def variable(self, index: int) -> "Polynomial":
@@ -112,29 +110,45 @@ class PolynomialRing:
         exps[index] = 1
         return Polynomial(self, {tuple(exps): self.field.one})
 
-    def monomial(self, exponents: Iterable[int], coefficient: Scalar | int = 1) -> "Polynomial":
-        if isinstance(coefficient, int):
-            coefficient = self.field.scalar(coefficient)
+    def monomial(self, exponents: Iterable[int], coefficient: Scalar = 1) -> "Polynomial":
         return Polynomial(self, {tuple(exponents): coefficient})
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """A sparse polynomial; ``terms`` maps exponent tuples to nonzero scalars."""
+    """A sparse polynomial; ``terms`` maps exponent tuples to nonzero scalars.
+
+    The constructor checks every exponent tuple and passes every coefficient
+    through the field's coercion ``scalar``, so an int coefficient is reduced
+    mod p over F_p and becomes a Fraction over Q.  Arithmetic results are
+    built by the field's own operations and skip both (`_trusted`).
+    """
 
     ring: PolynomialRing
     terms: Mapping[Exponents, Scalar] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         n = self.ring.num_vars
+        scalar = self.ring.field.scalar
         cleaned: dict[Exponents, Scalar] = {}
         for exps, coeff in self.terms.items():
             exps = tuple(exps)
             if len(exps) != n or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {n} variables")
+            coeff = scalar(coeff)
             if coeff:
                 cleaned[exps] = coeff
         object.__setattr__(self, "terms", cleaned)
+
+    @classmethod
+    def _trusted(cls, ring: PolynomialRing, terms: dict[Exponents, Scalar]) -> "Polynomial":
+        """A polynomial over a term map that the field's own operations built:
+        exponent tuples of the ring's length and nonzero scalars of its field.
+        The map is kept as it is, without checks or coercion."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     # -- queries ---------------------------------------------------------
 
@@ -167,51 +181,55 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ring(other)
+        add = self.ring.field.add
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             new = out.get(exps)
-            new = coeff if new is None else new + coeff
+            new = coeff if new is None else add(new, coeff)
             if new:
                 out[exps] = new
             else:
                 out.pop(exps, None)
-        return Polynomial(self.ring, out)
+        return Polynomial._trusted(self.ring, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        neg = self.ring.field.neg
+        return Polynomial._trusted(self.ring, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: "Polynomial | Scalar | int") -> "Polynomial":
-        if isinstance(other, Polynomial):
-            self._require_same_ring(other)
-            out: dict[Exponents, Scalar] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    exps = monomial_mul(e1, e2)
-                    prod = c1 * c2
-                    new = out.get(exps)
-                    new = prod if new is None else new + prod
-                    if new:
-                        out[exps] = new
-                    else:
-                        out.pop(exps, None)
-            return Polynomial(self.ring, out)
-        if isinstance(other, (int, Fraction, PrimeFieldElement)):
-            if isinstance(other, int):
-                other = self.ring.field.scalar(other)
-            return Polynomial(self.ring, {e: c * other for e, c in self.terms.items()})
-        return NotImplemented
+    def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
+        """Product with a polynomial of the same ring, or with anything the
+        field's ``scalar`` accepts."""
+        ring_field = self.ring.field
+        mul = ring_field.mul
+        if not isinstance(other, Polynomial):
+            c = ring_field.scalar(other)
+            terms = {e: mul(a, c) for e, a in self.terms.items()} if c else {}
+            return Polynomial._trusted(self.ring, terms)
+        self._require_same_ring(other)
+        add = ring_field.add
+        out: dict[Exponents, Scalar] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exps = monomial_mul(e1, e2)
+                prod = mul(c1, c2)
+                new = out.get(exps)
+                new = prod if new is None else add(new, prod)
+                if new:
+                    out[exps] = new
+                else:
+                    out.pop(exps, None)
+        return Polynomial._trusted(self.ring, out)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar: Scalar | int) -> "Polynomial":
-        if isinstance(scalar, int):
-            scalar = self.ring.field.scalar(scalar)
-        return self * (self.ring.field.one / scalar)
+    def __truediv__(self, scalar: Scalar) -> "Polynomial":
+        ring_field = self.ring.field
+        return self * ring_field.div(ring_field.one, ring_field.scalar(scalar))
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -284,19 +302,27 @@ class ProjectivePoint:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
 
 
+def _require_point_of(ring: PolynomialRing, x: ProjectivePoint) -> None:
+    if len(x) != ring.num_vars:
+        raise RingMismatchError(
+            f"point has {len(x)} coordinates, ring has {ring.num_vars} variables"
+        )
+    if any(c not in ring.field for c in x.coords):
+        raise RingMismatchError(f"point {x} has a coordinate outside {ring.field}")
+
+
 def evaluate(p: Polynomial, x: ProjectivePoint) -> Scalar:
     """Exact value of ``p`` at the supplied homogeneous coordinates."""
-    if len(x) != p.ring.num_vars:
-        raise RingMismatchError(
-            f"point has {len(x)} coordinates, ring has {p.ring.num_vars} variables"
-        )
-    total = p.ring.field.zero
+    _require_point_of(p.ring, x)
+    ring_field = p.ring.field
+    add, mul, power = ring_field.add, ring_field.mul, ring_field.pow
+    total = ring_field.zero
     for exps, coeff in p.terms.items():
         value = coeff
         for c, e in zip(x.coords, exps):
             if e:
-                value = value * c**e
-        total = total + value
+                value = mul(value, power(c, e))
+        total = add(total, value)
     return total
 
 
@@ -308,22 +334,20 @@ def differential_at(p: Polynomial, x: ProjectivePoint) -> tuple[Scalar, ...]:
     """
     if homogeneous_degree(p) is NOT_HOMOGENEOUS:
         raise NotHomogeneousError("differential requires a homogeneous polynomial")
-    if len(x) != p.ring.num_vars:
-        raise RingMismatchError(
-            f"point has {len(x)} coordinates, ring has {p.ring.num_vars} variables"
-        )
+    _require_point_of(p.ring, x)
     ring_field = p.ring.field
+    add, mul, power = ring_field.add, ring_field.mul, ring_field.pow
     out = [ring_field.zero] * p.ring.num_vars
     for exps, coeff in p.terms.items():
         for i, e in enumerate(exps):
             if e == 0:
                 continue
-            value = coeff * e
+            value = mul(coeff, e)
             for j, (c, ej) in enumerate(zip(x.coords, exps)):
-                power = ej - 1 if j == i else ej
-                if power:
-                    value = value * c**power
-            out[i] = out[i] + value
+                k = ej - 1 if j == i else ej
+                if k:
+                    value = mul(value, power(c, k))
+            out[i] = add(out[i], value)
     return tuple(out)
 
 
@@ -334,7 +358,7 @@ def format_polynomial(p: Polynomial) -> str:
     """
     if p.is_zero():
         return "0"
-    one = p.ring.field.one
+    ring_field = p.ring.field
     pieces: list[str] = []
     for exps, coeff in p.sorted_terms():
         factors = []
@@ -343,11 +367,11 @@ def format_polynomial(p: Polynomial) -> str:
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        negative = isinstance(coeff, Fraction) and coeff < 0
-        magnitude = -coeff if negative else coeff
+        negative = coeff < 0  # only a rational can be
+        magnitude = ring_field.neg(coeff) if negative else coeff
         if not factors:
             body = str(magnitude)
-        elif magnitude == one:
+        elif magnitude == ring_field.one:
             body = "*".join(factors)
         else:
             body = str(magnitude) + "*" + "*".join(factors)

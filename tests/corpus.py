@@ -6,7 +6,7 @@ in the acceptance tests does not lean on the package's own dimension code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ciforge import (
     QQ,
@@ -42,6 +42,10 @@ class CorpusIdeal:
     def point(self) -> ProjectivePoint:
         field = self.ring.field
         return ProjectivePoint(tuple(field.scalar(c) for c in self.point_coords))
+
+    def over(self, field) -> "CorpusIdeal":
+        """The same entry with its generators and point read over ``field``."""
+        return replace(self, ring=PolynomialRing(field, self.ring.var_names))
 
 
 TWISTED_CUBIC = CorpusIdeal(

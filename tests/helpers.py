@@ -18,5 +18,11 @@ def expand(record, divisors):
 
 def multiply_vector(matrix, v):
     """The product of an `ExactMatrix` with a column vector."""
-    zero = matrix.field.zero
-    return tuple(sum((a * b for a, b in zip(row, v)), zero) for row in matrix.rows)
+    field = matrix.field
+    out = []
+    for row in matrix.rows:
+        total = field.zero
+        for a, b in zip(row, v):
+            total = field.add(total, field.mul(a, b))
+        out.append(total)
+    return tuple(out)

@@ -7,6 +7,10 @@ monomial of the complementary degree.  Division is the textbook loop that
 rescans for the leading monomial.  The rewrite step is the one first written,
 which also searched the top-degree block for a linear relation among the
 generators as polynomials.
+
+Scalar arithmetic uses the field's own operations (``field.add``, ``mul``,
+``div`` ...), which `tests/test_fields.py` checks against ``Fraction``
+arithmetic; they call no division, elimination or rewrite code.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ def degree_monomials(num_vars: int, degree: int) -> list[tuple[int, ...]]:
     ]
 
 
-def row_reduce_rank(rows: list[list]) -> int:
-    """Rank by plain Gaussian elimination, first nonzero pivot."""
+def row_reduce_rank(rows: list[list], field) -> int:
+    """Rank by plain Gaussian elimination over ``field``, first nonzero pivot."""
+    sub, mul, div = field.sub, field.mul, field.div
     rows = [list(r) for r in rows]
     rank = 0
     cols = len(rows[0]) if rows else 0
@@ -48,8 +53,8 @@ def row_reduce_rank(rows: list[list]) -> int:
         lead = rows[rank][col]
         for r in range(rank + 1, len(rows)):
             if rows[r][col]:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+                factor = div(rows[r][col], lead)
+                rows[r] = [sub(a, mul(factor, b)) for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 
@@ -62,6 +67,7 @@ def reference_kernel_basis(matrix) -> list[tuple]:
     at that row's pivot column, zeros elsewhere.
     """
     field = matrix.field
+    sub, mul = field.sub, field.mul
     rows = [list(r) for r in matrix.rows]
     pivots: list[int] = []
     for col in range(matrix.cols):
@@ -70,12 +76,12 @@ def reference_kernel_basis(matrix) -> list[tuple]:
         if pivot is None:
             continue
         rows[top], rows[pivot] = rows[pivot], rows[top]
-        inv = field.one / rows[top][col]
-        rows[top] = [v * inv for v in rows[top]]
+        inv = field.div(field.one, rows[top][col])
+        rows[top] = [mul(v, inv) for v in rows[top]]
         for r in range(len(rows)):
             if r != top and rows[r][col]:
                 factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[top])]
+                rows[r] = [sub(a, mul(factor, b)) for a, b in zip(rows[r], rows[top])]
         pivots.append(col)
     basis = []
     for free in range(matrix.cols):
@@ -85,12 +91,12 @@ def reference_kernel_basis(matrix) -> list[tuple]:
         v[free] = field.one
         for i, p in enumerate(pivots):
             if rows[i][free]:
-                v[p] = -rows[i][free]
+                v[p] = field.neg(rows[i][free])
         basis.append(tuple(v))
     return basis
 
 
-def _slice_rows(gens, num_vars: int, degree: int, *, min_cofactor_degree: int):
+def _slice_rows(gens, field, num_vars: int, degree: int, *, min_cofactor_degree: int):
     """Row vectors spanning the chosen degree slice.
 
     Each generator of degree dg contributes one row per monomial cofactor of
@@ -105,7 +111,7 @@ def _slice_rows(gens, num_vars: int, degree: int, *, min_cofactor_degree: int):
         if shift_degree < min_cofactor_degree:
             continue
         for shift in degree_monomials(num_vars, shift_degree):
-            row = [0] * len(columns)
+            row = [field.zero] * len(columns)
             for exps, coeff in g.terms.items():
                 product_exps = tuple(a + b for a, b in zip(shift, exps))
                 row[columns[product_exps]] = coeff
@@ -115,7 +121,9 @@ def _slice_rows(gens, num_vars: int, degree: int, *, min_cofactor_degree: int):
 
 def ideal_slice_dim(gens, num_vars: int, degree: int) -> int:
     """Dimension of the degree-``degree`` piece of the ideal the gens span."""
-    return row_reduce_rank(_slice_rows(gens, num_vars, degree, min_cofactor_degree=0))
+    field = gens[0].ring.field
+    rows = _slice_rows(gens, field, num_vars, degree, min_cofactor_degree=0)
+    return row_reduce_rank(rows, field)
 
 
 def minimal_generator_count_at(gens, num_vars: int, degree: int) -> int:
@@ -124,9 +132,10 @@ def minimal_generator_count_at(gens, num_vars: int, degree: int) -> int:
     dim I_d minus the dimension of the span of (positive-degree monomial) x
     (lower-degree generator pieces), i.e. of S_1 * I_{d-1}.
     """
+    field = gens[0].ring.field
     full = ideal_slice_dim(gens, num_vars, degree)
     shifted = row_reduce_rank(
-        _slice_rows(gens, num_vars, degree, min_cofactor_degree=1)
+        _slice_rows(gens, field, num_vars, degree, min_cofactor_degree=1), field
     )
     return full - shifted
 
@@ -148,13 +157,15 @@ def _grevlex_greatest(monomials):
     return max(monomials, key=lambda e: (sum(e), tuple(-x for x in reversed(e))))
 
 
-def reference_division(dividend: dict, divisors: list[dict]):
-    """Multivariate division on term maps: (quotient maps, remainder map).
+def reference_division(dividend: dict, divisors: list[dict], field):
+    """Multivariate division on term maps over ``field``: (quotient maps,
+    remainder map).
 
     Each step rescans the work polynomial for its grevlex-greatest monomial
     and cancels it with the first divisor whose leading monomial divides it,
     or moves it to the remainder.
     """
+    add, sub, mul = field.add, field.sub, field.mul
     leads = [_grevlex_greatest(g) for g in divisors]
     work = dict(dividend)
     quotients = [{} for _ in divisors]
@@ -165,11 +176,11 @@ def reference_division(dividend: dict, divisors: list[dict]):
         for g, glm, q in zip(divisors, leads, quotients):
             if all(a <= b for a, b in zip(glm, lm)):
                 shift = tuple(a - b for a, b in zip(lm, glm))
-                factor = lc / g[glm]
-                q[shift] = factor if shift not in q else q[shift] + factor
+                factor = field.div(lc, g[glm])
+                q[shift] = factor if shift not in q else add(q[shift], factor)
                 for e, c in g.items():
                     m = tuple(a + b for a, b in zip(shift, e))
-                    value = -factor * c if m not in work else work[m] - factor * c
+                    value = sub(work.get(m, field.zero), mul(factor, c))
                     if value:
                         work[m] = value
                     else:
@@ -232,20 +243,20 @@ def reference_subst_step(system, x):
         last = max(i for i, c in zip(top, block_relation) if c)
         pivot_coeff = block_relation[top.index(last)]
         combination = {
-            i: ring.constant(-c / pivot_coeff)
+            i: ring.constant(field.neg(field.div(c, pivot_coeff)))
             for i, c in zip(top, block_relation)
             if c and i != last
         }
         return Removed(last, _removed_record(system, last, combination))
 
     k = x.pivot
-    inv_xk = field.one / x.coords[k]
+    inv_xk = field.div(field.one, x.coords[k])
     cofactors = {}
     for i in support:
         lift = top_degree - degrees[i]
         cofactors[i] = ring.monomial(
             tuple(lift if j == k else 0 for j in range(ring.num_vars)),
-            relation[i] * inv_xk**lift,
+            field.mul(relation[i], field.pow(inv_xk, lift)),
         )
     combined = ring.zero()
     for i in support:
@@ -254,7 +265,8 @@ def reference_subst_step(system, x):
 
     j = max(top)
     if combined.is_zero():
-        others = {i: cofactors[i] * (field.one / -relation[j]) for i in support if i != j}
+        scale = field.div(field.one, field.neg(relation[j]))
+        others = {i: cofactors[i] * scale for i in support if i != j}
         return Removed(j, _removed_record(system, j, others))
     full_relation = tuple(
         relation[i] if i in support else field.zero for i in range(len(system.gens))

@@ -17,6 +17,7 @@ from ciforge import (
     GeneratorSystem,
     Polynomial,
     PolynomialRing,
+    PrimeField,
     ProjectivePoint,
     QQ,
     Removed,
@@ -53,17 +54,21 @@ def reported(number: int, name: str):
 
 
 def test_criterion_1_corpus_decisions():
+    """The corpus as written over Q, and re-parsed over F_7 and F_32003."""
     with reported(1, "corpus decisions vs Macaulay oracle"):
-        for c in CORPUS:
-            cert = reduce_to_ci(c.system, c.point)
-            got_ci = isinstance(cert, CICertificate)
-            mu = minimal_generator_total(c.gens, c.ring.num_vars)
-            oracle_ci = mu == c.codim
-            assert got_ci == oracle_ci, f"{c.name}: decision disagrees with oracle"
-            assert got_ci == c.expect_ci, f"{c.name}: unexpected decision"
-            assert cert.codim == c.codim, f"{c.name}: codimension drifted"
-            if c.expect_final_count is not None:
-                assert len(cert.final_gens) == c.expect_final_count, c.name
+        for field in (QQ, PrimeField(7), PrimeField(32003)):
+            for c in (entry.over(field) for entry in CORPUS):
+                name = f"{c.name} over {field}"
+                cert = reduce_to_ci(c.system, c.point)
+                got_ci = isinstance(cert, CICertificate)
+                mu = minimal_generator_total(c.gens, c.ring.num_vars)
+                oracle_ci = mu == c.codim
+                assert got_ci == oracle_ci, f"{name}: decision disagrees with oracle"
+                assert got_ci == c.expect_ci, f"{name}: unexpected decision"
+                assert cert.codim == c.codim, f"{name}: codimension drifted"
+                assert verify_certificate(cert, c.system, c.point), name
+                if c.expect_final_count is not None:
+                    assert len(cert.final_gens) == c.expect_final_count, name
 
 
 def test_criterion_2_loop_variant():

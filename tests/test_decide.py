@@ -28,6 +28,7 @@ from ciforge import (
     QQ,
     Removed,
     Replaced,
+    RingMismatchError,
     CertificateMismatchError,
     basis_time_limit,
     check_condition_iv,
@@ -273,7 +274,8 @@ def vanishing_systems(draw):
             value = evaluate(g, x)
             if value:
                 g = g - ring.monomial(
-                    tuple(d if j == k else 0 for j in range(n)), value / x.coords[k] ** d
+                    tuple(d if j == k else 0 for j in range(n)),
+                    field.div(value, field.pow(x.coords[k], d)),
                 )
         elif kind == "multiple":
             g = draw(st.sampled_from(gens)) * draw(small)
@@ -362,6 +364,15 @@ class TestReduceToCI:
         system, node = nodal
         with pytest.raises(NotSmoothError):
             reduce_to_ci(system, node)
+
+    def test_point_from_another_field_refused(self):
+        c = LINE_QUADRIC_REDUNDANT.over(PrimeField(7))
+        rational = ProjectivePoint(tuple(QQ.scalar(v) for v in c.point_coords))
+        with pytest.raises(RingMismatchError, match="outside fp:7"):
+            reduce_to_ci(c.system, rational)
+        with pytest.raises(RingMismatchError, match="outside fp:7"):
+            half = Fraction(1, 2)
+            reduce_to_ci(c.system, ProjectivePoint((half, half, Fraction(0), Fraction(0))))
 
     def test_observer_sees_each_rewrite(self, lqr_system, ones):
         seen = []

@@ -24,6 +24,7 @@ from ciforge import (
     homogeneous_degree,
     is_homogeneous,
     parse_polynomial,
+    reduced_groebner,
 )
 
 
@@ -82,6 +83,24 @@ class TestArithmetic:
     def test_zero_terms_dropped(self, p2):
         f = Polynomial(p2, {(1, 0, 0): QQ.scalar(0), (0, 1, 0): QQ.scalar(2)})
         assert f == p2.variable(1) * 2
+
+    def test_int_coefficients_reduced_over_fp(self):
+        ring = PolynomialRing(PrimeField(7), ("x", "y"))
+        f = Polynomial(ring, {(1, 0): 7, (0, 1): 3})
+        assert f.terms == {(0, 1): 3}
+        assert str(f) == "3*y"
+        assert str(f + f) == "6*y"
+        assert (f * 7).is_zero() and (f * 3).terms == {(0, 1): 2}
+        assert Polynomial(ring, {(1, 0): -1, (0, 1): 10}).terms == {(1, 0): 6, (0, 1): 3}
+        assert Polynomial(ring, {(1, 0): 14}).is_zero()
+        assert reduced_groebner([f]).elements == (ring.variable(1),)
+
+    def test_int_coefficients_become_fractions_over_q(self, p2):
+        half = Fraction(1, 2)
+        f = Polynomial(p2, {(1, 0, 0): 3, (0, 1, 0): half})
+        assert type(f.terms[(1, 0, 0)]) is Fraction
+        assert f.terms[(0, 1, 0)] is half
+        assert str(f / 2) == "3/2*x + 1/4*y"
 
 
 class TestParsing:
@@ -204,6 +223,20 @@ class TestEvaluate:
         with pytest.raises(RingMismatchError):
             evaluate(p2.one(), x)
 
+    def test_point_from_another_field(self, p2):
+        ring = PolynomialRing(PrimeField(7), ("x", "y"))
+        f = parse_polynomial("x - 4*y", ring)
+        for coords in [
+            (Fraction(1, 2), Fraction(0)),  # rationals
+            (1, 9),  # an int outside [0, 7)
+        ]:
+            x = ProjectivePoint(coords)
+            with pytest.raises(RingMismatchError, match="outside fp:7"):
+                evaluate(f, x)
+        with pytest.raises(RingMismatchError, match="outside q"):
+            evaluate(p2.variable(0), ProjectivePoint((1, 2, 3)))
+        assert evaluate(f, ProjectivePoint((4, 1))) == 0
+
 
 class TestDifferential:
     def test_hand_values(self, p3):
@@ -224,6 +257,12 @@ class TestDifferential:
         x = ProjectivePoint((QQ.scalar(1), QQ.scalar(1), QQ.scalar(1)))
         with pytest.raises(NotHomogeneousError):
             differential_at(parse_polynomial("x + y^2", p2), x)
+
+    def test_point_from_another_field(self):
+        ring = PolynomialRing(PrimeField(7), ("x", "y"))
+        x = ProjectivePoint((Fraction(1, 2), Fraction(1)))
+        with pytest.raises(RingMismatchError, match="outside fp:7"):
+            differential_at(parse_polynomial("x*y", ring), x)
 
     def test_char_p_kills_pth_powers(self):
         ring = PolynomialRing(PrimeField(7), ("x", "y"))
