@@ -57,7 +57,6 @@ from .groebner import (
 from .ideal_file import IdealFile, parse_ideal_file
 from .linalg import (
     ExactMatrix,
-    first_kernel_vector,
     kernel_basis,
     linear_relation_polys,
     rank,
@@ -119,7 +118,6 @@ __all__ = [
     "differential_at",
     "evaluate",
     "field_from_tag",
-    "first_kernel_vector",
     "homogeneous_degree",
     "ideal_equal",
     "ideal_member",

@@ -95,6 +95,20 @@ def serialize_certificate(cert: Certificate) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _checked(value: object, name: str, kind: type):
+    """``value`` if it is a JSON ``kind`` (a bool is no int), else ParseError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(
+            f"certificate field {name!r}: expected {kind.__name__}, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
+def _items(value: object, name: str, kind: type) -> list:
+    return [_checked(v, name, kind) for v in _checked(value, name, list)]
+
+
 def parse_certificate(text: str) -> Certificate:
     try:
         data = json.loads(text)
@@ -105,34 +119,49 @@ def parse_certificate(text: str) -> Certificate:
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported certificate format version {version!r}")
+
+    def string(name: str) -> str:
+        return _checked(data[name], name, str)
+
+    def strings(name: str) -> list[str]:
+        return _items(data[name], name, str)
+
     try:
-        field = field_from_tag(data["field"])
-        ring = PolynomialRing(field, tuple(data["vars"]))
-        trace = tuple(DegreeSequence(tuple(t)) for t in data["trace"])
+        field = field_from_tag(string("field"))
+        ring = PolynomialRing(field, tuple(strings("vars")))
         common = {
-            "input_hash": data["input_hash"],
+            "input_hash": string("input_hash"),
             "field_tag": field.tag,
             "var_names": ring.var_names,
-            "codim": int(data["codim"]),
-            "trace": trace,
+            "codim": _checked(data["codim"], "codim", int),
+            "trace": tuple(
+                DegreeSequence(tuple(_items(t, "trace", int)))
+                for t in _checked(data["trace"], "trace", list)
+            ),
         }
         if data["kind"] == "ci":
             return CICertificate(
-                final_gens=tuple(parse_polynomial(s, ring) for s in data["final_gens"]),
+                final_gens=tuple(parse_polynomial(s, ring) for s in strings("final_gens")),
                 **common,
             )
         if data["kind"] == "non-ci":
             return NonCICertificate(
-                witness=parse_polynomial(data["witness"], ring),
+                witness=parse_polynomial(string("witness"), ring),
                 point=ProjectivePoint(
-                    tuple(field.scalar_from_str(c) for c in data["point"])
+                    tuple(field.scalar_from_str(c) for c in strings("point"))
                 ),
                 truncated_basis=tuple(
-                    parse_polynomial(s, ring) for s in data["truncated_basis"]
+                    parse_polynomial(s, ring) for s in strings("truncated_basis")
                 ),
-                remainder=parse_polynomial(data["remainder"], ring),
+                remainder=parse_polynomial(string("remainder"), ring),
                 **common,
             )
         raise ParseError(f"unknown certificate kind {data['kind']!r}")
     except KeyError as exc:
         raise ParseError(f"certificate is missing field {exc.args[0]!r}") from exc
+    except ParseError:
+        raise
+    except ValueError as exc:
+        # A well-typed field whose value is out of range: repeated variable
+        # names, a negative degree count, an all-zero point.
+        raise ParseError(f"malformed certificate: {exc}") from exc

@@ -34,6 +34,7 @@ from .decide import (
 )
 from .errors import BuchbergerTimeout, ParseError
 from .groebner import (
+    Ideal,
     basis_time_limit,
     ideal_member,
     projective_dimension,
@@ -189,9 +190,9 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 def _cmd_trivial(args: argparse.Namespace) -> int:
     loaded = _load(args)
-    system = _system(loaded)
+    ideal = Ideal(loaded.gens, ring=loaded.ring)
     f = _parse_poly(loaded, args.poly)
-    result = trivially_contains(system, f)
+    result = trivially_contains(ideal, f)
     if result.trivial:
         print("trivial: yes")
         for psi, cof in zip(result.members, result.cofactors):
@@ -205,14 +206,14 @@ def _cmd_trivial(args: argparse.Namespace) -> int:
 def _cmd_check_iv(args: argparse.Namespace) -> int:
     loaded = _load(args)
     x = _need_point(loaded)
-    system = _system(loaded)
+    ideal = Ideal(loaded.gens, ring=loaded.ring)
     f = _parse_poly(loaded, args.poly)
     family = [
         _parse_poly(loaded, piece)
         for piece in args.family.split(";")
         if piece.strip()
     ]
-    contained = check_condition_iv(f, family, x, system)
+    contained = check_condition_iv(f, family, x, ideal)
     print(f"contained: {'yes' if contained else 'no'}")
     if contained:
         # Tangent containment at the point is exactly what the criterion forbids.

@@ -110,7 +110,7 @@ def degree_sequence(system: GeneratorSystem) -> DegreeSequence:
     return DegreeSequence.from_degrees(system.degrees)
 
 
-def _require_on_variety(system: GeneratorSystem | Ideal, x: ProjectivePoint) -> None:
+def _require_on_variety(system: GeneratorSystem, x: ProjectivePoint) -> None:
     for i, g in enumerate(system.gens):
         if evaluate(g, x):
             raise PointNotOnVarietyError(
@@ -120,42 +120,29 @@ def _require_on_variety(system: GeneratorSystem | Ideal, x: ProjectivePoint) -> 
 
 @dataclass(frozen=True)
 class SmoothnessReport:
+    """``jacobian`` holds the generators' differentials at the point, one
+    row per generator in order."""
+
     codim: int
     smooth: bool
     dimension: int
     jacobian_rank: int
+    jacobian: tuple[tuple[Scalar, ...], ...] = field(repr=False, compare=False)
 
 
-def _ideal(system: GeneratorSystem | Ideal) -> Ideal:
-    """The ideal ``system`` generates; an `Ideal` stands for itself."""
-    if isinstance(system, Ideal):
-        return system
-    return Ideal(system.gens, ring=system.ring)
-
-
-def smoothness_check(
-    system: GeneratorSystem | Ideal, x: ProjectivePoint
-) -> SmoothnessReport:
+def smoothness_check(ideal: Ideal, x: ProjectivePoint) -> SmoothnessReport:
     """Codimension of the zero locus and the Jacobian-rank smoothness verdict at ``x``.
 
     Smooth means: the differentials of the generators at ``x`` span a space of
     dimension exactly the codimension.  The span over the generators equals
     the span over the whole ideal because d_x(G*F) = G(x) * d_x(F) whenever F
-    vanishes at x.
-
-    Given a `GeneratorSystem`, it first checks that ``x`` lies on the
-    variety.  Given an `Ideal`, the caller has checked that already.
+    vanishes at x.  The caller checks that ``x`` lies on the variety.
     """
-    if not isinstance(system, Ideal):
-        _require_on_variety(system, x)
-    ideal = _ideal(system)
     dimension = ideal.dimension()
     codim = (ideal.ring.num_vars - 1) - dimension
-    jacobian = ExactMatrix.from_rows(
-        ideal.ring.field, [differential_at(g, x) for g in ideal.gens]
-    )
-    jac_rank = rank(jacobian)
-    return SmoothnessReport(codim, jac_rank == codim, dimension, jac_rank)
+    rows = tuple(differential_at(g, x) for g in ideal.gens)
+    jac_rank = rank(ExactMatrix.from_rows(ideal.ring.field, rows))
+    return SmoothnessReport(codim, jac_rank == codim, dimension, jac_rank, rows)
 
 
 @dataclass(frozen=True)
@@ -175,9 +162,7 @@ class TrivialContainment:
     remainder: Polynomial
 
 
-def trivially_contains(
-    system: GeneratorSystem | Ideal, f: Polynomial
-) -> TrivialContainment:
+def trivially_contains(ideal: Ideal, f: Polynomial) -> TrivialContainment:
     """Whether ``f`` is a combination of ideal members of strictly lower degree.
 
     ``f`` must be a nonzero homogeneous member of the ideal (checked).
@@ -187,7 +172,6 @@ def trivially_contains(
     d = homogeneous_degree(f)
     if not isinstance(d, int):
         raise NotHomogeneousError("containment test needs a homogeneous polynomial")
-    ideal = _ideal(system)
     member, _ = ideal.member(f)
     if not member:
         raise NotInIdealError(f"{f} is not in the ideal")
@@ -349,7 +333,6 @@ def reduce_to_ci(
     system: GeneratorSystem,
     x: ProjectivePoint,
     *,
-    check_invariants: bool = False,
     on_iteration: IterationObserver | None = None,
 ) -> Certificate:
     """Decide whether the ideal is generated by codimension-many elements.
@@ -360,16 +343,15 @@ def reduce_to_ci(
     witness).  The degree sequence strictly decreases at every shrinking
     step, which bounds the loop.
 
-    ``check_invariants`` re-verifies ideal equality with the input after each
-    iteration; ``on_iteration`` observes (before, outcome, after) triples.
+    ``on_iteration`` observes (before, outcome, after) triples.
 
     Every rewrite keeps the ideal, so its basis is computed once, here, and
-    serves the smoothness check, every containment test and the invariant.
-    Likewise each generator's differential at ``x`` is computed once and
-    carried to the systems it survives into, and so is the elimination of
-    the differentials up to the first position a step changes.  Every
-    generator a step adds is an ideal member, so it vanishes at ``x`` and the
-    point needs no re-check.
+    serves the smoothness check and every containment test.  Likewise each
+    input generator's differential at ``x`` is computed once, as a row of the
+    smoothness check's Jacobian, and carried to the systems it survives
+    into, and so is the elimination of the differentials up to the first
+    position a step changes.  Every generator a step adds is an ideal
+    member, so it vanishes at ``x`` and the point needs no re-check.
     """
     _require_on_variety(system, x)
     ideal = Ideal(system.gens, ring=system.ring)
@@ -388,7 +370,7 @@ def reduce_to_ci(
     if len(current) > codim:
         trace.append(degree_sequence(current))
 
-    columns = [differential_at(g, x) for g in current.gens]
+    columns = list(report.jacobian)
     elimination = ColumnElimination(ring.field)
     while len(current) > codim:
         check_deadline("rewrite loop")
@@ -429,10 +411,6 @@ def reduce_to_ci(
                 f"degree sequence failed to decrease: {previous} to {now}"
             )
         trace.append(now)
-        if check_invariants:
-            now_basis = reduced_groebner(new_system.gens, ring=ring)
-            if now_basis.elements != ideal.basis.elements:
-                raise AssertionError("rewrite changed the ideal")
         if on_iteration is not None:
             on_iteration(current, outcome, new_system)
         columns = _carried_differentials(current, columns, new_system, x)
@@ -456,7 +434,7 @@ def check_condition_iv(
     f: Polynomial,
     family: Sequence[Polynomial],
     x: ProjectivePoint,
-    system: GeneratorSystem | Ideal,
+    ideal: Ideal,
 ) -> bool:
     """Whether the tangent space of Z(f) at ``x`` contains the intersection
     of the tangent spaces of the Z(family member)s.
@@ -472,7 +450,6 @@ def check_condition_iv(
     deg_f = homogeneous_degree(f)
     if not isinstance(deg_f, int):
         raise NotHomogeneousError("need a homogeneous polynomial")
-    ideal = _ideal(system)
     member, _ = ideal.member(f)
     if not member:
         raise NotInIdealError("polynomial is not in the ideal")
@@ -552,14 +529,14 @@ def verify_certificate(
     if not report.smooth or cert.point != x:
         return False
     witness = cert.witness
-    if witness.is_zero():
+    if not isinstance(homogeneous_degree(witness), int) or any(
+        differential_at(witness, x)
+    ):
         return False
-    member, _ = ideal.member(witness)
-    if not member:
+    try:
+        containment = trivially_contains(ideal, witness)
+    except NotInIdealError:
         return False
-    if any(differential_at(witness, x)):
-        return False
-    containment = trivially_contains(ideal, witness)
     return (
         not containment.trivial
         and containment.truncated_basis == cert.truncated_basis

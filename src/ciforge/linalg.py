@@ -1,10 +1,10 @@
 """Exact dense linear algebra over the coefficient field.
 
-Rank, kernel bases and the first kernel vector all read one column-by-column
-elimination, `ColumnElimination`, which the rewrite loop also carries from
-step to step.  The relation it finds for each dependent column is unique, so
-every answer is deterministic and equals the one read off the reduced
-row-echelon form.
+Rank, kernel bases and linear relations among polynomials all read one
+column-by-column elimination, `ColumnElimination`, which the rewrite loop
+also carries from step to step.  The relation it finds for each dependent
+column is unique, so every answer is deterministic and equals the one read
+off the reduced row-echelon form.
 """
 
 from __future__ import annotations
@@ -51,16 +51,6 @@ class ExactMatrix:
                 raise ValueError("cannot infer column count of an empty matrix")
             cols = len(converted[0])
         return cls(field, converted, cols)
-
-    @classmethod
-    def from_columns(
-        cls, field: Field, columns: Sequence[Sequence[Scalar]]
-    ) -> "ExactMatrix":
-        if not columns:
-            raise ValueError("need at least one column")
-        height = len(columns[0])
-        rows = [[columns[j][i] for j in range(len(columns))] for i in range(height)]
-        return cls.from_rows(field, rows, cols=len(columns))
 
     @property
     def num_rows(self) -> int:
@@ -162,14 +152,6 @@ def kernel_basis(matrix: ExactMatrix) -> list[Vector]:
     return [v for v in _column_relations(matrix) if v is not None]
 
 
-def first_kernel_vector(matrix: ExactMatrix) -> Vector | None:
-    """``kernel_basis(matrix)[0]``, or None when the kernel is trivial.
-
-    Elimination stops at the first dependent column.
-    """
-    return next((v for v in _column_relations(matrix) if v is not None), None)
-
-
 def linear_relation_polys(polys: Sequence[Polynomial]) -> Vector | None:
     """A nonzero vector c with sum(c_i * polys_i) = 0, or None if independent.
 
@@ -193,7 +175,5 @@ def linear_relation_polys(polys: Sequence[Polynomial]) -> Vector | None:
         raise NotHomogeneousError("relation search requires one common degree")
     monomials = sorted({e for p in polys for e in p.terms}, key=grevlex_key, reverse=True)
     field = ring.field
-    rows = tuple(
-        tuple(p.terms.get(mono, field.zero) for p in polys) for mono in monomials
-    )
-    return first_kernel_vector(ExactMatrix(field, rows, len(polys)))
+    columns = [tuple(p.terms.get(mono, field.zero) for mono in monomials) for p in polys]
+    return ColumnElimination(field).first_relation(columns)

@@ -221,7 +221,8 @@ def reference_subst_step(system, x):
     ring = system.ring
     field = ring.field
     differentials = [differential_at(g, x) for g in system.gens]
-    relation = _first_kernel_vector(ExactMatrix.from_columns(field, differentials))
+    jacobian = ExactMatrix(field, tuple(zip(*differentials)), len(differentials))
+    relation = _first_kernel_vector(jacobian)
     if relation is None:
         return Independent()
     support = [i for i, c in enumerate(relation) if c]

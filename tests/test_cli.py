@@ -119,6 +119,53 @@ class TestVerifyCommand:
         assert run_command(["verify", str(cubic_file), "--cert", str(cert_path)]) == 3
         assert "verified: no" in capsys.readouterr().out
 
+    def test_non_homogeneous_witness_refuted(self, cubic_file, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        run_command(["decide", str(cubic_file), "--out", str(cert_path)])
+        data = json.loads(cert_path.read_text())
+        data["witness"] += " + T0"
+        cert_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run_command(["verify", str(cubic_file), "--cert", str(cert_path)]) == 3
+        assert "verified: no" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("trace", [["a"]]),
+            ("trace", 5),
+            ("trace", [[-1]]),
+            ("vars", 5),
+            ("witness", 5),
+            ("point", [1, 1, 1, 1]),
+            ("codim", "abc"),
+            ("codim", 2.5),
+        ],
+        ids=[
+            "trace-of-strings",
+            "trace-number",
+            "negative-count",
+            "vars-number",
+            "witness-number",
+            "point-of-numbers",
+            "codim-string",
+            "codim-float",
+        ],
+    )
+    def test_ill_typed_field_is_a_parse_error(
+        self, cubic_file, tmp_path, capsys, key, value
+    ):
+        cert_path = tmp_path / "cert.json"
+        run_command(["decide", str(cubic_file), "--out", str(cert_path)])
+        data = json.loads(cert_path.read_text())
+        data[key] = value
+        cert_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run_command(["verify", str(cubic_file), "--cert", str(cert_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_forged_trace_refuted(self, lqr_file, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"
         run_command(["decide", str(lqr_file), "--out", str(cert_path)])
