@@ -172,8 +172,7 @@ def trivially_contains(ideal: Ideal, f: Polynomial) -> TrivialContainment:
     d = homogeneous_degree(f)
     if not isinstance(d, int):
         raise NotHomogeneousError("containment test needs a homogeneous polynomial")
-    member, _ = ideal.member(f)
-    if not member:
+    if f not in ideal:
         raise NotInIdealError(f"{f} is not in the ideal")
     truncated = ideal.truncated(d)
     if not truncated:
@@ -181,13 +180,11 @@ def trivially_contains(ideal: Ideal, f: Polynomial) -> TrivialContainment:
     member, record = ideal.truncated_ideal(d).member(f)
     if not member:
         return TrivialContainment(False, (), (), truncated, record.remainder)
-    members = []
-    cofactors = []
-    for psi, cof in zip(truncated, record.quotients):
-        if not cof.is_zero():
-            members.append(psi)
-            cofactors.append(cof)
-    return TrivialContainment(True, tuple(members), tuple(cofactors), truncated, record.remainder)
+    # f is nonzero, so at least one cofactor is.
+    members, cofactors = zip(
+        *((psi, c) for psi, c in zip(truncated, record.quotients) if not c.is_zero())
+    )
+    return TrivialContainment(True, members, cofactors, truncated, record.remainder)
 
 
 @dataclass(frozen=True)
@@ -237,17 +234,16 @@ def _removed_record(
 def subst_step(
     system: GeneratorSystem,
     x: ProjectivePoint,
-    differentials: Sequence[Sequence[Scalar]] | None = None,
+    differentials: Sequence[Sequence[Scalar]],
     elimination: ColumnElimination | None = None,
 ) -> RewriteOutcome:
     """One rewrite step from a linear relation among differentials at ``x``.
 
-    ``differentials`` are the generators' differentials at ``x``, in order.
-    A caller that passes them must already have checked that ``x`` lies on
-    the variety; without them the point is checked and they are computed
-    here.  ``elimination``, when given, holds the elimination of a prefix
-    of these columns, all independent, as a previous step left it; it is
-    extended in place up to the first dependent column.
+    ``differentials`` are the generators' differentials at ``x``, in order;
+    the caller has checked that ``x`` lies on the variety.  ``elimination``,
+    when given, holds the elimination of a prefix of these columns, all
+    independent, as a previous step left it; it is extended in place up to
+    the first dependent column.
 
     Takes the first canonical kernel vector of the differential matrix and
     lifts it to a polynomial combination with vanishing differential: lower
@@ -262,10 +258,7 @@ def subst_step(
     polynomials only when they are the whole support and the relation's
     combination of them is zero: that case is the zero combination.
     """
-    if differentials is None:
-        _require_on_variety(system, x)
-        differentials = [differential_at(g, x) for g in system.gens]
-    elif len(differentials) != len(system.gens):
+    if len(differentials) != len(system.gens):
         raise ValueError("need one differential per generator")
     ring = system.ring
     if elimination is None:
@@ -450,8 +443,7 @@ def check_condition_iv(
     deg_f = homogeneous_degree(f)
     if not isinstance(deg_f, int):
         raise NotHomogeneousError("need a homogeneous polynomial")
-    member, _ = ideal.member(f)
-    if not member:
+    if f not in ideal:
         raise NotInIdealError("polynomial is not in the ideal")
     for b in family:
         if b.is_zero():
@@ -463,8 +455,7 @@ def check_condition_iv(
             raise ValueError(
                 f"family member degree {deg_b} not below the polynomial degree {deg_f}"
             )
-        b_member, _ = ideal.member(b)
-        if not b_member:
+        if b not in ideal:
             raise NotInIdealError("family member is not in the ideal")
     target = differential_at(f, x)
     rows = [differential_at(b, x) for b in family]
@@ -505,7 +496,8 @@ def verify_certificate(
 
     The input hash must match (error if not); every other property is
     recomputed without trusting the producer, and the verdict is returned.
-    The input ideal's basis is computed once and serves every check.
+    The input ideal's basis is computed once and serves every check.  Only
+    a non-CI claim rests on smoothness, so only it differentiates at ``x``.
     """
     ring = system.ring
     fingerprint = input_fingerprint(ring, system.gens, x)
@@ -517,16 +509,16 @@ def verify_certificate(
         return False
     _require_on_variety(system, x)
     ideal = Ideal(system.gens, ring=ring)
-    report = smoothness_check(ideal, x)
-    if cert.codim != report.codim or not _trace_fits(cert, system):
+    if not _trace_fits(cert, system):
         return False
     if isinstance(cert, CICertificate):
-        if len(cert.final_gens) != cert.codim:
+        codim = (ring.num_vars - 1) - ideal.dimension()
+        if cert.codim != codim or len(cert.final_gens) != codim:
             return False
         final = reduced_groebner(cert.final_gens, ring=ring)
         return final.elements == ideal.basis.elements
-    # The non-CI argument rests on the smoothness hypothesis at the point.
-    if not report.smooth or cert.point != x:
+    report = smoothness_check(ideal, x)
+    if cert.codim != report.codim or not report.smooth or cert.point != x:
         return False
     witness = cert.witness
     if not isinstance(homogeneous_degree(witness), int) or any(

@@ -1,9 +1,9 @@
 """Division with quotient tracking, and Buchberger's algorithm, in grevlex.
 
-The basis computation keeps a transcript: every basis element carries a
-representation over the original generators, so ideal membership can hand back
-explicit cofactors without solving anything afresh.  Representations are valid
-but not canonical; only the reduced basis itself is a canonical object.
+The basis computation records how it made each polynomial, so membership can
+compose explicit cofactors over the original generators on demand, without
+solving anything afresh.  Cofactors are valid but not canonical; only the
+reduced basis itself is a canonical object.
 """
 
 from __future__ import annotations
@@ -174,17 +174,46 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> QuotientRecord:
 class GroebnerBasis:
     """A reduced Groebner basis: monic, interreduced, sorted by leading monomial.
 
-    ``representations[k]`` expresses ``elements[k]`` as a combination of
-    ``source_gens`` (cofactors aligned index by index).
+    ``derivation`` has one row per polynomial the computation made: an S-pair
+    remainder or a monic, tail-reduced element.  Nodes ``0 ..
+    len(source_gens) - 1`` are the source generators and node
+    ``len(source_gens) + r`` is what row ``r`` made: its first multiplier (a
+    polynomial or a scalar) times that node, minus each further multiplier
+    times its node.  The last ``len(elements)`` rows make the elements.
     """
 
     ring: PolynomialRing
     elements: tuple[Polynomial, ...]
     source_gens: tuple[Polynomial, ...]
-    representations: tuple[tuple[Polynomial, ...], ...]
+    derivation: tuple[tuple[tuple[Polynomial | Scalar, int], ...], ...]
 
     def leading_monomials(self) -> list[Exponents]:
         return [g.lead for g in self.elements]
+
+    def cofactors(self, quotients: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
+        """Cofactors over ``source_gens`` of sum(quotients[k] * elements[k]).
+
+        Back-substitutes from the highest node down.  A node's parents are
+        earlier nodes, so its weight is complete when the walk reaches it,
+        including what the walk itself passed down to it.
+        """
+        sources, zero = len(self.source_gens), self.ring.zero()
+        top = sources + len(self.derivation)
+        weights = dict(zip(range(top - len(self.elements), top), quotients))
+        for node in range(top - 1, sources - 1, -1):
+            weight = weights.pop(node, zero)
+            if weight.is_zero():
+                continue
+            (multiplier, parent), *subtracted = self.derivation[node - sources]
+            weights[parent] = weights.get(parent, zero) + weight * multiplier
+            for multiplier, parent in subtracted:
+                weights[parent] = weights.get(parent, zero) - weight * multiplier
+        return tuple(weights.get(i, zero) for i in range(sources))
+
+
+def _nonzero_terms(quotients: Sequence[Polynomial], divisor_nodes: Sequence[int]) -> tuple:
+    """(quotient, divisor node) for each nonzero division quotient."""
+    return tuple((q, n) for q, n in zip(quotients, divisor_nodes) if not q.is_zero())
 
 
 def reduced_groebner(
@@ -198,7 +227,7 @@ def reduced_groebner(
     selection (lowest lcm degree first, ties by pair creation order).  Zero
     generators are dropped and duplicates merged before computation.  The
     result is the unique reduced basis of the ideal, independent of
-    generator order.
+    generator order.  Each polynomial it makes appends a derivation row.
     """
     if ring is None:
         if not gens:
@@ -209,16 +238,14 @@ def reduced_groebner(
         raise RingMismatchError("generators belong to different rings")
 
     basis: list[Polynomial] = []
-    reps: list[list[Polynomial]] = []  # over `source`, aligned with `basis`
-    zero_rep = [ring.zero()] * len(source)
+    nodes: list[int] = []  # derivation node of each basis entry
+    derivation: list[tuple] = []
 
     for position, g in distinct_nonzero(source):
         if not is_homogeneous(g):
             raise NotHomogeneousError("generators must be homogeneous")
-        rep = list(zero_rep)
-        rep[position] = ring.one()
         basis.append(g)
-        reps.append(rep)
+        nodes.append(position)
 
     lms = [g.lead for g in basis]
     lcs = [g.terms[lm] for g, lm in zip(basis, lms)]
@@ -268,15 +295,11 @@ def reduced_groebner(
         record = normal_form(s_poly, basis)
         if record.remainder.is_zero():
             continue
-        rep = [
-            mono_i * a - mono_j * b for a, b in zip(reps[i], reps[j])
-        ]
-        for q, other in zip(record.quotients, reps):
-            if not q.is_zero():
-                rep = [r - q * o for r, o in zip(rep, other)]
+        head = ((mono_i, nodes[i]), (mono_j, nodes[j]))
+        derivation.append(head + _nonzero_terms(record.quotients, nodes))
+        nodes.append(len(source) + len(derivation) - 1)
         new_index = len(basis)
         basis.append(record.remainder)
-        reps.append(rep)
         new_lm = record.remainder.lead
         lms.append(new_lm)
         lcs.append(record.remainder.terms[new_lm])
@@ -298,34 +321,23 @@ def reduced_groebner(
             continue
         keep.append(i)
 
-    # Monic + tail-reduce each survivor against the others.  Leading monomials
-    # are pairwise non-divisible at this point, so reduction only rewrites
-    # tails; one pass over ascending leading monomials yields the reduced form.
+    # Make each survivor monic and tail-reduce it.  Leading monomials are
+    # pairwise non-divisible at this point, so reduction only rewrites tails,
+    # whose monomials lie below the survivor's own leading monomial: only the
+    # survivors before it in ascending order can divide them.  One pass,
+    # dividing each by the reduced ones before it, yields the reduced form.
     keep.sort(key=lambda i: grevlex_key(lms[i]))
     final: list[Polynomial] = []
-    final_reps: list[list[Polynomial]] = []
+    final_nodes: list[int] = []
     for i in keep:
         inv = div(one, lcs[i])
-        final.append(basis[i] * inv)
-        final_reps.append([r * inv for r in reps[i]])
-    for pos in range(len(final)):
-        others = final[:pos] + final[pos + 1 :]
-        other_reps = final_reps[:pos] + final_reps[pos + 1 :]
-        record = normal_form(final[pos], others)
-        reduced = record.remainder
-        rep = final_reps[pos]
-        for q, other in zip(record.quotients, other_reps):
-            if not q.is_zero():
-                rep = [r - q * o for r, o in zip(rep, other)]
-        final[pos] = reduced
-        final_reps[pos] = rep
+        record = normal_form(basis[i] * inv, final)
+        head = ((inv, nodes[i]),)
+        derivation.append(head + _nonzero_terms(record.quotients, final_nodes))
+        final.append(record.remainder)
+        final_nodes.append(len(source) + len(derivation) - 1)
 
-    return GroebnerBasis(
-        ring,
-        tuple(final),
-        source,
-        tuple(tuple(rep) for rep in final_reps),
-    )
+    return GroebnerBasis(ring, tuple(final), source, tuple(derivation))
 
 
 class Ideal:
@@ -354,29 +366,23 @@ class Ideal:
     def gens(self) -> tuple[Polynomial, ...]:
         return self.basis.source_gens
 
+    def __contains__(self, f: Polynomial) -> bool:
+        """Whether ``f`` is a member; composes no cofactors."""
+        return normal_form(f, self.basis.elements).remainder.is_zero()
+
     def member(self, f: Polynomial) -> tuple[bool, QuotientRecord]:
         """Membership of ``f``, with cofactors over the generators.
 
         Returns (member, record) where the record expresses f over ``gens``:
         f = sum(cofactor_i * gens_i) + remainder, remainder zero exactly when
         f is a member.  Cofactors come from composing the division quotients
-        with the Buchberger transcript.
+        with the basis derivation.
         """
         if not is_homogeneous(f):
-            raise NotHomogeneousError(
-                "membership test requires a homogeneous polynomial"
-            )
-        basis = self.basis
-        record = normal_form(f, basis.elements)
-        cofactors = [f.ring.zero()] * len(basis.source_gens)
-        for q, rep in zip(record.quotients, basis.representations):
-            if q.is_zero():
-                continue
-            for i, r in enumerate(rep):
-                if not r.is_zero():
-                    cofactors[i] = cofactors[i] + q * r
-        composed = QuotientRecord(tuple(cofactors), record.remainder)
-        return record.remainder.is_zero(), composed
+            raise NotHomogeneousError("membership test requires a homogeneous polynomial")
+        record = normal_form(f, self.basis.elements)
+        cofactors = self.basis.cofactors(record.quotients)
+        return record.remainder.is_zero(), QuotientRecord(cofactors, record.remainder)
 
     def truncated(self, m: int) -> tuple[Polynomial, ...]:
         """Generators of the ideal spanned by all members of degree below ``m``.

@@ -18,6 +18,7 @@ from ciforge import (
 
 P3 = PolynomialRing(QQ, ("T0", "T1", "T2", "T3"))
 P4 = PolynomialRing(QQ, ("T0", "T1", "T2", "T3", "T4"))
+P5 = PolynomialRing(QQ, ("T0", "T1", "T2", "T3", "T4", "T5"))
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,45 @@ PLANTED_QUADRICS = CorpusIdeal(
         "T2^2*(T0*T1 + T2^2) + T3^2*(T0*T2 + T3^2)",
     ),
     point_coords=(1, 0, 0, 0),
+    codim=2,
+    expect_ci=True,
+    expect_final_count=2,
+)
+
+# Two quadrics through (1:0:0:0:0:0) of P^5 padded with a cubic and a quartic
+# combination of them (the benchmark's ci-descent-q-4 at seed 1).  Its
+# containment tests compose cofactors through basis elements that were made
+# from S-pair remainders, so a cofactor walk that skips the parents it adds
+# on the way splices other members in.
+PLANTED_IN_P5 = CorpusIdeal(
+    name="planted_in_p5",
+    ring=P5,
+    gen_exprs=(
+        "2*T0*T1 + 3*T1^2 - 2*T1*T2 + 3*T2^2 - 2*T1*T3 - 3*T2*T3 - 2*T3^2 + 3*T1*T4"
+        " + T2*T4 - T3*T4 + T4^2 + 3*T1*T5 - T2*T5 - 3*T3*T5 + 2*T4*T5 - T5^2",
+        "3*T1^2 - 3*T0*T2 + 2*T1*T2 + T2^2 - 2*T1*T3 + T2*T3 - 2*T3^2 - 2*T1*T4"
+        " + 2*T2*T4 + 3*T3*T4 + 3*T4^2 - T1*T5 - 2*T2*T5 - 2*T3*T5 - 3*T4*T5 + T5^2",
+        "3*T0*T1^2 - 3*T0^2*T2 - 2*T0*T1*T2 - 6*T1^2*T2 + T0*T2^2 + 4*T1*T2^2"
+        " - 6*T2^3 - 2*T0*T1*T3 + T0*T2*T3 + 4*T1*T2*T3 + 6*T2^2*T3 - 2*T0*T3^2"
+        " + 4*T2*T3^2 - 2*T0*T1*T4 + 2*T0*T2*T4 - 6*T1*T2*T4 - 2*T2^2*T4 + 3*T0*T3*T4"
+        " + 2*T2*T3*T4 + 3*T0*T4^2 - 2*T2*T4^2 - 3*T0*T1*T5 - 12*T1^2*T5 + 7*T0*T2*T5"
+        " - 10*T1*T2*T5 - 4*T2^2*T5 - 2*T0*T3*T5 + 8*T1*T3*T5 + 6*T2*T3*T5"
+        " + 8*T3^2*T5 - 3*T0*T4*T5 + 3*T1*T4*T5 - 11*T2*T4*T5 - 8*T3*T4*T5"
+        " - 10*T4^2*T5 + T0*T5^2 + 9*T2*T5^2 + 9*T3*T5^2 + 7*T4*T5^2 - 2*T5^3",
+        "6*T0*T1^3 + 9*T1^4 - 6*T1^3*T2 + 9*T1^2*T2^2 - 6*T1^3*T3 - 9*T1^2*T2*T3"
+        " - 6*T1^2*T3^2 + 4*T0^2*T1*T4 + 6*T0*T1^2*T4 + 9*T1^3*T4 - 4*T0*T1*T2*T4"
+        " + 3*T1^2*T2*T4 + 6*T0*T2^2*T4 - 4*T0*T1*T3*T4 - 3*T1^2*T3*T4"
+        " - 6*T0*T2*T3*T4 - 4*T0*T3^2*T4 + 6*T0*T1*T4^2 + 5*T0*T2*T4^2 - 2*T1*T2*T4^2"
+        " - T2^2*T4^2 - 2*T0*T3*T4^2 + 2*T1*T3*T4^2 - T2*T3*T4^2 + 2*T3^2*T4^2"
+        " + 2*T0*T4^3 + 2*T1*T4^3 - 2*T2*T4^3 - 3*T3*T4^3 - 3*T4^4 + 12*T1^3*T5"
+        " - 3*T0*T1*T2*T5 - T1^2*T2*T5 + T1*T2^2*T5 - 11*T1^2*T3*T5 + T1*T2*T3*T5"
+        " - 2*T1*T3^2*T5 + 6*T0*T1*T4*T5 + 4*T1^2*T4*T5 - 2*T0*T2*T4*T5"
+        " + 2*T1*T2*T4*T5 - 6*T0*T3*T4*T5 + 3*T1*T3*T4*T5 + 4*T0*T4^2*T5"
+        " + 4*T1*T4^2*T5 + 2*T2*T4^2*T5 + 2*T3*T4^2*T5 + 3*T4^3*T5 - 4*T1^2*T5^2"
+        " - 2*T1*T2*T5^2 - 2*T1*T3*T5^2 - 2*T0*T4*T5^2 - 3*T1*T4*T5^2 - T4^2*T5^2"
+        " + T1*T5^3",
+    ),
+    point_coords=(1, 0, 0, 0, 0, 0),
     codim=2,
     expect_ci=True,
     expect_final_count=2,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from ciforge import differential_at
+
 
 def leading_coefficient(p):
     """Coefficient of the grevlex leading monomial of a nonzero polynomial."""
@@ -26,3 +28,8 @@ def multiply_vector(matrix, v):
             total = field.add(total, field.mul(a, b))
         out.append(total)
     return tuple(out)
+
+
+def differentials(system, x):
+    """The columns `subst_step` reads: each generator's differential at ``x``."""
+    return [differential_at(g, x) for g in system.gens]

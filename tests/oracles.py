@@ -6,7 +6,8 @@ ideal slices are spanned the naive way, by multiplying generators with every
 monomial of the complementary degree.  Division is the textbook loop that
 rescans for the leading monomial.  The rewrite step is the one first written,
 which also searched the top-degree block for a linear relation among the
-generators as polynomials.
+generators as polynomials.  Membership cofactors come from Buchberger's
+algorithm with the eager transcript first written, on that textbook division.
 
 Scalar arithmetic uses the field's own operations (``field.add``, ``mul``,
 ``div`` ...), which `tests/test_fields.py` checks against ``Fraction``
@@ -15,12 +16,14 @@ arithmetic; they call no division, elimination or rewrite code.
 
 from __future__ import annotations
 
+import heapq
 from itertools import product
 
 from ciforge import (
     ExactMatrix,
     Independent,
     PointNotOnVarietyError,
+    Polynomial,
     QuotientRecord,
     Removed,
     Replaced,
@@ -28,6 +31,7 @@ from ciforge import (
     evaluate,
     homogeneous_degree,
 )
+from ciforge.poly import distinct_nonzero
 
 
 def degree_monomials(num_vars: int, degree: int) -> list[tuple[int, ...]]:
@@ -190,6 +194,109 @@ def reference_division(dividend: dict, divisors: list[dict], field):
             remainder[lm] = lc
             del work[lm]
     return quotients, remainder
+
+
+def _divide(f, divisors):
+    """`reference_division` on polynomials: (quotients, remainder)."""
+    ring = f.ring
+    quotients, remainder = reference_division(
+        dict(f.terms), [dict(g.terms) for g in divisors], ring.field
+    )
+    return [Polynomial(ring, q) for q in quotients], Polynomial(ring, remainder)
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def reference_cofactors(f, gens):
+    """Membership of ``f`` in the ideal of ``gens`` as first written: a
+    `QuotientRecord` whose quotients are cofactors over ``gens``.
+
+    Buchberger's algorithm runs the pairs in the package's order, with its
+    coprime and chain criteria, and keeps an eager transcript: every basis
+    entry carries its full list of cofactors over ``gens``, updated at each
+    S-pair remainder, made monic and tail-reduced with its element.  The
+    quotients of ``f`` against the reduced basis are then expanded through
+    those lists.
+    """
+    ring = f.ring
+    field = ring.field
+    zero = ring.zero()
+    basis, reps = [], []
+    for position, g in distinct_nonzero(gens):
+        rep = [zero] * len(gens)
+        rep[position] = ring.one()
+        basis.append(g)
+        reps.append(rep)
+    lms = [_grevlex_greatest(g.terms) for g in basis]
+
+    def lcm(i, j):
+        return tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
+
+    queue = [(sum(lcm(i, j)), (j, i), i, j) for j in range(len(basis)) for i in range(j)]
+    heapq.heapify(queue)
+    pending = {frozenset((i, j)) for _, _, i, j in queue}
+    while queue:
+        _, _, i, j = heapq.heappop(queue)
+        pending.discard(frozenset((i, j)))
+        m = lcm(i, j)
+        if m == tuple(a + b for a, b in zip(lms[i], lms[j])):
+            continue
+        if any(
+            k not in (i, j)
+            and _divides(lms[k], m)
+            and frozenset((i, k)) not in pending
+            and frozenset((j, k)) not in pending
+            for k in range(len(basis))
+        ):
+            continue
+        mono_i, mono_j = (
+            ring.monomial(
+                tuple(a - b for a, b in zip(m, lms[k])),
+                field.div(field.one, basis[k].terms[lms[k]]),
+            )
+            for k in (i, j)
+        )
+        quotients, remainder = _divide(basis[i] * mono_i - basis[j] * mono_j, basis)
+        if remainder.is_zero():
+            continue
+        rep = [mono_i * a - mono_j * b for a, b in zip(reps[i], reps[j])]
+        for q, other in zip(quotients, reps):
+            rep = [r - q * o for r, o in zip(rep, other)]
+        new = len(basis)
+        basis.append(remainder)
+        reps.append(rep)
+        lms.append(_grevlex_greatest(remainder.terms))
+        for k in range(new):
+            heapq.heappush(queue, (sum(lcm(k, new)), (new, k), k, new))
+            pending.add(frozenset((k, new)))
+
+    keep = [
+        i
+        for i in range(len(basis))
+        if not any(
+            k != i and _divides(lms[k], lms[i]) and (lms[k] != lms[i] or k < i)
+            for k in range(len(basis))
+        )
+    ]
+    keep.sort(key=lambda i: (sum(lms[i]), tuple(-e for e in reversed(lms[i]))))
+    final, final_reps = [], []
+    for i in keep:
+        inv = field.div(field.one, basis[i].terms[lms[i]])
+        final.append(basis[i] * inv)
+        final_reps.append([r * inv for r in reps[i]])
+    for pos in range(len(final)):
+        others = final[:pos] + final[pos + 1 :]
+        quotients, final[pos] = _divide(final[pos], others)
+        for q, other in zip(quotients, final_reps[:pos] + final_reps[pos + 1 :]):
+            final_reps[pos] = [r - q * o for r, o in zip(final_reps[pos], other)]
+
+    quotients, remainder = _divide(f, final)
+    cofactors = [zero] * len(gens)
+    for q, rep in zip(quotients, final_reps):
+        cofactors = [c + q * r for c, r in zip(cofactors, rep)]
+    return QuotientRecord(tuple(cofactors), remainder)
 
 
 def _first_kernel_vector(matrix):

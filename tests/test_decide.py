@@ -53,7 +53,7 @@ from corpus import (
     PLANTED_QUADRICS,
     TWISTED_CUBIC,
 )
-from helpers import expand
+from helpers import differentials, expand
 from oracles import reference_subst_step
 
 
@@ -181,7 +181,8 @@ class TestTriviallyContains:
 
 class TestSubstStep:
     def test_twisted_cubic_replacement(self, twisted_cubic_system, ones):
-        outcome = subst_step(twisted_cubic_system, ones)
+        system = twisted_cubic_system
+        outcome = subst_step(system, ones, differentials(system, ones))
         assert isinstance(outcome, Replaced)
         assert outcome.index == 2
         assert outcome.relation == (Fraction(-1), Fraction(-1), Fraction(1))
@@ -190,7 +191,7 @@ class TestSubstStep:
         assert differential_at(outcome.new_poly, ones) == (Fraction(0),) * 4
 
     def test_degree_raising_cofactor(self, lqr_system, ones):
-        outcome = subst_step(lqr_system, ones)
+        outcome = subst_step(lqr_system, ones, differentials(lqr_system, ones))
         assert isinstance(outcome, Replaced)
         assert outcome.index == 2
         assert outcome.relation == (Fraction(-1), Fraction(-1), Fraction(1))
@@ -201,7 +202,7 @@ class TestSubstStep:
     def test_proportional_generators_removed(self, p3, ones):
         f = parse_polynomial("T0*T3 - T1*T2", p3)
         system = GeneratorSystem(p3, (f, f * 2))
-        outcome = subst_step(system, ones)
+        outcome = subst_step(system, ones, differentials(system, ones))
         assert isinstance(outcome, Removed)
         assert outcome.index == 1
         # the representation says 2F = 2 * F
@@ -215,21 +216,14 @@ class TestSubstStep:
         x = ProjectivePoint(
             (QQ.scalar(1), QQ.scalar(0), QQ.scalar(0), QQ.scalar(0))
         )
-        assert isinstance(subst_step(system, x), Independent)
-
-    def test_point_must_lie_on_variety(self, twisted_cubic_system):
-        x = ProjectivePoint(
-            (QQ.scalar(1), QQ.scalar(1), QQ.scalar(0), QQ.scalar(0))
-        )
-        with pytest.raises(PointNotOnVarietyError):
-            subst_step(twisted_cubic_system, x)
+        assert isinstance(subst_step(system, x, differentials(system, x)), Independent)
 
     def test_differentials_must_match_the_generators(self, lqr_system, ones):
         with pytest.raises(ValueError):
             subst_step(lqr_system, ones, [differential_at(lqr_system.gens[0], ones)])
 
     def test_replacement_preserves_ideal(self, lqr_system, ones):
-        outcome = subst_step(lqr_system, ones)
+        outcome = subst_step(lqr_system, ones, differentials(lqr_system, ones))
         gens = list(lqr_system.gens)
         gens[outcome.index] = outcome.new_poly
         assert ideal_equal(gens, list(lqr_system.gens))
@@ -237,7 +231,7 @@ class TestSubstStep:
     def test_carried_elimination_must_stop_before_a_dependent_column(self, p3, ones):
         f = parse_polynomial("T0*T3 - T1*T2", p3)
         system = GeneratorSystem(p3, (f, f * 2))
-        columns = [differential_at(g, ones) for g in system.gens]
+        columns = differentials(system, ones)
         elimination = linalg.ColumnElimination(QQ)
         assert isinstance(subst_step(system, ones, columns, elimination), Removed)
         with pytest.raises(ValueError):
@@ -301,14 +295,15 @@ class TestAgainstReferenceStep:
     @given(vanishing_systems())
     def test_equals_the_reference(self, case):
         system, x = case
-        assert subst_step(system, x) == reference_subst_step(system, x)
+        outcome = subst_step(system, x, differentials(system, x))
+        assert outcome == reference_subst_step(system, x)
 
     def test_zero_lift_across_two_degrees(self):
         ring = PolynomialRing(QQ, ("T0", "T1", "T2"))
         x = ProjectivePoint((QQ.one, QQ.zero, QQ.zero))
         t1 = parse_polynomial("T1", ring)
         system = GeneratorSystem(ring, (t1, parse_polynomial("T0*T1", ring)))
-        outcome = subst_step(system, x)
+        outcome = subst_step(system, x, differentials(system, x))
         assert outcome == reference_subst_step(system, x)
         assert isinstance(outcome, Removed)
         assert outcome.index == 1
@@ -317,15 +312,16 @@ class TestAgainstReferenceStep:
     def test_dependent_top_block_removed(self, p3, ones):
         f, g = (parse_polynomial(s, p3) for s in ("T0*T3 - T1*T2", "T0*T2 - T1^2"))
         system = GeneratorSystem(p3, (f, g, f * 2 - g * 3))
-        outcome = subst_step(system, ones)
+        outcome = subst_step(system, ones, differentials(system, ones))
         assert outcome == reference_subst_step(system, ones)
         assert isinstance(outcome, Removed)
         assert outcome.index == 2
         assert [str(q) for q in outcome.representation.quotients] == ["2", "-3"]
 
     def test_independent_top_block_replaced(self, twisted_cubic_system, ones):
-        outcome = subst_step(twisted_cubic_system, ones)
-        assert outcome == reference_subst_step(twisted_cubic_system, ones)
+        system = twisted_cubic_system
+        outcome = subst_step(system, ones, differentials(system, ones))
+        assert outcome == reference_subst_step(system, ones)
         assert isinstance(outcome, Replaced)
 
 
@@ -599,6 +595,47 @@ class TestBasisWork:
         assert calls == expected
 
 
+class TestCofactorWork:
+    """Cofactors are composed only where something reads them: the
+    containment test of a Replaced step, on a truncated ideal."""
+
+    @pytest.fixture
+    def composed(self, monkeypatch):
+        calls = []
+        original = groebner.GroebnerBasis.cofactors
+
+        def counting(basis, quotients):
+            calls.append(basis)
+            return original(basis, quotients)
+
+        monkeypatch.setattr(groebner.GroebnerBasis, "cofactors", counting)
+        return calls
+
+    def test_removed_steps_compose_none(self, composed, linear_combinations):
+        system, x = linear_combinations
+        assert isinstance(reduce_to_ci(system, x), CICertificate)
+        assert composed == []
+
+    def test_replaced_steps_compose_at_most_once_each(self, composed):
+        system, x = PLANTED_QUADRICS.system, PLANTED_QUADRICS.point
+        replaced = 0
+
+        def observe(before, outcome, after):
+            nonlocal replaced
+            replaced += isinstance(outcome, Replaced)
+
+        reduce_to_ci(system, x, on_iteration=observe)
+        assert replaced, "the instance must exercise Replaced steps"
+        assert 0 < len(composed) <= replaced
+
+    def test_ci_verify_composes_none(self, composed):
+        system, x = PLANTED_QUADRICS.system, PLANTED_QUADRICS.point
+        cert = reduce_to_ci(system, x)
+        composed.clear()
+        assert verify_certificate(cert, system, x)
+        assert composed == []
+
+
 class TestStepWork:
     """A rewrite step costs only what changed: each input generator is
     evaluated and differentiated at the point a bounded number of times per
@@ -665,6 +702,14 @@ class TestStepWork:
         counts["evaluate"] = 0
         assert verify_certificate(cert, system, x)
         assert counts["evaluate"] <= len(system)
+
+    def test_ci_verify_differentiates_nothing(self, counts):
+        # Only a non-CI claim rests on smoothness at the point.
+        system, x = PLANTED_QUADRICS.system, PLANTED_QUADRICS.point
+        cert = reduce_to_ci(system, x)
+        counts["differential_at"] = 0
+        assert verify_certificate(cert, system, x)
+        assert counts["differential_at"] == 0
 
     def test_removed_steps_do_not_revalidate(self, monkeypatch, linear_combinations):
         system, x = linear_combinations

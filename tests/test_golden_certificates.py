@@ -1,9 +1,11 @@
 """Certificates are pinned byte for byte.
 
 `golden_certificates.json` holds the exact bytes `ciforge decide --out` wrote
-for each case below, recorded before the basis cache was introduced.  A change
-that reorders or re-derives any part of a certificate shows up here, over Q
-and over F_p, for complete intersections and non-CIs alike.
+for each case below, recorded before the basis cache was introduced
+(``planted-p5-ci-q`` before Buchberger's eager cofactor transcript gave
+way to the derivation record).  A change that reorders or re-derives any part
+of a certificate shows up here, over Q and over F_p, for complete
+intersections and non-CIs alike.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from ciforge.cli import run_command
 from corpus import (
     CUBIC_IN_HYPERPLANE,
     LINE_QUADRIC_REDUNDANT,
+    PLANTED_IN_P5,
     PLANTED_QUADRICS,
     RATIONAL_NORMAL_QUARTIC,
     TWISTED_CUBIC,
@@ -33,6 +36,7 @@ CASES = {
     "nonci-fp": (TWISTED_CUBIC, "fp:32003"),
     "nonci-truncated-q": (CUBIC_IN_HYPERPLANE, None),
     "planted-ci-q": (PLANTED_QUADRICS, None),
+    "planted-p5-ci-q": (PLANTED_IN_P5, None),
 }
 
 

@@ -8,7 +8,7 @@ import sys
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ciforge import groebner, poly
 from ciforge import (
@@ -20,6 +20,7 @@ from ciforge import (
     PolynomialRing,
     PrimeField,
     QQ,
+    QuotientRecord,
     RingMismatchError,
     basis_time_limit,
     ideal_equal,
@@ -32,9 +33,9 @@ from ciforge import (
 )
 from ciforge.poly import grevlex_key, leading_monomial
 
-from corpus import PLANTED_QUADRICS, RATIONAL_NORMAL_QUARTIC
+from corpus import PLANTED_IN_P5, PLANTED_QUADRICS, RATIONAL_NORMAL_QUARTIC
 from helpers import expand, leading_coefficient
-from oracles import reference_division
+from oracles import reference_cofactors, reference_division
 
 
 def strs(polys):
@@ -288,13 +289,29 @@ class TestReducedBasis:
             rng.shuffle(gens)
             assert reduced_groebner(gens).elements == reference
 
-    def test_representations_reproduce_elements(self, p3, twisted_cubic):
-        basis = reduced_groebner(list(twisted_cubic))
-        for element, rep in zip(basis.elements, basis.representations):
-            total = p3.zero()
-            for cof, g in zip(rep, basis.source_gens):
-                total = total + cof * g
-            assert total == element
+    def test_cofactors_reproduce_elements(self):
+        # A twisted cubic in general coordinates over F_32003 (the benchmark's
+        # nonci-curves-fp-0 at seed 1): its elements derive from S-pair
+        # remainders that derive from other S-pair remainders.
+        curve = PolynomialRing(PrimeField(32003), ("T0", "T1", "T2", "T3"))
+        general_cubic = [
+            parse_polynomial(s, curve)
+            for s in (
+                "2120*T0^2 + 9869*T0*T1 + T0*T2 - T1^2",
+                "2237*T0^2 + 24665*T0*T1 + 20289*T0*T2 + T0*T3 + 29014*T1^2 - T1*T2",
+                "19172*T0^2 + 31431*T0*T1 + 7653*T0*T2 + 28563*T0*T3 + 4794*T1^2"
+                " + 10871*T1*T2 + T1*T3 - T2^2",
+            )
+        ]
+        entries = (PLANTED_QUADRICS, RATIONAL_NORMAL_QUARTIC, PLANTED_IN_P5)
+        for gens in [list(e.gens) for e in entries] + [general_cubic]:
+            ring = gens[0].ring
+            basis = reduced_groebner(gens)
+            for k, element in enumerate(basis.elements):
+                unit = [ring.zero()] * len(basis.elements)
+                unit[k] = ring.one()
+                record = QuotientRecord(basis.cofactors(unit), ring.zero())
+                assert expand(record, basis.source_gens) == element
 
     def test_non_homogeneous_rejected(self, p3):
         with pytest.raises(NotHomogeneousError):
@@ -338,6 +355,63 @@ class TestMembership:
     def test_requires_homogeneous(self, p3, twisted_cubic):
         with pytest.raises(NotHomogeneousError):
             ideal_member(parse_polynomial("T0 + T1^2", p3), list(twisted_cubic))
+
+    def test_contains(self, p3, twisted_cubic):
+        ideal = Ideal(list(twisted_cubic))
+        f1, f2, f3 = twisted_cubic
+        assert f1 * p3.variable(0) - f3 * p3.variable(1) in ideal
+        assert f1 + f2 * 2 in ideal
+        assert f1 + p3.variable(2) ** 2 not in ideal
+
+
+def forms(ring, degree):
+    """A homogeneous polynomial of ``degree`` in three variables, maybe zero."""
+    support = [e for e in product(range(degree + 1), repeat=3) if sum(e) == degree]
+    return polynomials(ring, support=support)
+
+
+@st.composite
+def memberships(draw):
+    """(f, gens) over Q, F_7 or F_32003 in three variables: one to three
+    homogeneous generators of degree 1-3 and a combination of them, which a
+    further form of the same degree may push out of the ideal."""
+    ring = PolynomialRing(draw(st.sampled_from(FIELDS)), ("T0", "T1", "T2"))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    gens = [g for g in (draw(forms(ring, d)) for d in degrees) if not g.is_zero()]
+    assume(gens)
+    top = max(degrees) + draw(st.integers(0, 1))
+    f = ring.zero()
+    for g in gens:
+        f = f + draw(forms(ring, top - poly.homogeneous_degree(g))) * g
+    if draw(st.booleans()):
+        f = f + draw(forms(ring, top))
+    return f, gens
+
+
+class TestCofactors:
+    """`Ideal.member` composes cofactors from the basis derivation on demand;
+    they equal, polynomial for polynomial, those of the eager transcript
+    first written."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(memberships())
+    def test_match_the_eager_transcript(self, case):
+        f, gens = case
+        member, record = Ideal(gens, ring=f.ring).member(f)
+        assert record == reference_cofactors(f, gens)
+        assert member == record.remainder.is_zero()
+        assert expand(record, gens) == f
+
+    def test_deep_derivation(self):
+        # The truncated ideal that decide's containment tests read: its basis
+        # elements derive from earlier ones over several levels.
+        ring = PLANTED_IN_P5.ring
+        ideal = Ideal(PLANTED_IN_P5.gens).truncated_ideal(3)
+        gens = ideal.gens
+        f = gens[0] * ring.variable(5) + gens[1] * (ring.variable(0) - ring.variable(3))
+        member, record = ideal.member(f)
+        assert member
+        assert record == reference_cofactors(f, gens)
 
 
 class TestIdealEqual:
