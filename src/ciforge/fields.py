@@ -61,8 +61,10 @@ class RationalField:
         return type(value) is Fraction
 
     def scalar_from_str(self, text: str) -> Fraction:
+        literal = text.strip()
         try:
-            return Fraction(text.strip())
+            # An integer literal skips Fraction's string parser.
+            return Fraction(int(literal)) if literal.isdecimal() else Fraction(literal)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}") from exc
 

@@ -6,145 +6,175 @@ rationals only), declared variable names, ``+ - * ^``, and parentheses.  A
 is rejected, so there is no polynomial division.  ``^`` takes a nonnegative
 integer exponent.  Multiplication must be written out: ``2*T0``, not ``2T0``.
 
-Parsing honours `basis_time_limit`: the parser expands powers itself and
-checks the limit before every polynomial product, so an input such as
-``(T0 + T1)^100000`` stops with `BuchbergerTimeout` naming ``parsing``.
+The parser builds term maps (exponent tuple -> scalar) with the field's own
+operations and makes one `Polynomial` at the end.  A product of numbers and
+variable powers such as ``-3*T1^2*T4`` accumulates into one exponent list and
+one coefficient; only a parenthesised sum that is multiplied or raised to a
+power is multiplied out, term by term.
+
+Parsing honours `basis_time_limit`: the parser checks the limit once per unit
+of every ``^`` exponent, whatever the base, and before every product of
+parenthesised sums, so inputs such as ``(T0 + T1)^100000``, ``T0^100000000``
+or ``2^100000000`` stop with `BuchbergerTimeout` naming ``parsing``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError
+from .fields import Scalar
 from .groebner import check_deadline
-from .poly import Polynomial, PolynomialRing
+from .poly import (
+    Exponents,
+    Polynomial,
+    PolynomialRing,
+    add_terms_into,
+    monomial_mul,
+    mul_terms,
+)
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+(?:/\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>[-+*^()])
-  | (?P<slash>/)
+    \s*
+    (?:
+        (?P<number>\d+(?:/\d+)?)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<op>[-+*^()])
+      | (?P<slash>/)
+      | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
 
+# A token is (kind, text, pos), kind one of "number", "name", "op" or "end".
+# Only an op token's text is one of ``+ - * ^ ( )``, so the parser tests the
+# text alone.
+Token = tuple[str, str, int]
+TermMap = dict[Exponents, Scalar]
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "name" | "op" | "end"
-    text: str
-    pos: int
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
+def _tokenize(text: str) -> list[Token]:
+    tokens = [
+        (m.lastgroup, m[m.lastindex], m.start(m.lastindex))
+        for m in _TOKEN_RE.finditer(text)
+    ]
+    for kind, token, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {token!r}", pos)
         if kind == "slash":
             raise ParseError("division is not supported outside rational literals", pos)
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, ring: PolynomialRing):
-        self.ring = ring
         self.tokens = _tokenize(text)
         self.index = 0
+        self.field = ring.field
+        self.num_vars = ring.num_vars
         self.var_index = {name: i for i, name in enumerate(ring.var_names)}
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect_op(self, op: str) -> None:
-        token = self.current
-        if token.kind != "op" or token.text != op:
-            raise ParseError(f"expected {op!r}", token.pos)
-        self.advance()
-
-    def parse(self) -> Polynomial:
+    def parse(self) -> TermMap:
         result = self.expression()
-        token = self.current
-        if token.kind != "end":
-            raise ParseError(f"unexpected {token.text!r}", token.pos)
+        kind, text, pos = self.tokens[self.index]
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r}", pos)
         return result
 
-    def expression(self) -> Polynomial:
+    def expression(self) -> TermMap:
+        """Signed terms added into one map."""
+        tokens = self.tokens
+        out: TermMap = {}
         negative = False
-        if self.current.kind == "op" and self.current.text in "+-":
-            negative = self.advance().text == "-"
-        result = self.term()
+        sign = tokens[self.index][1]
+        if sign == "+" or sign == "-":
+            self.index += 1
+            negative = sign == "-"
+        while True:
+            add_terms_into(self.field, out, self.term(negative))
+            sign = tokens[self.index][1]
+            if sign != "+" and sign != "-":
+                return out
+            self.index += 1
+            negative = sign == "-"
+
+    def term(self, negative: bool) -> TermMap:
+        """A ``*`` chain: its sign, numbers and variable powers fold into one
+        coefficient and one exponent list; parenthesised sums are multiplied
+        out left to right, and the monomial then scales their product."""
+        tokens = self.tokens
+        field = self.field
+        mul, one = field.mul, field.one
+        coeff = one
+        exps = [0] * self.num_vars
+        sums: list[TermMap] = []
+        while True:
+            kind, text, pos = tokens[self.index]
+            self.index += 1
+            if kind == "number":
+                try:
+                    base = field.scalar_from_str(text)
+                except ParseError as exc:
+                    raise ParseError(str(exc), pos) from exc
+                for _ in range(self.exponent()):
+                    check_deadline("parsing")
+                    # A coefficient that is one (always, at first) is not multiplied.
+                    coeff = base if coeff is one else mul(coeff, base)
+            elif kind == "name":
+                index = self.var_index.get(text)
+                if index is None:
+                    raise ParseError(f"unknown variable {text!r}", pos)
+                k = self.exponent()
+                for _ in range(k):
+                    check_deadline("parsing")
+                exps[index] += k
+            elif text == "(":
+                inner = self.expression()
+                _, close, close_pos = tokens[self.index]
+                if close != ")":
+                    raise ParseError("expected ')'", close_pos)
+                self.index += 1
+                k = self.exponent()
+                if k != 1:
+                    power = {(0,) * self.num_vars: one}
+                    for _ in range(k):
+                        check_deadline("parsing")
+                        power = mul_terms(field, power, inner)
+                    inner = power
+                sums.append(inner)
+            else:
+                raise ParseError(
+                    "expected a number, variable, or parenthesized expression", pos
+                )
+            if tokens[self.index][1] != "*":
+                break
+            self.index += 1
         if negative:
-            result = -result
-        while self.current.kind == "op" and self.current.text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            result = result - rhs if op == "-" else result + rhs
-        return result
-
-    def term(self) -> Polynomial:
-        result = self.power()
-        while self.current.kind == "op" and self.current.text == "*":
-            self.advance()
-            factor = self.power()
+            coeff = field.neg(coeff)
+        if not coeff:
+            return {}
+        if not sums:
+            return {tuple(exps): coeff}
+        result = sums[0]
+        for factor in sums[1:]:
             check_deadline("parsing")
-            result = result * factor
-        return result
-
-    def power(self) -> Polynomial:
-        base = self.atom()
-        if self.current.kind == "op" and self.current.text == "^":
-            self.advance()
-            token = self.current
-            if token.kind != "number" or "/" in token.text:
-                raise ParseError("exponent must be a nonnegative integer", token.pos)
-            self.advance()
-            result = self.ring.one()
-            for _ in range(int(token.text)):
-                check_deadline("parsing")
-                result = result * base
+            result = mul_terms(field, result, factor)
+        if coeff == one and not any(exps):
             return result
-        return base
+        return {monomial_mul(e, exps): mul(c, coeff) for e, c in result.items()}
 
-    def atom(self) -> Polynomial:
-        token = self.current
-        if token.kind == "number":
-            self.advance()
-            try:
-                value = self.ring.field.scalar_from_str(token.text)
-            except ParseError as exc:
-                raise ParseError(str(exc), token.pos) from exc
-            return self.ring.constant(value)
-        if token.kind == "name":
-            self.advance()
-            index = self.var_index.get(token.text)
-            if index is None:
-                raise ParseError(f"unknown variable {token.text!r}", token.pos)
-            return self.ring.variable(index)
-        if token.kind == "op" and token.text == "(":
-            self.advance()
-            inner = self.expression()
-            self.expect_op(")")
-            return inner
-        raise ParseError(
-            "expected a number, variable, or parenthesized expression", token.pos
-        )
+    def exponent(self) -> int:
+        """The exponent after a ``^`` at the current token; 1 without one."""
+        if self.tokens[self.index][1] != "^":
+            return 1
+        kind, text, pos = self.tokens[self.index + 1]
+        if kind != "number" or "/" in text:
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        self.index += 2
+        return int(text)
 
 
 def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
@@ -152,4 +182,4 @@ def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
 
     Raises ParseError with a character position for malformed input.
     """
-    return _Parser(text, ring).parse()
+    return Polynomial._trusted(ring, _Parser(text, ring).parse())

@@ -62,6 +62,41 @@ def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
+def add_terms_into(
+    field: Field, out: dict[Exponents, Scalar], terms: Mapping[Exponents, Scalar]
+) -> None:
+    """Add the term map ``terms`` into ``out`` by the field's own operations;
+    a coefficient that reaches zero drops its monomial."""
+    add = field.add
+    for exps, coeff in terms.items():
+        new = out.get(exps)
+        new = coeff if new is None else add(new, coeff)
+        if new:
+            out[exps] = new
+        else:
+            out.pop(exps, None)
+
+
+def mul_terms(
+    field: Field, a: Mapping[Exponents, Scalar], b: Mapping[Exponents, Scalar]
+) -> dict[Exponents, Scalar]:
+    """The term map of the product of two term maps, by the field's own
+    operations; a coefficient that reaches zero drops its monomial."""
+    add, mul = field.add, field.mul
+    out: dict[Exponents, Scalar] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = monomial_mul(e1, e2)
+            prod = mul(c1, c2)
+            new = out.get(exps)
+            new = prod if new is None else add(new, prod)
+            if new:
+                out[exps] = new
+            else:
+                out.pop(exps, None)
+    return out
+
+
 # The one monomial order: graded reverse-lexicographic, T_0 > T_1 > ... > T_N.
 # It orders printed terms, leading monomials and division.
 def grevlex_key(exponents: Exponents) -> tuple:
@@ -181,15 +216,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ring(other)
-        add = self.ring.field.add
         out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            new = out.get(exps)
-            new = coeff if new is None else add(new, coeff)
-            if new:
-                out[exps] = new
-            else:
-                out.pop(exps, None)
+        add_terms_into(self.ring.field, out, other.terms)
         return Polynomial._trusted(self.ring, out)
 
     def __neg__(self) -> "Polynomial":
@@ -211,19 +239,7 @@ class Polynomial:
             terms = {e: mul(a, c) for e, a in self.terms.items()} if c else {}
             return Polynomial._trusted(self.ring, terms)
         self._require_same_ring(other)
-        add = ring_field.add
-        out: dict[Exponents, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = monomial_mul(e1, e2)
-                prod = mul(c1, c2)
-                new = out.get(exps)
-                new = prod if new is None else add(new, prod)
-                if new:
-                    out[exps] = new
-                else:
-                    out.pop(exps, None)
-        return Polynomial._trusted(self.ring, out)
+        return Polynomial._trusted(self.ring, mul_terms(ring_field, self.terms, other.terms))
 
     __rmul__ = __mul__
 

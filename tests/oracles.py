@@ -8,6 +8,8 @@ rescans for the leading monomial.  The rewrite step is the one first written,
 which also searched the top-degree block for a linear relation among the
 generators as polynomials.  Membership cofactors come from Buchberger's
 algorithm with the eager transcript first written, on that textbook division.
+The expression parser is the one first written, which makes every number,
+variable, power and product its own `Polynomial`.
 
 Scalar arithmetic uses the field's own operations (``field.add``, ``mul``,
 ``div`` ...), which `tests/test_fields.py` checks against ``Fraction``
@@ -17,11 +19,13 @@ arithmetic; they call no division, elimination or rewrite code.
 from __future__ import annotations
 
 import heapq
+import re
 from itertools import product
 
 from ciforge import (
     ExactMatrix,
     Independent,
+    ParseError,
     PointNotOnVarietyError,
     Polynomial,
     QuotientRecord,
@@ -381,3 +385,127 @@ def reference_subst_step(system, x):
     )
     full_cofactors = tuple(cofactors.get(i, ring.zero()) for i in range(len(system.gens)))
     return Replaced(j, combined, full_relation, full_cofactors)
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<number>\d+(?:/\d+)?)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>[-+*^()])
+  | (?P<slash>/)
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        if kind == "slash":
+            raise ParseError("division is not supported outside rational literals", pos)
+        if kind != "ws":
+            tokens.append((kind, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent in which every node is a `Polynomial`: a power is
+    repeated multiplication and a product a `Polynomial` product."""
+
+    def __init__(self, text: str, ring):
+        self.ring = ring
+        self.tokens = _reference_tokenize(text)
+        self.index = 0
+        self.var_index = {name: i for i, name in enumerate(ring.var_names)}
+
+    @property
+    def current(self):
+        return self.tokens[self.index]
+
+    def advance(self):
+        token = self.tokens[self.index]
+        self.index += 1
+        return token
+
+    def is_op(self, ops: str) -> bool:
+        kind, text, _ = self.current
+        return kind == "op" and text in ops
+
+    def parse(self) -> Polynomial:
+        result = self.expression()
+        kind, text, pos = self.current
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r}", pos)
+        return result
+
+    def expression(self) -> Polynomial:
+        negative = False
+        if self.is_op("+-"):
+            negative = self.advance()[1] == "-"
+        result = self.term()
+        if negative:
+            result = -result
+        while self.is_op("+-"):
+            op = self.advance()[1]
+            rhs = self.term()
+            result = result - rhs if op == "-" else result + rhs
+        return result
+
+    def term(self) -> Polynomial:
+        result = self.power()
+        while self.is_op("*"):
+            self.advance()
+            result = result * self.power()
+        return result
+
+    def power(self) -> Polynomial:
+        base = self.atom()
+        if self.is_op("^"):
+            self.advance()
+            kind, text, pos = self.current
+            if kind != "number" or "/" in text:
+                raise ParseError("exponent must be a nonnegative integer", pos)
+            self.advance()
+            result = self.ring.one()
+            for _ in range(int(text)):
+                result = result * base
+            return result
+        return base
+
+    def atom(self) -> Polynomial:
+        kind, text, pos = self.current
+        if kind == "number":
+            self.advance()
+            try:
+                value = self.ring.field.scalar_from_str(text)
+            except ParseError as exc:
+                raise ParseError(str(exc), pos) from exc
+            return self.ring.constant(value)
+        if kind == "name":
+            self.advance()
+            index = self.var_index.get(text)
+            if index is None:
+                raise ParseError(f"unknown variable {text!r}", pos)
+            return self.ring.variable(index)
+        if self.is_op("("):
+            self.advance()
+            inner = self.expression()
+            if not self.is_op(")"):
+                raise ParseError("expected ')'", self.current[2])
+            self.advance()
+            return inner
+        raise ParseError("expected a number, variable, or parenthesized expression", pos)
+
+
+def reference_parse(text: str, ring) -> Polynomial:
+    """``text`` parsed node by node, each node a `Polynomial`; raises
+    `ParseError` with the same messages and positions as `parse_polynomial`."""
+    return _ReferenceParser(text, ring).parse()

@@ -296,6 +296,20 @@ class TestUsageAndParsing:
         assert run_command(["decide", str(path)]) == 1
         assert "parsing exceeded its time limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "gen",
+        ["T0^100000000 - T1^100000000", "2^100000000*T0 - 2^100000000*T1"],
+        ids=["variable-power", "number-power"],
+    )
+    def test_huge_exponents_honour_the_time_limit(self, tmp_path, capsys, monkeypatch, gen):
+        # A variable's or a number's power costs one deadline check per unit
+        # of its exponent, as a parenthesised sum's does.
+        path = tmp_path / "huge_exponent.ideal"
+        path.write_text(f"field: q\nvars: T0 T1\npoint: 1 1\ngens:\n{gen}\n")
+        monkeypatch.setenv("CIFORGE_TIMEOUT_SECS", "1")
+        assert run_command(["decide", str(path)]) == 1
+        assert "parsing exceeded its time limit" in capsys.readouterr().err
+
     def test_bad_timeout_env_ignored(self, cubic_file, capsys, monkeypatch):
         monkeypatch.setenv("CIFORGE_TIMEOUT_SECS", "soon")
         assert run_command(["decide", str(cubic_file)]) == 3

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ciforge import (
     NOT_HOMOGENEOUS,
@@ -26,6 +27,10 @@ from ciforge import (
     parse_polynomial,
     reduced_groebner,
 )
+
+from oracles import reference_parse
+
+FIELDS = (QQ, PrimeField(7), PrimeField(32003))
 
 
 @pytest.fixture
@@ -162,21 +167,105 @@ class TestParsing:
 
 
 @st.composite
-def rational_polys(draw):
-    ring = PolynomialRing(QQ, ("x", "y", "z"))
+def field_polys(draw):
+    """A polynomial in x, y, z over Q, F_7 or F_32003 with up to six terms."""
+    ring = PolynomialRing(draw(st.sampled_from(FIELDS)), ("x", "y", "z"))
+    rational = ring.field is QQ
     n_terms = draw(st.integers(0, 6))
     terms = {}
     for _ in range(n_terms):
         exps = tuple(draw(st.integers(0, 4)) for _ in range(3))
-        num = draw(st.integers(-9, 9))
-        den = draw(st.integers(1, 9))
-        terms[exps] = Fraction(num, den)
+        num = draw(st.integers(-9, 9) if rational else st.integers(-40000, 40000))
+        den = draw(st.integers(1, 9)) if rational else 1
+        terms[exps] = ring.field.scalar(num, den)
     return Polynomial(ring, terms)
 
 
-@given(rational_polys())
+@given(field_polys())
 def test_print_parse_fixed_point(f):
     assert parse_polynomial(str(f), f.ring) == f
+
+
+# -- the parser against the reference parser ----------------------------------
+
+
+@st.composite
+def expression_texts(draw, rational: bool, depth: int = 2) -> str:
+    """An expression in x, y, z: signed terms, each a ``*`` chain of integer
+    or (over Q) rational literals, variables and parenthesised expressions,
+    each optionally raised to ``^0``..``^4``, with a term that cancels
+    another now and then."""
+    pieces = []
+    for i in range(draw(st.integers(1, 3 if depth else 4))):
+        signs = ["", "-", "+"] if i == 0 else [" + ", " - ", "-", "+"]
+        pieces.append(draw(st.sampled_from(signs)) + draw(term_texts(rational, depth)))
+    if draw(st.booleans()):
+        cancelled = draw(term_texts(rational, depth))
+        pieces.insert(draw(st.integers(1, len(pieces))), f" + {cancelled} - {cancelled}")
+    return "".join(pieces)
+
+
+@st.composite
+def term_texts(draw, rational: bool, depth: int) -> str:
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        kinds = ["integer", "variable", "variable"]
+        if rational:
+            kinds.append("rational")
+        if depth:
+            kinds.append("sum")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "integer":
+            factor = str(draw(st.integers(0, 40)))
+        elif kind == "rational":
+            factor = f"{draw(st.integers(0, 40))}/{draw(st.integers(1, 12))}"
+        elif kind == "variable":
+            factor = draw(st.sampled_from(["x", "y", "z"]))
+        else:
+            factor = "(" + draw(expression_texts(rational, depth - 1)) + ")"
+        if draw(st.integers(0, 2)) == 0:
+            factor += f"^{draw(st.integers(0, 4))}"
+        factors.append(factor)
+    return "*".join(factors)
+
+
+@st.composite
+def field_expressions(draw):
+    ring = PolynomialRing(draw(st.sampled_from(FIELDS)), ("x", "y", "z"))
+    return ring, draw(expression_texts(ring.field is QQ))
+
+
+def parse_outcome(parse, text, ring):
+    """The terms in the order they were made, with their types, or the
+    error's message and position."""
+    try:
+        f = parse(text, ring)
+    except ParseError as exc:
+        return "error", str(exc), exc.position
+    return "parsed", [(e, c, type(c)) for e, c in f.terms.items()]
+
+
+@settings(deadline=None, max_examples=150)
+@given(field_expressions())
+def test_parser_agrees_with_reference_parser(ring_and_text):
+    ring, text = ring_and_text
+    outcome = parse_outcome(parse_polynomial, text, ring)
+    assert outcome[0] == "parsed"
+    assert outcome == parse_outcome(reference_parse, text, ring)
+
+
+@settings(deadline=None, max_examples=150)
+@given(field_expressions(), st.data())
+def test_parser_agrees_with_reference_parser_on_damaged_text(ring_and_text, data):
+    ring, text = ring_and_text
+    i = data.draw(st.integers(0, len(text) - 1))
+    replacement = data.draw(st.sampled_from(["", *"0379/xyzw+-*^() ?."]))
+    damaged = text[:i] + replacement + text[i + 1 :]
+    # Damage may join digits into a large exponent on a sum; keep it cheap.
+    assume(all(int(e) <= 6 for e in re.findall(r"\^\s*(\d+)", damaged)))
+    assert parse_outcome(parse_polynomial, damaged, ring) == parse_outcome(
+        reference_parse, damaged, ring
+    )
 
 
 def test_print_is_grevlex_descending(p3):
