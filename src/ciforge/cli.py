@@ -13,6 +13,7 @@ Reports go to standard output; diagnostics to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -33,15 +34,9 @@ from .decide import (
     verify_certificate,
 )
 from .errors import BuchbergerTimeout, ParseError
-from .groebner import (
-    Ideal,
-    basis_time_limit,
-    ideal_member,
-    projective_dimension,
-    reduced_groebner,
-)
+from .groebner import Ideal, basis_time_limit
 from .ideal_file import IdealFile, parse_ideal_file
-from .poly import Polynomial, ProjectivePoint
+from .poly import ProjectivePoint
 from .parse import parse_polynomial
 
 DEFAULT_TIMEOUT_SECS = 300.0
@@ -57,7 +52,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
+    """The argument parser, built once per process."""
     parser = _ArgumentParser(
         prog="ciforge",
         description="Decide whether a homogeneous ideal with a smooth point "
@@ -128,10 +125,6 @@ def _system(loaded: IdealFile) -> GeneratorSystem:
     return GeneratorSystem.from_polynomials(loaded.gens, loaded.ring)
 
 
-def _parse_poly(loaded: IdealFile, text: str) -> Polynomial:
-    return parse_polynomial(text, loaded.ring)
-
-
 def _cmd_decide(args: argparse.Namespace) -> int:
     loaded = _load(args)
     x = _need_point(loaded)
@@ -161,22 +154,21 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 def _cmd_groebner(args: argparse.Namespace) -> int:
     loaded = _load(args)
-    basis = reduced_groebner(loaded.gens, ring=loaded.ring)
-    for g in basis.elements:
+    for g in Ideal(loaded.gens, ring=loaded.ring).basis.elements:
         print(g)
     return 0
 
 
 def _cmd_dim(args: argparse.Namespace) -> int:
     loaded = _load(args)
-    print(projective_dimension(loaded.gens))
+    print(Ideal(loaded.gens, ring=loaded.ring).dimension())
     return 0
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
     loaded = _load(args)
-    f = _parse_poly(loaded, args.poly)
-    member, record = ideal_member(f, loaded.gens)
+    f = parse_polynomial(args.poly, loaded.ring)
+    member, record = Ideal(loaded.gens, ring=loaded.ring).member(f)
     if not member:
         print("member: no")
         print(f"remainder: {record.remainder}")
@@ -190,9 +182,8 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 def _cmd_trivial(args: argparse.Namespace) -> int:
     loaded = _load(args)
-    ideal = Ideal(loaded.gens, ring=loaded.ring)
-    f = _parse_poly(loaded, args.poly)
-    result = trivially_contains(ideal, f)
+    f = parse_polynomial(args.poly, loaded.ring)
+    result = trivially_contains(Ideal(loaded.gens, ring=loaded.ring), f)
     if result.trivial:
         print("trivial: yes")
         for psi, cof in zip(result.members, result.cofactors):
@@ -206,14 +197,13 @@ def _cmd_trivial(args: argparse.Namespace) -> int:
 def _cmd_check_iv(args: argparse.Namespace) -> int:
     loaded = _load(args)
     x = _need_point(loaded)
-    ideal = Ideal(loaded.gens, ring=loaded.ring)
-    f = _parse_poly(loaded, args.poly)
+    f = parse_polynomial(args.poly, loaded.ring)
     family = [
-        _parse_poly(loaded, piece)
+        parse_polynomial(piece, loaded.ring)
         for piece in args.family.split(";")
         if piece.strip()
     ]
-    contained = check_condition_iv(f, family, x, ideal)
+    contained = check_condition_iv(f, family, x, Ideal(loaded.gens, ring=loaded.ring))
     print(f"contained: {'yes' if contained else 'no'}")
     if contained:
         # Tangent containment at the point is exactly what the criterion forbids.
@@ -273,10 +263,7 @@ def run_command(argv: Sequence[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except BuchbergerTimeout as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
+    except (BuchbergerTimeout, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -162,18 +162,24 @@ class TrivialContainment:
     remainder: Polynomial
 
 
+def _member_degree(ideal: Ideal, f: Polynomial, what: str) -> int:
+    """The degree of ``f``, which must be a nonzero homogeneous member of ``ideal``."""
+    if f.is_zero():
+        raise ValueError(f"{what} must be nonzero")
+    d = homogeneous_degree(f)
+    if not isinstance(d, int):
+        raise NotHomogeneousError(f"{what} must be homogeneous")
+    if f not in ideal:
+        raise NotInIdealError(f"{what} {f} is not in the ideal")
+    return d
+
+
 def trivially_contains(ideal: Ideal, f: Polynomial) -> TrivialContainment:
     """Whether ``f`` is a combination of ideal members of strictly lower degree.
 
     ``f`` must be a nonzero homogeneous member of the ideal (checked).
     """
-    if f.is_zero():
-        raise ValueError("containment test needs a nonzero polynomial")
-    d = homogeneous_degree(f)
-    if not isinstance(d, int):
-        raise NotHomogeneousError("containment test needs a homogeneous polynomial")
-    if f not in ideal:
-        raise NotInIdealError(f"{f} is not in the ideal")
+    d = _member_degree(ideal, f, "polynomial")
     truncated = ideal.truncated(d)
     if not truncated:
         return TrivialContainment(False, (), (), truncated, f)
@@ -271,7 +277,6 @@ def subst_step(
     support = [i for i, c in enumerate(relation) if c]
     degrees = system.degrees
     top_degree = max(degrees[i] for i in support)
-    top = [i for i in support if degrees[i] == top_degree]
 
     field = ring.field
     k = x.pivot
@@ -287,7 +292,7 @@ def subst_step(
     for i in support:
         combined = combined + cofactors[i] * system.gens[i]
 
-    j = max(top)
+    j = max(i for i in support if degrees[i] == top_degree)
     if combined.is_zero():
         # The lifted combination collapses; the relation already expresses
         # generator j (top block, constant multiplier) over the others.
@@ -375,8 +380,6 @@ def reduce_to_ci(
         if isinstance(outcome, Removed):
             new_system = current.without(outcome.index)
         else:
-            gens = list(current.gens)
-            gens[outcome.index] = outcome.new_poly
             containment = trivially_contains(ideal, outcome.new_poly)
             if not containment.trivial:
                 return NonCICertificate(
@@ -391,9 +394,9 @@ def reduce_to_ci(
                     trace=tuple(trace),
                 )
             spliced = (
-                gens[: outcome.index]
-                + list(containment.members)
-                + gens[outcome.index + 1 :]
+                current.gens[: outcome.index]
+                + containment.members
+                + current.gens[outcome.index + 1 :]
             )
             new_system = GeneratorSystem.from_polynomials(spliced, ring)
 
@@ -433,38 +436,23 @@ def check_condition_iv(
     of the tangent spaces of the Z(family member)s.
 
     Computed linearly: d_x(f) must lie in the span of the family's
-    differentials; an empty family spans nothing, so then the answer is
-    "d_x(f) = 0".  All polynomials must be ideal members, each family member
-    of degree strictly below deg f.  A ``True`` answer on a non-trivially
-    contained ``f`` at a smooth point refutes the tangent-space criterion.
+    differentials, that is, one elimination fed those and then d_x(f) must
+    find this last column dependent; an empty family spans nothing, so then
+    the answer is "d_x(f) = 0".  All polynomials must be ideal members, each
+    family member of degree strictly below deg f.  A ``True`` answer on a
+    non-trivially contained ``f`` at a smooth point refutes the tangent-space
+    criterion.
     """
-    if f.is_zero():
-        raise ValueError("need a nonzero polynomial")
-    deg_f = homogeneous_degree(f)
-    if not isinstance(deg_f, int):
-        raise NotHomogeneousError("need a homogeneous polynomial")
-    if f not in ideal:
-        raise NotInIdealError("polynomial is not in the ideal")
+    deg_f = _member_degree(ideal, f, "polynomial")
+    elimination = ColumnElimination(ideal.ring.field)
     for b in family:
-        if b.is_zero():
-            raise ValueError("zero polynomial in the family")
-        deg_b = homogeneous_degree(b)
-        if not isinstance(deg_b, int):
-            raise NotHomogeneousError("family members must be homogeneous")
+        deg_b = _member_degree(ideal, b, "family member")
         if deg_b >= deg_f:
             raise ValueError(
                 f"family member degree {deg_b} not below the polynomial degree {deg_f}"
             )
-        if b not in ideal:
-            raise NotInIdealError("family member is not in the ideal")
-    target = differential_at(f, x)
-    rows = [differential_at(b, x) for b in family]
-    if not rows:
-        return not any(target)
-    field = ideal.ring.field
-    without = ExactMatrix.from_rows(field, rows)
-    with_target = ExactMatrix.from_rows(field, rows + [list(target)])
-    return rank(with_target) == rank(without)
+        elimination.add(differential_at(b, x))
+    return elimination.add(differential_at(f, x)) is not None
 
 
 def _trace_fits(cert: Certificate, system: GeneratorSystem) -> bool:
@@ -520,14 +508,11 @@ def verify_certificate(
     report = smoothness_check(ideal, x)
     if cert.codim != report.codim or not report.smooth or cert.point != x:
         return False
-    witness = cert.witness
-    if not isinstance(homogeneous_degree(witness), int) or any(
-        differential_at(witness, x)
-    ):
-        return False
     try:
-        containment = trivially_contains(ideal, witness)
-    except NotInIdealError:
+        if any(differential_at(cert.witness, x)):
+            return False
+        containment = trivially_contains(ideal, cert.witness)
+    except ValueError:  # the witness is zero, not homogeneous or not a member
         return False
     return (
         not containment.trivial

@@ -4,12 +4,16 @@ A degree sequence counts generators per degree (degree 1 first).  Sequences
 are compared from the top degree down: delta beats eta when the topmost
 differing entry is larger in delta.  This order is well founded, which is what
 makes the reduction loop terminate.
+
+Counts are trimmed of trailing zeros, so the longer of two sequences has a
+nonzero count where the shorter reads zero, and beats it: the order is the
+tuple comparison of (length, reversed counts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -37,45 +41,16 @@ class DegreeSequence:
             counts[d - 1] += 1
         return cls(tuple(counts))
 
-    def entry(self, degree: int) -> int:
-        """Count at a given degree (>= 1); zero outside the stored support."""
-        if degree < 1:
-            raise ValueError("degrees start at 1")
-        if degree > len(self.counts):
-            return 0
-        return self.counts[degree - 1]
-
-    @property
-    def top_index(self) -> int:
-        """Highest degree with a nonzero count; 0 for the empty sequence."""
-        return len(self.counts)
-
-    @property
-    def top_count(self) -> int:
-        """Count at the top index; 0 for the empty sequence."""
-        return self.counts[-1] if self.counts else 0
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.counts) + ")"
 
 
-def seq_succ(delta: DegreeSequence | Sequence[int], eta: DegreeSequence | Sequence[int]) -> bool:
+def seq_succ(delta: DegreeSequence, eta: DegreeSequence) -> bool:
     """True iff delta strictly dominates eta from the top.
 
     That is: some degree i has delta_i > eta_i while every degree above i
     agrees (missing entries read as zero).  Irreflexive; a strict total order
     on distinct sequences.
     """
-    if not isinstance(delta, DegreeSequence):
-        delta = DegreeSequence(tuple(delta))
-    if not isinstance(eta, DegreeSequence):
-        eta = DegreeSequence(tuple(eta))
-    for degree in range(max(delta.top_index, eta.top_index), 0, -1):
-        a, b = delta.entry(degree), eta.entry(degree)
-        if a != b:
-            return a > b
-    return False
+    a, b = delta.counts, eta.counts
+    return (len(a), a[::-1]) > (len(b), b[::-1])

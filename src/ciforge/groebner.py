@@ -407,28 +407,34 @@ class Ideal:
         """Dimension of the projective vanishing locus.
 
         Computed as (Krull dimension of the affine cone) − 1, the cone
-        dimension being the maximum size of a variable subset S such that no
-        leading monomial of the reduced basis is supported entirely inside S.
-        Returns −1 for the empty projective locus.
+        dimension being the number of variables minus the fewest variables
+        that meet the support of every leading monomial of the reduced basis.
+        That minimum hitting set is searched by branching on an uncovered
+        support with the fewest variables, pruned at the best size so far;
+        the problem is NP-hard in general, so every node checks the time
+        limit.  Returns −1 for the empty projective locus.
         """
-        for g in self.basis.elements:
-            if homogeneous_degree(g) == 0:
-                raise ImproperIdealError("ideal contains a nonzero constant")
-        lm_masks = []
-        for lm in self.basis.leading_monomials():
-            mask = 0
-            for i, e in enumerate(lm):
-                if e:
-                    mask |= 1 << i
-            lm_masks.append(mask)
-        best = 0
-        for subset in range(1 << self.ring.num_vars):
-            size = subset.bit_count()
-            if size <= best:
-                continue
-            if all(mask & ~subset for mask in lm_masks):
-                best = size
-        return best - 1
+        if any(homogeneous_degree(g) == 0 for g in self.basis.elements):
+            raise ImproperIdealError("ideal contains a nonzero constant")
+        supports = {
+            sum(1 << i for i, e in enumerate(lm) if e)
+            for lm in self.basis.leading_monomials()
+        }
+        # Every support is nonempty, so all the variables meet each one.
+        best = self.ring.num_vars
+        stack = [(list(supports), 0)]
+        while stack:
+            check_deadline("dimension")
+            uncovered, size = stack.pop()
+            if not uncovered:
+                best = min(best, size)
+            elif size + 1 < best:
+                branch = min(uncovered, key=int.bit_count)
+                while branch:
+                    bit = branch & -branch
+                    branch ^= bit
+                    stack.append(([m for m in uncovered if not m & bit], size + 1))
+        return self.ring.num_vars - best - 1
 
 
 def ideal_member(

@@ -12,6 +12,10 @@ variable powers such as ``-3*T1^2*T4`` accumulates into one exponent list and
 one coefficient; only a parenthesised sum that is multiplied or raised to a
 power is multiplied out, term by term.
 
+A rational coefficient with more decimal digits than Python converts to a
+string (`sys.get_int_max_str_digits`) is a parse error at the term that makes
+it, since it could not be printed; so is an exponent written with that many.
+
 Parsing honours `basis_time_limit`: the parser checks the limit once per unit
 of every ``^`` exponent, whatever the base, and before every product of
 parenthesised sums, so inputs such as ``(T0 + T1)^100000``, ``T0^100000000``
@@ -20,7 +24,10 @@ or ``2^100000000`` stop with `BuchbergerTimeout` naming ``parsing``.
 
 from __future__ import annotations
 
+import functools
 import re
+import sys
+from typing import Iterable
 
 from .errors import ParseError
 from .fields import Scalar
@@ -55,6 +62,12 @@ Token = tuple[str, str, int]
 TermMap = dict[Exponents, Scalar]
 
 
+@functools.cache
+def _digit_bound(limit: int) -> int:
+    """The least integer with more than ``limit`` decimal digits."""
+    return 10**limit
+
+
 def _tokenize(text: str) -> list[Token]:
     tokens = [
         (m.lastgroup, m[m.lastindex], m.start(m.lastindex))
@@ -76,6 +89,11 @@ class _Parser:
         self.field = ring.field
         self.num_vars = ring.num_vars
         self.var_index = {name: i for i, name in enumerate(ring.var_names)}
+        # Only a rational scalar can grow; an F_p scalar is below p.  Python
+        # before 3.10.7 has neither the limit nor the function.
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        rational = not self.field.characteristic
+        self.digit_bound = _digit_bound(limit) if limit and rational else None
 
     def parse(self) -> TermMap:
         result = self.expression()
@@ -94,18 +112,34 @@ class _Parser:
             self.index += 1
             negative = sign == "-"
         while True:
-            add_terms_into(self.field, out, self.term(negative))
+            pos = tokens[self.index][2]
+            size = len(out)
+            terms = self.term(negative)
+            add_terms_into(self.field, out, terms)
+            if len(out) != size + len(terms):
+                # Coefficients were added, and a sum can outgrow its terms.
+                self.check_digits([out[e] for e in terms if e in out], pos)
             sign = tokens[self.index][1]
             if sign != "+" and sign != "-":
                 return out
             self.index += 1
             negative = sign == "-"
 
+    def check_digits(self, coefficients: Iterable[Scalar], pos: int) -> None:
+        """Reject a coefficient, made by the term at ``pos``, with too many
+        digits to print."""
+        bound = self.digit_bound
+        if bound is not None:
+            for c in coefficients:
+                if abs(c.numerator) >= bound or c.denominator >= bound:
+                    raise ParseError("coefficient has too many digits to print", pos)
+
     def term(self, negative: bool) -> TermMap:
         """A ``*`` chain: its sign, numbers and variable powers fold into one
         coefficient and one exponent list; parenthesised sums are multiplied
         out left to right, and the monomial then scales their product."""
         tokens = self.tokens
+        start = tokens[self.index][2]
         field = self.field
         mul, one = field.mul, field.one
         coeff = one
@@ -123,6 +157,8 @@ class _Parser:
                     check_deadline("parsing")
                     # A coefficient that is one (always, at first) is not multiplied.
                     coeff = base if coeff is one else mul(coeff, base)
+                if coeff is not base:  # a product, which can outgrow its factors
+                    self.check_digits((coeff,), start)
             elif kind == "name":
                 index = self.var_index.get(text)
                 if index is None:
@@ -162,9 +198,10 @@ class _Parser:
         for factor in sums[1:]:
             check_deadline("parsing")
             result = mul_terms(field, result, factor)
-        if coeff == one and not any(exps):
-            return result
-        return {monomial_mul(e, exps): mul(c, coeff) for e, c in result.items()}
+        if coeff != one or any(exps):
+            result = {monomial_mul(e, exps): mul(c, coeff) for e, c in result.items()}
+        self.check_digits(result.values(), start)
+        return result
 
     def exponent(self) -> int:
         """The exponent after a ``^`` at the current token; 1 without one."""
@@ -174,7 +211,10 @@ class _Parser:
         if kind != "number" or "/" in text:
             raise ParseError("exponent must be a nonnegative integer", pos)
         self.index += 2
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError("exponent has too many digits", pos) from None
 
 
 def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:

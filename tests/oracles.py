@@ -9,7 +9,9 @@ which also searched the top-degree block for a linear relation among the
 generators as polynomials.  Membership cofactors come from Buchberger's
 algorithm with the eager transcript first written, on that textbook division.
 The expression parser is the one first written, which makes every number,
-variable, power and product its own `Polynomial`.
+variable, power and product its own `Polynomial`.  The degree-sequence order
+walks the degrees from the top, condition (iv) compares two ranks, and the
+dimension scans every variable subset, each as first written.
 
 Scalar arithmetic uses the field's own operations (``field.add``, ``mul``,
 ``div`` ...), which `tests/test_fields.py` checks against ``Fraction``
@@ -385,6 +387,45 @@ def reference_subst_step(system, x):
     )
     full_cofactors = tuple(cofactors.get(i, ring.zero()) for i in range(len(system.gens)))
     return Replaced(j, combined, full_relation, full_cofactors)
+
+
+def reference_seq_succ(delta, eta) -> bool:
+    """The top-dominant order as first written, on raw count tuples: walk the
+    degrees from the top, a missing entry reading as zero."""
+
+    def entry(counts, degree):
+        return counts[degree - 1] if degree <= len(counts) else 0
+
+    for degree in range(max(len(delta), len(eta)), 0, -1):
+        a, b = entry(delta, degree), entry(eta, degree)
+        if a != b:
+            return a > b
+    return False
+
+
+def reference_condition_iv(f, family, x) -> bool:
+    """Condition (iv) as first written: d_x(f) lies in the span of the
+    family's differentials exactly when appending it keeps the rank; an empty
+    family spans nothing."""
+    field = f.ring.field
+    target = list(differential_at(f, x))
+    rows = [list(differential_at(b, x)) for b in family]
+    if not rows:
+        return not any(target)
+    return row_reduce_rank(rows + [target], field) == row_reduce_rank(rows, field)
+
+
+def reference_dimension(leading_monomials, num_vars: int) -> int:
+    """Projective dimension of a locus whose ideal has these leading monomials,
+    as first written: the largest variable subset that contains no leading
+    monomial's support, found by scanning all 2^n subsets, minus one."""
+    masks = [sum(1 << i for i, e in enumerate(lm) if e) for lm in leading_monomials]
+    best = 0
+    for subset in range(1 << num_vars):
+        size = subset.bit_count()
+        if size > best and all(mask & ~subset for mask in masks):
+            best = size
+    return best - 1
 
 
 _REFERENCE_TOKEN_RE = re.compile(

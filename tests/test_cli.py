@@ -130,6 +130,21 @@ class TestVerifyCommand:
         assert "verified: no" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
+        "witness",
+        ["0", "T0^2 - 2*T0*T1 + T1^2"],
+        ids=["zero", "singular-non-member"],
+    )
+    def test_witness_outside_the_ideal_refuted(self, cubic_file, tmp_path, capsys, witness):
+        cert_path = tmp_path / "cert.json"
+        run_command(["decide", str(cubic_file), "--out", str(cert_path)])
+        data = json.loads(cert_path.read_text())
+        data["witness"] = witness  # its differential vanishes at the point
+        cert_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run_command(["verify", str(cubic_file), "--cert", str(cert_path)]) == 3
+        assert "verified: no" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "key, value",
         [
             ("trace", [["a"]]),
@@ -211,6 +226,17 @@ class TestOtherCommands:
         assert code == 0
         assert "member: yes" in capsys.readouterr().out
 
+    def test_dim_of_many_variables_is_prompt(self, tmp_path, capsys, monkeypatch):
+        # A scan of all 2^30 variable subsets would run far past the limit;
+        # every phase checks it, so exit 0 means the search ended within it.
+        names = " ".join(f"T{i}" for i in range(30))
+        squares = "\n".join(f"T{i}^2" for i in range(30))
+        path = tmp_path / "squares.ideal"
+        path.write_text(f"field: q\nvars: {names}\ngens:\n{squares}\n")
+        monkeypatch.setenv("CIFORGE_TIMEOUT_SECS", "10")
+        assert run_command(["dim", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "-1"
+
     def test_member_no(self, cubic_file, capsys):
         assert run_command(["member", str(cubic_file), "--poly", "T0^2"]) == 3
 
@@ -262,6 +288,20 @@ class TestUsageAndParsing:
 
     def test_bad_expression(self, cubic_file, capsys):
         assert run_command(["member", str(cubic_file), "--poly", "T0 +"]) == 1
+
+    @pytest.mark.parametrize(
+        "poly",
+        ["10^5000*T0 - 10^5000*T1", "T0^" + "9" * 5000],
+        ids=["coefficient", "exponent"],
+    )
+    def test_more_digits_than_print_is_a_parse_error(self, tmp_path, capsys, poly):
+        path = tmp_path / "line.ideal"
+        path.write_text("field: q\nvars: T0 T1\ngens:\nT0 - T1\n")
+        assert run_command(["member", str(path), "--poly", poly]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too many digits" in captured.err
+        assert "(at position " in captured.err
 
     def test_bad_field_line(self, tmp_path, capsys):
         path = tmp_path / "bad.ideal"

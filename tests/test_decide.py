@@ -7,7 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ciforge import decide, groebner, linalg
 from ciforge import (
@@ -54,7 +54,7 @@ from corpus import (
     TWISTED_CUBIC,
 )
 from helpers import differentials, expand
-from oracles import reference_subst_step
+from oracles import reference_condition_iv, reference_subst_step
 
 
 def ideal_of(system):
@@ -441,6 +441,63 @@ class TestConditionIV:
         ideal = Ideal([l, q], ring=p3)
         with pytest.raises(NotInIdealError):
             check_condition_iv(q, [parse_polynomial("T2", p3)], ones, ideal)
+
+
+@st.composite
+def condition_iv_cases(draw):
+    """(f, family, x, ideal): a vanishing system's ideal, a combination f of
+    its generators one degree above the highest, and up to three members of
+    lower degree (leading generators, scalar and variable multiples of
+    them).  Each cofactor of f may be made to vanish at x, so d_x(f) = 0
+    occurs too."""
+    system, x = draw(vanishing_systems())
+    ring, field = system.ring, system.ring.field
+    n = ring.num_vars
+    top = max(system.degrees) + 1
+    small = st.integers(-3, 3).map(field.scalar)
+    f = ring.zero()
+    for g, d in zip(system.gens, system.degrees):
+        cofactor = ring.zero()
+        for _ in range(draw(st.integers(1, 2))):
+            factors = draw(
+                st.lists(st.integers(0, n - 1), min_size=top - d, max_size=top - d)
+            )
+            exps = [factors.count(i) for i in range(n)]
+            cofactor = cofactor + ring.monomial(exps, draw(small))
+        value = evaluate(cofactor, x)
+        if value and draw(st.integers(0, 3)) == 0:
+            k = x.pivot
+            cofactor = cofactor - ring.monomial(
+                tuple(top - d if j == k else 0 for j in range(n)),
+                field.div(value, field.pow(x.coords[k], top - d)),
+            )
+        f = f + cofactor * g
+    assume(not f.is_zero())
+    # Members drawn from the first generators only, so that d_x(f) may lie
+    # outside their span.
+    split = draw(st.integers(1, len(system)))
+    low = list(zip(system.gens, system.degrees))[:split]
+    members = [g for g, _ in low] + [
+        g * ring.variable(i) for g, d in low if d + 1 < top for i in range(n)
+    ]
+    family = []
+    for member in draw(st.lists(st.sampled_from(members), max_size=3)):
+        scale = draw(small)
+        if scale:
+            family.append(member * scale)
+    return f, family, x, Ideal(system.gens, ring=ring)
+
+
+class TestConditionIVAgainstReference:
+    """One elimination of the family's differentials answers condition (iv) as
+    the two ranks first compared did."""
+
+    @settings(deadline=None)
+    @given(condition_iv_cases())
+    def test_equals_the_rank_comparison(self, case):
+        f, family, x, ideal = case
+        expected = reference_condition_iv(f, family, x)
+        assert check_condition_iv(f, family, x, ideal) == expected
 
 
 class TestVerify:

@@ -35,7 +35,7 @@ from ciforge.poly import grevlex_key, leading_monomial
 
 from corpus import PLANTED_IN_P5, PLANTED_QUADRICS, RATIONAL_NORMAL_QUARTIC
 from helpers import expand, leading_coefficient
-from oracles import reference_cofactors, reference_division
+from oracles import reference_cofactors, reference_dimension, reference_division
 
 
 def strs(polys):
@@ -493,6 +493,37 @@ class TestDimension:
     def test_zero_ideal_not_accepted(self):
         with pytest.raises(ValueError):
             projective_dimension([])
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_the_subset_scan(self, data):
+        # A monomial ideal's leading monomials are its minimal generators, and
+        # the dimension reads only their supports.
+        n = data.draw(st.integers(2, 10))
+        ring = PolynomialRing(QQ, tuple(f"T{i}" for i in range(n)))
+        exponents = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+        monomials = data.draw(
+            st.lists(exponents.filter(any).map(tuple), min_size=1, max_size=8)
+        )
+        ideal = Ideal([ring.monomial(e, QQ.one) for e in monomials], ring=ring)
+        assert ideal.dimension() == reference_dimension(monomials, n)
+
+    def test_search_honours_the_time_limit(self, monkeypatch):
+        ring = PolynomialRing(QQ, tuple(f"T{i}" for i in range(30)))
+        ideal = Ideal([ring.variable(i) ** 2 for i in range(30)], ring=ring)
+        calls = 0
+
+        def monotonic():
+            # The limit passes after ten nodes of the cover search.
+            nonlocal calls
+            calls += 1
+            return 0.0 if calls <= 10 else math.inf
+
+        with basis_time_limit(3600.0):
+            monkeypatch.setattr(groebner.time, "monotonic", monotonic)
+            with pytest.raises(BuchbergerTimeout, match="dimension"):
+                ideal.dimension()
+        assert calls == 11
 
 
 class TestSPolynomials:

@@ -165,6 +165,25 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_polynomial("", p2)
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("y + 10^2150*x*10^2151", 4),  # a product of numbers
+            ("y - (10^2200*x + y)^2", 4),  # a product of sums
+            ("9*10^4299*x + 10^4299*x", 14),  # a sum of coefficients
+            ("y + 1/10^4300*x", 4),  # a denominator
+        ],
+        ids=["numbers", "sums", "sum", "denominator"],
+    )
+    def test_coefficient_too_long_to_print(self, p2, text, position):
+        # Every coefficient over Q must stay printable (4300 digits by
+        # default); the error names the term that first passes the limit.
+        with pytest.raises(ParseError, match="too many digits") as info:
+            parse_polynomial(text, p2)
+        assert info.value.position == position
+        fits = parse_polynomial("10^4299*x - 1/10^4299*y", p2)
+        assert str(fits).startswith("1" + "0" * 4299 + "*x")
+
 
 @st.composite
 def field_polys(draw):
