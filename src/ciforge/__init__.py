@@ -63,15 +63,11 @@ from .linalg import (
 )
 from .parse import parse_polynomial
 from .poly import (
-    NOT_HOMOGENEOUS,
-    ZERO_POLYNOMIAL,
     Polynomial,
     PolynomialRing,
     ProjectivePoint,
     differential_at,
     evaluate,
-    homogeneous_degree,
-    is_homogeneous,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +87,6 @@ __all__ = [
     "ImproperIdealError",
     "Independent",
     "NonCICertificate",
-    "NOT_HOMOGENEOUS",
     "NotHomogeneousError",
     "NotInIdealError",
     "NotSmoothError",
@@ -111,18 +106,15 @@ __all__ = [
     "Scalar",
     "SmoothnessReport",
     "TrivialContainment",
-    "ZERO_POLYNOMIAL",
     "basis_time_limit",
     "check_condition_iv",
     "degree_sequence",
     "differential_at",
     "evaluate",
     "field_from_tag",
-    "homogeneous_degree",
     "ideal_equal",
     "ideal_member",
     "input_fingerprint",
-    "is_homogeneous",
     "kernel_basis",
     "linear_relation_polys",
     "normal_form",

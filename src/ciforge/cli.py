@@ -125,7 +125,7 @@ def _system(loaded: IdealFile) -> GeneratorSystem:
     return GeneratorSystem.from_polynomials(loaded.gens, loaded.ring)
 
 
-def _cmd_decide(args: argparse.Namespace) -> int:
+def _cmd_decide(args: argparse.Namespace) -> tuple[list[str], int]:
     loaded = _load(args)
     x = _need_point(loaded)
     system = _system(loaded)
@@ -137,64 +137,57 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         )
     cert = reduce_to_ci(system, x)
     payload = serialize_certificate(cert)
+    lines = [f"codimension: {cert.codim}"]
+    if cert.trace:
+        lines.append("trace: " + " ".join(str(t) for t in cert.trace))
+    if isinstance(cert, CICertificate):
+        lines += ["decision: complete intersection"]
+        lines += [f"generator: {g}" for g in cert.final_gens]
+        code = 0
+    else:
+        lines += ["decision: not a complete intersection", f"witness: {cert.witness}"]
+        code = 3
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
-    print(f"codimension: {cert.codim}")
-    if cert.trace:
-        print("trace: " + " ".join(str(t) for t in cert.trace))
-    if isinstance(cert, CICertificate):
-        print("decision: complete intersection")
-        for g in cert.final_gens:
-            print(f"generator: {g}")
-        return 0
-    print("decision: not a complete intersection")
-    print(f"witness: {cert.witness}")
-    return 3
+    return lines, code
 
 
-def _cmd_groebner(args: argparse.Namespace) -> int:
+def _cmd_groebner(args: argparse.Namespace) -> tuple[list[str], int]:
     loaded = _load(args)
-    for g in Ideal(loaded.gens, ring=loaded.ring).basis.elements:
-        print(g)
-    return 0
+    return [str(g) for g in Ideal(loaded.gens, ring=loaded.ring).basis.elements], 0
 
 
-def _cmd_dim(args: argparse.Namespace) -> int:
+def _cmd_dim(args: argparse.Namespace) -> tuple[list[str], int]:
     loaded = _load(args)
-    print(Ideal(loaded.gens, ring=loaded.ring).dimension())
-    return 0
+    return [str(Ideal(loaded.gens, ring=loaded.ring).dimension())], 0
 
 
-def _cmd_member(args: argparse.Namespace) -> int:
+def _cmd_member(args: argparse.Namespace) -> tuple[list[str], int]:
     loaded = _load(args)
     f = parse_polynomial(args.poly, loaded.ring)
     member, record = Ideal(loaded.gens, ring=loaded.ring).member(f)
     if not member:
-        print("member: no")
-        print(f"remainder: {record.remainder}")
-        return 3
-    print("member: yes")
-    for g, q in zip(loaded.gens, record.quotients):
-        if not q.is_zero():
-            print(f"cofactor of {g}: {q}")
-    return 0
+        return ["member: no", f"remainder: {record.remainder}"], 3
+    return ["member: yes"] + [
+        f"cofactor of {g}: {q}"
+        for g, q in zip(loaded.gens, record.quotients)
+        if not q.is_zero()
+    ], 0
 
 
-def _cmd_trivial(args: argparse.Namespace) -> int:
+def _cmd_trivial(args: argparse.Namespace) -> tuple[list[str], int]:
     loaded = _load(args)
     f = parse_polynomial(args.poly, loaded.ring)
     result = trivially_contains(Ideal(loaded.gens, ring=loaded.ring), f)
     if result.trivial:
-        print("trivial: yes")
-        for psi, cof in zip(result.members, result.cofactors):
-            print(f"member {psi} cofactor {cof}")
-        return 0
-    print("trivial: no")
-    print(f"remainder: {result.remainder}")
-    return 3
+        return ["trivial: yes"] + [
+            f"member {psi} cofactor {cof}"
+            for psi, cof in zip(result.members, result.cofactors)
+        ], 0
+    return ["trivial: no", f"remainder: {result.remainder}"], 3
 
 
-def _cmd_check_iv(args: argparse.Namespace) -> int:
+def _cmd_check_iv(args: argparse.Namespace) -> tuple[list[str], int]:
     loaded = _load(args)
     x = _need_point(loaded)
     f = parse_polynomial(args.poly, loaded.ring)
@@ -204,14 +197,11 @@ def _cmd_check_iv(args: argparse.Namespace) -> int:
         if piece.strip()
     ]
     contained = check_condition_iv(f, family, x, Ideal(loaded.gens, ring=loaded.ring))
-    print(f"contained: {'yes' if contained else 'no'}")
-    if contained:
-        # Tangent containment at the point is exactly what the criterion forbids.
-        return 3
-    return 0
+    # Tangent containment at the point is exactly what the criterion forbids.
+    return [f"contained: {'yes' if contained else 'no'}"], 3 if contained else 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
     loaded = _load(args)
     try:
         cert_text = Path(args.cert).read_text(encoding="utf-8")
@@ -226,8 +216,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _UsageError("verifying this certificate needs a point")
     system = _system(loaded)
     verdict = verify_certificate(cert, system, x)
-    print(f"verified: {'yes' if verdict else 'no'}")
-    return 0 if verdict else 3
+    return [f"verified: {'yes' if verdict else 'no'}"], 0 if verdict else 3
 
 
 def _timeout_seconds() -> float:
@@ -258,8 +247,11 @@ def run_command(argv: Sequence[str]) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
+        # The whole report is built before any of it is printed, so a run
+        # that fails part-way (say, on a value too long to print) leaves
+        # nothing on stdout.
         with basis_time_limit(_timeout_seconds()):
-            return args.handler(args)
+            lines, code = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -268,10 +260,18 @@ def run_command(argv: Sequence[str]) -> int:
         return 1
     except ValueError as exc:
         # Precondition violations: point off the variety, not smooth, improper
-        # ideal, non-member input, certificate/input mismatch, ...
+        # ideal, non-member input, certificate/input mismatch, a computed
+        # value with more digits than Python prints, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for line in lines:
+        print(line)
+    return code
 
 
 def console_main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_main()

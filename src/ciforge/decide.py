@@ -39,37 +39,25 @@ from .poly import (
     differential_at,
     distinct_nonzero,
     evaluate,
-    homogeneous_degree,
 )
 
 
 @dataclass(frozen=True)
 class GeneratorSystem:
-    """A nonempty list of nonzero homogeneous generators, no exact duplicates.
-
-    ``degrees`` holds each generator's degree, computed once when the system
-    is validated.
-    """
+    """A nonempty list of nonzero homogeneous generators, no exact duplicates."""
 
     ring: PolynomialRing
     gens: tuple[Polynomial, ...]
-    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gens", tuple(self.gens))
         if not self.gens:
             raise ValueError("generator system must be nonempty")
-        degrees = []
         for g in self.gens:
             if g.ring != self.ring:
                 raise ValueError("generator outside the declared ring")
-            if g.is_zero():
+            if g.degree is None:
                 raise ValueError("zero generator")
-            d = homogeneous_degree(g)
-            if not isinstance(d, int):
-                raise NotHomogeneousError("generators must be homogeneous")
-            degrees.append(d)
-        object.__setattr__(self, "degrees", tuple(degrees))
         if len(list(distinct_nonzero(self.gens))) != len(self.gens):
             raise ValueError("duplicate generator")
 
@@ -88,7 +76,7 @@ class GeneratorSystem:
         """The system minus generator ``index``.
 
         What remains of a valid system is valid, so its generators are not
-        checked again, and their degrees are kept.
+        checked again.
         """
         gens = self.gens[:index] + self.gens[index + 1 :]
         if not gens:
@@ -96,9 +84,6 @@ class GeneratorSystem:
         smaller = object.__new__(GeneratorSystem)
         object.__setattr__(smaller, "ring", self.ring)
         object.__setattr__(smaller, "gens", gens)
-        object.__setattr__(
-            smaller, "degrees", self.degrees[:index] + self.degrees[index + 1 :]
-        )
         return smaller
 
     def __len__(self) -> int:
@@ -107,7 +92,7 @@ class GeneratorSystem:
 
 def degree_sequence(system: GeneratorSystem) -> DegreeSequence:
     """Per-degree generator counts of the system."""
-    return DegreeSequence.from_degrees(system.degrees)
+    return DegreeSequence.from_degrees(g.degree for g in system.gens)
 
 
 def _require_on_variety(system: GeneratorSystem, x: ProjectivePoint) -> None:
@@ -164,11 +149,9 @@ class TrivialContainment:
 
 def _member_degree(ideal: Ideal, f: Polynomial, what: str) -> int:
     """The degree of ``f``, which must be a nonzero homogeneous member of ``ideal``."""
-    if f.is_zero():
+    d = f.degree
+    if d is None:
         raise ValueError(f"{what} must be nonzero")
-    d = homogeneous_degree(f)
-    if not isinstance(d, int):
-        raise NotHomogeneousError(f"{what} must be homogeneous")
     if f not in ideal:
         raise NotInIdealError(f"{what} {f} is not in the ideal")
     return d
@@ -275,7 +258,7 @@ def subst_step(
     if relation is None:
         return Independent()
     support = [i for i, c in enumerate(relation) if c]
-    degrees = system.degrees
+    degrees = [g.degree for g in system.gens]
     top_degree = max(degrees[i] for i in support)
 
     field = ring.field
@@ -459,22 +442,28 @@ def _trace_fits(cert: Certificate, system: GeneratorSystem) -> bool:
     """Whether the trace could be the one a run on ``system`` records.
 
     It is empty exactly when the input already has codimension size, and
-    otherwise starts at the input's degree sequence and strictly decreases;
-    a CI trace ends at the final generators' degree sequence.
+    otherwise starts at the input's degree sequence and strictly decreases.
+    A CI certificate's final generators must be nonzero, homogeneous and of
+    degree at least 1 whatever the trace, and a nonempty CI trace ends at
+    their degree sequence.
     """
     trace = cert.trace
+    if isinstance(cert, CICertificate):
+        try:
+            degrees = [g.degree for g in cert.final_gens]
+        except NotHomogeneousError:
+            return False
+        if not all(degrees):  # None for a zero generator, 0 for a constant
+            return False
+        if trace and trace[-1] != DegreeSequence.from_degrees(degrees):
+            return False
     if not trace:
         return len(system) == cert.codim
-    if len(system) == cert.codim or trace[0] != degree_sequence(system):
-        return False
-    if not all(seq_succ(a, b) for a, b in zip(trace, trace[1:])):
-        return False
-    if isinstance(cert, CICertificate):
-        degrees = [homogeneous_degree(g) for g in cert.final_gens]
-        if not all(isinstance(d, int) and d >= 1 for d in degrees):
-            return False
-        return trace[-1] == DegreeSequence.from_degrees(degrees)
-    return True
+    return (
+        len(system) != cert.codim
+        and trace[0] == degree_sequence(system)
+        and all(seq_succ(a, b) for a, b in zip(trace, trace[1:]))
+    )
 
 
 def verify_certificate(

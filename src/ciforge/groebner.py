@@ -18,7 +18,6 @@ from typing import Iterator, Mapping, Sequence
 from .errors import (
     BuchbergerTimeout,
     ImproperIdealError,
-    NotHomogeneousError,
     RingMismatchError,
 )
 from .fields import Field, Scalar
@@ -28,8 +27,6 @@ from .poly import (
     PolynomialRing,
     distinct_nonzero,
     grevlex_key,
-    homogeneous_degree,
-    is_homogeneous,
     monomial_degree,
     monomial_div,
     monomial_divides,
@@ -91,14 +88,14 @@ def _divide_terms(
     cancelled by the first divisor whose leading monomial divides it or moved
     to the remainder, so the loop strictly descends in grevlex.
 
-    The work polynomial's monomials sit in a min-heap under the key
-    (-degree, reversed exponents), which pops the grevlex-greatest first.  A
+    The work polynomial's monomials sit in a min-heap under `grevlex_key`,
+    written out inline, which pops the grevlex-greatest first.  A
     monomial is pushed when it enters the work polynomial; one that has left
     it since is skipped when popped.  Nothing at or above a processed
     monomial is ever added again, so each monomial is processed once.
     """
     work = dict(dividend)
-    heap = [(-sum(e), e[::-1], e) for e in work]
+    heap = [(-sum(e), e[::-1], e) for e in work]  # (*grevlex_key(e), e)
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     add, mul, neg, div = field.add, field.mul, field.neg, field.div
@@ -224,8 +221,9 @@ def reduced_groebner(
     """Reduced grevlex Groebner basis of the ideal generated by ``gens``.
 
     Buchberger's algorithm with the coprime and chain criteria and normal pair
-    selection (lowest lcm degree first, ties by pair creation order).  Zero
-    generators are dropped and duplicates merged before computation.  The
+    selection (lowest lcm degree first, ties by pair creation order).  Every
+    generator must be homogeneous (`NotHomogeneousError`); zero generators
+    are dropped and duplicates merged before computation.  The
     result is the unique reduced basis of the ideal, independent of
     generator order.  Each polynomial it makes appends a derivation row.
     """
@@ -242,8 +240,7 @@ def reduced_groebner(
     derivation: list[tuple] = []
 
     for position, g in distinct_nonzero(source):
-        if not is_homogeneous(g):
-            raise NotHomogeneousError("generators must be homogeneous")
+        g.degree  # raises NotHomogeneousError
         basis.append(g)
         nodes.append(position)
 
@@ -326,7 +323,7 @@ def reduced_groebner(
     # whose monomials lie below the survivor's own leading monomial: only the
     # survivors before it in ascending order can divide them.  One pass,
     # dividing each by the reduced ones before it, yields the reduced form.
-    keep.sort(key=lambda i: grevlex_key(lms[i]))
+    keep.sort(key=lambda i: grevlex_key(lms[i]), reverse=True)
     final: list[Polynomial] = []
     final_nodes: list[int] = []
     for i in keep:
@@ -378,8 +375,7 @@ class Ideal:
         f is a member.  Cofactors come from composing the division quotients
         with the basis derivation.
         """
-        if not is_homogeneous(f):
-            raise NotHomogeneousError("membership test requires a homogeneous polynomial")
+        f.degree  # raises NotHomogeneousError
         record = normal_form(f, self.basis.elements)
         cofactors = self.basis.cofactors(record.quotients)
         return record.remainder.is_zero(), QuotientRecord(cofactors, record.remainder)
@@ -394,7 +390,7 @@ class Ideal:
         < m is a combination of basis elements of degree < m, and conversely
         each such element is itself a member of degree < m.
         """
-        return tuple(g for g in self.basis.elements if homogeneous_degree(g) < m)
+        return tuple(g for g in self.basis.elements if g.degree < m)
 
     def truncated_ideal(self, m: int) -> "Ideal":
         """The ideal generated by ``truncated(m)``, computed once per ``m``."""
@@ -414,7 +410,7 @@ class Ideal:
         the problem is NP-hard in general, so every node checks the time
         limit.  Returns −1 for the empty projective locus.
         """
-        if any(homogeneous_degree(g) == 0 for g in self.basis.elements):
+        if any(g.degree == 0 for g in self.basis.elements):
             raise ImproperIdealError("ideal contains a nonzero constant")
         supports = {
             sum(1 << i for i, e in enumerate(lm) if e)

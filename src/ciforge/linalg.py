@@ -15,12 +15,7 @@ from typing import Iterator, Sequence
 from .errors import NotHomogeneousError, RingMismatchError
 from .fields import Field, Scalar
 from .groebner import check_deadline
-from .poly import (
-    NOT_HOMOGENEOUS,
-    Polynomial,
-    grevlex_key,
-    homogeneous_degree,
-)
+from .poly import Polynomial, grevlex_key
 
 Vector = tuple[Scalar, ...]
 
@@ -162,18 +157,11 @@ def linear_relation_polys(polys: Sequence[Polynomial]) -> Vector | None:
     if not polys:
         return None
     ring = polys[0].ring
-    degrees: set[int] = set()
-    for p in polys:
-        if p.ring != ring:
-            raise RingMismatchError("relation search requires a single ring")
-        d = homogeneous_degree(p)
-        if d is NOT_HOMOGENEOUS:
-            raise NotHomogeneousError("relation search requires homogeneous polynomials")
-        if isinstance(d, int):
-            degrees.add(d)
-    if len(degrees) > 1:
+    if any(p.ring != ring for p in polys):
+        raise RingMismatchError("relation search requires a single ring")
+    if len({p.degree for p in polys} - {None}) > 1:
         raise NotHomogeneousError("relation search requires one common degree")
-    monomials = sorted({e for p in polys for e in p.terms}, key=grevlex_key, reverse=True)
+    monomials = sorted({e for p in polys for e in p.terms}, key=grevlex_key)
     field = ring.field
     columns = [tuple(p.terms.get(mono, field.zero) for mono in monomials) for p in polys]
     return ColumnElimination(field).first_relation(columns)

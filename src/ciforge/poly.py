@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, le, neg, sub
+from operator import add, le, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotHomogeneousError, RingMismatchError
@@ -20,24 +20,6 @@ from .fields import Field, Scalar
 Exponents = tuple[int, ...]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-class _DegreeMarker:
-    """Distinguished non-integer outcome of a degree query."""
-
-    __slots__ = ("_label",)
-
-    def __init__(self, label: str):
-        self._label = label
-
-    def __repr__(self) -> str:
-        return self._label
-
-
-#: Degree outcome for the zero polynomial.
-ZERO_POLYNOMIAL = _DegreeMarker("zero-polynomial")
-#: Degree outcome for a polynomial whose terms have mixed total degrees.
-NOT_HOMOGENEOUS = _DegreeMarker("not-homogeneous")
 
 
 def monomial_degree(exponents: Exponents) -> int:
@@ -98,16 +80,10 @@ def mul_terms(
 
 
 # The one monomial order: graded reverse-lexicographic, T_0 > T_1 > ... > T_N.
-# It orders printed terms, leading monomials and division.
+# It orders printed terms, leading monomials and division.  Ascending order
+# in this key is descending grevlex: the greatest monomial sorts first.
 def grevlex_key(exponents: Exponents) -> tuple:
-    return (sum(exponents), tuple(map(neg, reversed(exponents))))
-
-
-def leading_monomial(p: "Polynomial") -> Exponents:
-    """The grevlex-greatest monomial of ``p``; `Polynomial.lead` keeps it."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no leading monomial")
-    return max(p.terms, key=grevlex_key)
+    return (-sum(exponents), exponents[::-1])
 
 
 @dataclass(frozen=True)
@@ -192,16 +168,32 @@ class Polynomial:
 
     @cached_property
     def lead(self) -> Exponents:
-        """The leading monomial, computed on first use and then kept.
+        """The grevlex-greatest monomial, computed on first use and then kept.
 
         It is the key object stored in ``terms``, so ``terms[p.lead]`` is the
         leading coefficient.  Division asks each divisor for it many times.
+        The zero polynomial has none (`ValueError`).
         """
-        return leading_monomial(self)
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading monomial")
+        return min(self.terms, key=grevlex_key)
+
+    @cached_property
+    def degree(self) -> int | None:
+        """The common total degree of the terms, computed on first use and
+        then kept; None for the zero polynomial.  Terms of mixed degrees
+        raise `NotHomogeneousError`."""
+        degrees = set(map(sum, self.terms))
+        if len(degrees) > 1:
+            raise NotHomogeneousError(
+                f"polynomial is not homogeneous: it has terms of degrees "
+                f"{min(degrees)} to {max(degrees)}"
+            )
+        return degrees.pop() if degrees else None
 
     def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in canonical (grevlex descending) order."""
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]))
 
     def __iter__(self) -> Iterator[tuple[Exponents, Scalar]]:
         return iter(self.sorted_terms())
@@ -262,21 +254,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_polynomial(self)!r})"
-
-
-def homogeneous_degree(p: Polynomial) -> int | _DegreeMarker:
-    """Common total degree of all terms, or a marker for zero / mixed degrees."""
-    if p.is_zero():
-        return ZERO_POLYNOMIAL
-    degrees = {monomial_degree(e) for e in p.terms}
-    if len(degrees) > 1:
-        return NOT_HOMOGENEOUS
-    return degrees.pop()
-
-
-def is_homogeneous(p: Polynomial) -> bool:
-    """True for the zero polynomial and for single-degree polynomials."""
-    return homogeneous_degree(p) is not NOT_HOMOGENEOUS
 
 
 def distinct_nonzero(polys: Sequence[Polynomial]) -> Iterator[tuple[int, Polynomial]]:
@@ -348,8 +325,7 @@ def differential_at(p: Polynomial, x: ProjectivePoint) -> tuple[Scalar, ...]:
     The result depends on the chosen homogeneous coordinates of ``x``; callers
     must only rely on scale-invariant facts (vanishing, span membership).
     """
-    if homogeneous_degree(p) is NOT_HOMOGENEOUS:
-        raise NotHomogeneousError("differential requires a homogeneous polynomial")
+    p.degree  # raises NotHomogeneousError
     _require_point_of(p.ring, x)
     ring_field = p.ring.field
     add, mul, power = ring_field.add, ring_field.mul, ring_field.pow

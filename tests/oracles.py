@@ -11,7 +11,11 @@ algorithm with the eager transcript first written, on that textbook division.
 The expression parser is the one first written, which makes every number,
 variable, power and product its own `Polynomial`.  The degree-sequence order
 walks the degrees from the top, condition (iv) compares two ranks, and the
-dimension scans every variable subset, each as first written.
+dimension scans every variable subset, each as first written.  The
+certificate rules are checked on degree slices alone: a normal form is what
+the slice's row-echelon form leaves of a polynomial, and the reduced basis
+below a degree is read off the echelon rows whose pivots no lower pivot
+divides.
 
 Scalar arithmetic uses the field's own operations (``field.add``, ``mul``,
 ``div`` ...), which `tests/test_fields.py` checks against ``Fraction``
@@ -35,7 +39,6 @@ from ciforge import (
     Replaced,
     differential_at,
     evaluate,
-    homogeneous_degree,
 )
 from ciforge.poly import distinct_nonzero
 
@@ -162,9 +165,14 @@ def minimal_generator_total(gens, num_vars: int) -> int:
     )
 
 
+def _grevlex_ascending_key(exps):
+    """Sorts exponent tuples in ascending grevlex with T_0 > T_1 > ... > T_N."""
+    return (sum(exps), tuple(-x for x in reversed(exps)))
+
+
 def _grevlex_greatest(monomials):
-    """Greatest exponent tuple in grevlex with T_0 > T_1 > ... > T_N."""
-    return max(monomials, key=lambda e: (sum(e), tuple(-x for x in reversed(e))))
+    """Greatest exponent tuple in grevlex."""
+    return max(monomials, key=_grevlex_ascending_key)
 
 
 def reference_division(dividend: dict, divisors: list[dict], field):
@@ -339,7 +347,7 @@ def reference_subst_step(system, x):
     if relation is None:
         return Independent()
     support = [i for i, c in enumerate(relation) if c]
-    degrees = [homogeneous_degree(g) for g in system.gens]
+    degrees = [sum(next(iter(g.terms))) for g in system.gens]
     top_degree = max(degrees[i] for i in support)
     top = [i for i in support if degrees[i] == top_degree]
 
@@ -550,3 +558,162 @@ def reference_parse(text: str, ring) -> Polynomial:
     """``text`` parsed node by node, each node a `Polynomial`; raises
     `ParseError` with the same messages and positions as `parse_polynomial`."""
     return _ReferenceParser(text, ring).parse()
+
+
+def _degrees(p) -> set[int]:
+    return {sum(e) for e in p.terms}
+
+
+def _subtract_multiple(row: dict, factor, other: dict, field) -> dict:
+    """row - factor * other on term maps."""
+    row = dict(row)
+    for m, c in other.items():
+        value = field.sub(row.get(m, field.zero), field.mul(factor, c))
+        if value:
+            row[m] = value
+        else:
+            row.pop(m, None)
+    return row
+
+
+def _reduce_by(row: dict, echelon: dict, field) -> dict:
+    """``row`` with every pivot of the fully reduced ``echelon`` cleared."""
+    for pivot, other in echelon.items():
+        if pivot in row:
+            row = _subtract_multiple(row, row[pivot], other, field)
+    return row
+
+
+def _slice_echelon(gens, ring, degree: int, *, min_cofactor_degree: int) -> dict:
+    """The reduced row-echelon form of a degree slice (see `_slice_rows`) as
+    {pivot monomial: monic term map}, pivots taken grevlex-greatest first, so
+    each row's pivot is its leading monomial and no row has another's pivot."""
+    field = ring.field
+    monomials = degree_monomials(ring.num_vars, degree)
+    echelon: dict = {}
+    for values in _slice_rows(
+        gens, field, ring.num_vars, degree, min_cofactor_degree=min_cofactor_degree
+    ):
+        row = _reduce_by({m: c for m, c in zip(monomials, values) if c}, echelon, field)
+        if not row:
+            continue
+        pivot = _grevlex_greatest(row)
+        inv = field.div(field.one, row[pivot])
+        row = {m: field.mul(c, inv) for m, c in row.items()}
+        for p, other in echelon.items():
+            if pivot in other:
+                echelon[p] = _subtract_multiple(other, other[pivot], row, field)
+        echelon[pivot] = row
+    return echelon
+
+
+def reference_normal_form(f, gens, *, below: bool = False):
+    """The normal form of a homogeneous ``f`` modulo the ideal of ``gens``,
+    or with ``below`` modulo the ideal's members of degree below deg f: what
+    is left of f once the slice's row-echelon form has cleared every
+    leading monomial of the slice.  It is unique, so it is the remainder of
+    division by any Groebner basis of that ideal."""
+    ring = f.ring
+    if f.is_zero():
+        return f
+    (degree,) = _degrees(f)
+    echelon = _slice_echelon(
+        gens, ring, degree, min_cofactor_degree=1 if below else 0
+    )
+    return Polynomial(ring, _reduce_by(dict(f.terms), echelon, ring.field))
+
+
+def reference_truncated_basis(gens, degree: int) -> list:
+    """The reduced grevlex basis elements of degree below ``degree`` of the
+    ideal of ``gens``, ascending by leading monomial, from slices alone: in
+    each degree the echelon row of every leading monomial that no leading
+    monomial one degree lower divides."""
+    ring = gens[0].ring
+    elements, lower = [], {}
+    for d in range(degree):
+        echelon = _slice_echelon(gens, ring, d, min_cofactor_degree=0)
+        elements += [
+            Polynomial(ring, row)
+            for pivot, row in echelon.items()
+            if not any(_divides(q, pivot) for q in lower)
+        ]
+        lower = echelon
+    elements.sort(key=lambda g: _grevlex_ascending_key(_grevlex_greatest(g.terms)))
+    return elements
+
+
+def _degree_counts(degrees) -> tuple[int, ...]:
+    degrees = list(degrees)
+    return tuple(degrees.count(d) for d in range(1, max(degrees, default=0) + 1))
+
+
+def _trimmed(counts) -> tuple[int, ...]:
+    counts = tuple(counts)
+    while counts and counts[-1] == 0:
+        counts = counts[:-1]
+    return counts
+
+
+def reference_certificate_valid(data: dict, gens, point, codim: int) -> bool:
+    """Whether the certificate JSON object ``data`` holds for the input
+    ``gens`` (nonzero, homogeneous, distinct) at ``point``, whose zero locus
+    is known to have codimension ``codim``.
+
+    The rules are the ones README states, each checked on slices: the field,
+    variables and codimension match; the trace is empty exactly when the
+    input has ``codim`` generators, and otherwise starts at the input's
+    degree counts and strictly decreases.  A CI claim lists ``codim``
+    nonzero homogeneous generators of positive degree that generate the
+    input's ideal, and a nonempty trace ends at their degree counts.  A
+    non-CI claim is made at the input's point, which must be smooth, for a
+    nonzero homogeneous member singular there whose normal form modulo the
+    lower-degree members is nonzero and is the claimed remainder; the
+    claimed truncated basis is the reduced basis below the witness's degree.
+    A polynomial that does not parse raises `ParseError`.
+    """
+    ring = gens[0].ring
+    field = ring.field
+    if data["field"] != field.tag or data["vars"] != list(ring.var_names):
+        return False
+    if data["codim"] != codim:
+        return False
+    trace = [_trimmed(t) for t in data["trace"]]
+    if not trace:
+        if len(gens) != codim:
+            return False
+    elif (
+        len(gens) == codim
+        or trace[0] != _degree_counts(min(_degrees(g)) for g in gens)
+        or not all(reference_seq_succ(a, b) for a, b in zip(trace, trace[1:]))
+    ):
+        return False
+
+    def members(polys, of):
+        return all(reference_normal_form(p, of).is_zero() for p in polys)
+
+    if data["kind"] == "ci":
+        final = [reference_parse(s, ring) for s in data["final_gens"]]
+        degrees = [_degrees(g) for g in final]
+        if len(final) != codim or any(len(d) != 1 or d == {0} for d in degrees):
+            return False
+        if trace and trace[-1] != _degree_counts(min(d) for d in degrees):
+            return False
+        return members(final, gens) and members(gens, final)
+
+    coords = tuple(field.scalar_from_str(c) for c in data["point"])
+    jacobian = [list(differential_at(g, point)) for g in gens]
+    if coords != point.coords or row_reduce_rank(jacobian, field) != codim:
+        return False
+    witness = reference_parse(data["witness"], ring)
+    if len(_degrees(witness)) != 1 or any(differential_at(witness, point)):
+        return False
+    if not members([witness], gens):
+        return False
+    (degree,) = _degrees(witness)
+    remainder = reference_normal_form(witness, gens, below=True)
+    return (
+        not remainder.is_zero()
+        and remainder == reference_parse(data["remainder"], ring)
+        and reference_truncated_basis(gens, degree)
+        == [reference_parse(s, ring) for s in data["truncated_basis"]]
+    )

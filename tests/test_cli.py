@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ciforge
 from ciforge.cli import run_command
 
 TWISTED_CUBIC = """\
@@ -192,6 +197,23 @@ class TestVerifyCommand:
         assert run_command(["verify", str(lqr_file), "--cert", str(cert_path)]) == 3
         assert "verified: no" in capsys.readouterr().out
 
+    def test_non_homogeneous_final_generator_with_empty_trace_refuted(
+        self, tmp_path, capsys
+    ):
+        # The input already has codimension size, so the trace is empty and
+        # only the final generators' own check sees the change.
+        path = tmp_path / "two-lines.ideal"
+        path.write_text("field: q\nvars: T0 T1 T2\npoint: 0 0 1\ngens:\nT0\nT1\n")
+        cert_path = tmp_path / "cert.json"
+        assert run_command(["decide", str(path), "--out", str(cert_path)]) == 0
+        data = json.loads(cert_path.read_text())
+        assert data["trace"] == []
+        data["final_gens"][1] = "T0 + T1^2"
+        cert_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run_command(["verify", str(path), "--cert", str(cert_path)]) == 3
+        assert capsys.readouterr().out == "verified: no\n"
+
     @pytest.mark.parametrize(
         "tamper",
         [
@@ -302,6 +324,29 @@ class TestUsageAndParsing:
         assert captured.out == ""
         assert "too many digits" in captured.err
         assert "(at position " in captured.err
+
+    def test_computed_value_past_the_print_limit_prints_nothing(self, tmp_path, capsys):
+        # Each denominator has at most 4300 digits; the remainder's, their
+        # product, has more, so the report fails after "member: no".
+        path = tmp_path / "line.ideal"
+        path.write_text("field: q\nvars: T0 T1\ngens:\nT0 - T1\n")
+        poly = "1/" + "9" * 4300 + "*T0 - 1/" + "9" * 4299 + "*T1"
+        assert run_command(["member", str(path), "--poly", poly]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("module", ["ciforge", "ciforge.cli"])
+    def test_module_run(self, cubic_file, module):
+        src = Path(ciforge.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", module, "dim", str(cubic_file)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
 
     def test_bad_field_line(self, tmp_path, capsys):
         path = tmp_path / "bad.ideal"

@@ -36,7 +36,6 @@ from ciforge import (
     degree_sequence,
     differential_at,
     evaluate,
-    homogeneous_degree,
     ideal_equal,
     input_fingerprint,
     parse_polynomial,
@@ -274,10 +273,10 @@ def vanishing_systems(draw):
         elif kind == "multiple":
             g = draw(st.sampled_from(gens)) * draw(small)
         elif kind == "combination":
-            d = homogeneous_degree(draw(st.sampled_from(gens)))
+            d = draw(st.sampled_from(gens)).degree
             g = ring.zero()
             for h in gens:
-                if homogeneous_degree(h) == d:
+                if h.degree == d:
                     g = g + h * draw(small)
         else:
             g = draw(st.sampled_from(gens)) * ring.variable(draw(st.integers(0, n - 1)))
@@ -453,10 +452,11 @@ def condition_iv_cases(draw):
     system, x = draw(vanishing_systems())
     ring, field = system.ring, system.ring.field
     n = ring.num_vars
-    top = max(system.degrees) + 1
+    top = max(g.degree for g in system.gens) + 1
     small = st.integers(-3, 3).map(field.scalar)
     f = ring.zero()
-    for g, d in zip(system.gens, system.degrees):
+    for g in system.gens:
+        d = g.degree
         cofactor = ring.zero()
         for _ in range(draw(st.integers(1, 2))):
             factors = draw(
@@ -476,7 +476,7 @@ def condition_iv_cases(draw):
     # Members drawn from the first generators only, so that d_x(f) may lie
     # outside their span.
     split = draw(st.integers(1, len(system)))
-    low = list(zip(system.gens, system.degrees))[:split]
+    low = [(g, g.degree) for g in system.gens[:split]]
     members = [g for g, _ in low] + [
         g * ring.variable(i) for g, d in low if d + 1 < top for i in range(n)
     ]
@@ -622,7 +622,7 @@ class TestBasisWork:
 
         def observe(before, outcome, after):
             if isinstance(outcome, Replaced):
-                degrees.add(homogeneous_degree(outcome.new_poly))
+                degrees.add(outcome.new_poly.degree)
 
         calls = _count_bases(monkeypatch)
         reduce_to_ci(system, x, on_iteration=observe)

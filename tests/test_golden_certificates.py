@@ -40,17 +40,21 @@ CASES = {
 }
 
 
+def ideal_text(entry) -> str:
+    """The input file of a corpus entry, over Q; ``--field`` overrides it."""
+    return (
+        "field: q\n"
+        f"vars: {' '.join(entry.ring.var_names)}\n"
+        f"point: {' '.join(str(c) for c in entry.point_coords)}\n"
+        "gens:\n" + "\n".join(entry.gen_exprs) + "\n"
+    )
+
+
 def decide_bytes(tmp_path: Path, name: str) -> str:
     """The certificate file `decide` writes for case ``name``."""
     entry, field = CASES[name]
     ideal = tmp_path / f"{name}.ideal"
-    ideal.write_text(
-        "field: q\n"
-        f"vars: {' '.join(entry.ring.var_names)}\n"
-        f"point: {' '.join(str(c) for c in entry.point_coords)}\n"
-        "gens:\n" + "\n".join(entry.gen_exprs) + "\n",
-        encoding="utf-8",
-    )
+    ideal.write_text(ideal_text(entry), encoding="utf-8")
     cert = tmp_path / f"{name}.cert.json"
     argv = ["decide", str(ideal), "--out", str(cert)]
     if field is not None:

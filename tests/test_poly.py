@@ -10,9 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ciforge import (
-    NOT_HOMOGENEOUS,
     QQ,
-    ZERO_POLYNOMIAL,
     NotHomogeneousError,
     ParseError,
     Polynomial,
@@ -22,8 +20,6 @@ from ciforge import (
     RingMismatchError,
     differential_at,
     evaluate,
-    homogeneous_degree,
-    is_homogeneous,
     parse_polynomial,
     reduced_groebner,
 )
@@ -293,17 +289,16 @@ def test_print_is_grevlex_descending(p3):
 
 
 class TestDegrees:
-    def test_zero_marker(self, p2):
-        assert homogeneous_degree(p2.zero()) is ZERO_POLYNOMIAL
-        assert is_homogeneous(p2.zero())
+    def test_zero_degree_is_none(self, p2):
+        assert p2.zero().degree is None
 
-    def test_mixed_marker(self, p2):
+    def test_mixed_degrees_raise(self, p2):
         f = parse_polynomial("x + y^2", p2)
-        assert homogeneous_degree(f) is NOT_HOMOGENEOUS
-        assert not is_homogeneous(f)
+        with pytest.raises(NotHomogeneousError, match="degrees 1 to 2"):
+            f.degree
 
     def test_plain_degree(self, p2):
-        assert homogeneous_degree(parse_polynomial("x*y - z^2", p2)) == 2
+        assert parse_polynomial("x*y - z^2", p2).degree == 2
 
 
 class TestPoint:
