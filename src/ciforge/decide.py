@@ -70,7 +70,7 @@ class GeneratorSystem:
             if not polys:
                 raise ValueError("cannot infer the ring of an empty list")
             ring = polys[0].ring
-        return cls(ring, tuple(p for _, p in distinct_nonzero(polys)))
+        return cls(ring, tuple(distinct_nonzero(polys)))
 
     def without(self, index: int) -> "GeneratorSystem":
         """The system minus generator ``index``.

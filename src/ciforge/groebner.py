@@ -13,6 +13,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -25,7 +26,6 @@ from .poly import (
     Exponents,
     Polynomial,
     PolynomialRing,
-    distinct_nonzero,
     grevlex_key,
     monomial_degree,
     monomial_div,
@@ -171,8 +171,11 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> QuotientRecord:
 class GroebnerBasis:
     """A reduced Groebner basis: monic, interreduced, sorted by leading monomial.
 
-    ``derivation`` has one row per polynomial the computation made: an S-pair
-    remainder or a monic, tail-reduced element.  Nodes ``0 ..
+    ``derivation`` has one row per polynomial the computation made: the
+    remainder of a generator that the basis before it reduced but did not
+    cancel, an S-pair remainder, or a monic, tail-reduced element.  A
+    generator that reduced to zero on entry was dropped and appears in no
+    row; one left untouched entered as its own node.  Nodes ``0 ..
     len(source_gens) - 1`` are the source generators and node
     ``len(source_gens) + r`` is what row ``r`` made: its first multiplier (a
     polynomial or a scalar) times that node, minus each further multiplier
@@ -223,9 +226,16 @@ def reduced_groebner(
     Buchberger's algorithm with the coprime and chain criteria and normal pair
     selection (lowest lcm degree first, ties by pair creation order).  Every
     generator must be homogeneous (`NotHomogeneousError`); zero generators
-    are dropped and duplicates merged before computation.  The
-    result is the unique reduced basis of the ideal, independent of
-    generator order.  Each polynomial it makes appends a derivation row.
+    are dropped.  The others enter one at a time in (degree, position) order,
+    each just before the pairs of its degree (the incremental form of Gebauer
+    and Möller), after division by the basis built so far.  A zero remainder
+    means the generator already lies in the ideal of that basis, so it is
+    dropped: it forms no pairs and adds no row (duplicates and scalar
+    multiples go this way).  A generator the division leaves untouched enters
+    as its own source node; any other enters as its remainder, made by one
+    row ``((1, position), (quotient, node)...)``.  The result is the unique
+    reduced basis of the ideal, independent of generator order.  Each
+    polynomial it makes appends a derivation row.
     """
     if ring is None:
         if not gens:
@@ -236,32 +246,55 @@ def reduced_groebner(
         raise RingMismatchError("generators belong to different rings")
 
     basis: list[Polynomial] = []
+    lms: list[Exponents] = []
+    lcs: list[Scalar] = []
     nodes: list[int] = []  # derivation node of each basis entry
     derivation: list[tuple] = []
-
-    for position, g in distinct_nonzero(source):
-        g.degree  # raises NotHomogeneousError
-        basis.append(g)
-        nodes.append(position)
-
-    lms = [g.lead for g in basis]
-    lcs = [g.terms[lm] for g, lm in zip(basis, lms)]
     div, one = ring.field.div, ring.field.one
 
     pending: set[frozenset[int]] = set()
     queue: list[tuple[int, int, int, int]] = []  # (lcm degree, creation idx, i, j)
-    counter = 0
-    for j in range(len(basis)):
-        for i in range(j):
-            lcm = monomial_lcm(lms[i], lms[j])
-            queue.append((monomial_degree(lcm), counter, i, j))
-            counter += 1
-            pending.add(frozenset((i, j)))
+    created = count()
 
-    heapq.heapify(queue)
+    def enter(element: Polynomial, node: int) -> None:
+        """Add ``element`` to the basis and queue its pairs with the others."""
+        new, new_lm = len(basis), element.lead
+        for k, lm in enumerate(lms):
+            lcm_degree = monomial_degree(monomial_lcm(lm, new_lm))
+            heapq.heappush(queue, (lcm_degree, next(created), k, new))
+            pending.add(frozenset((k, new)))
+        basis.append(element)
+        lms.append(new_lm)
+        lcs.append(element.terms[new_lm])
+        nodes.append(node)
 
-    while queue:
+    def made(row: tuple) -> int:
+        """Append a derivation row; the node of the polynomial it makes."""
+        derivation.append(row)
+        return len(source) + len(derivation) - 1
+
+    # (degree, position) of each nonzero generator, the next to enter last;
+    # g.degree raises NotHomogeneousError.
+    waiting = sorted(
+        ((g.degree, p) for p, g in enumerate(source) if not g.is_zero()),
+        reverse=True,
+    )
+
+    while waiting or queue:
         check_deadline("basis computation")
+        if waiting and (not queue or queue[0][0] >= waiting[-1][0]):
+            position = waiting.pop()[1]
+            g = source[position]
+            record = normal_form(g, basis)
+            if record.remainder.is_zero():
+                continue
+            row = _nonzero_terms(record.quotients, nodes)
+            if row:
+                enter(record.remainder, made(((one, position),) + row))
+            else:
+                enter(g, position)
+            continue
+
         _, _, i, j = heapq.heappop(queue)
         pending.discard(frozenset((i, j)))
         lcm = monomial_lcm(lms[i], lms[j])
@@ -293,18 +326,7 @@ def reduced_groebner(
         if record.remainder.is_zero():
             continue
         head = ((mono_i, nodes[i]), (mono_j, nodes[j]))
-        derivation.append(head + _nonzero_terms(record.quotients, nodes))
-        nodes.append(len(source) + len(derivation) - 1)
-        new_index = len(basis)
-        basis.append(record.remainder)
-        new_lm = record.remainder.lead
-        lms.append(new_lm)
-        lcs.append(record.remainder.terms[new_lm])
-        for k in range(new_index):
-            lcm_k = monomial_lcm(lms[k], new_lm)
-            heapq.heappush(queue, (monomial_degree(lcm_k), counter, k, new_index))
-            counter += 1
-            pending.add(frozenset((k, new_index)))
+        enter(record.remainder, made(head + _nonzero_terms(record.quotients, nodes)))
 
     # Minimalize: drop elements whose leading monomial another one divides.
     keep: list[int] = []
@@ -330,9 +352,8 @@ def reduced_groebner(
         inv = div(one, lcs[i])
         record = normal_form(basis[i] * inv, final)
         head = ((inv, nodes[i]),)
-        derivation.append(head + _nonzero_terms(record.quotients, final_nodes))
         final.append(record.remainder)
-        final_nodes.append(len(source) + len(derivation) - 1)
+        final_nodes.append(made(head + _nonzero_terms(record.quotients, final_nodes)))
 
     return GroebnerBasis(ring, tuple(final), source, tuple(derivation))
 

@@ -256,17 +256,17 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-def distinct_nonzero(polys: Sequence[Polynomial]) -> Iterator[tuple[int, Polynomial]]:
-    """(position, polynomial) for each nonzero entry, skipping exact repeats."""
+def distinct_nonzero(polys: Sequence[Polynomial]) -> Iterator[Polynomial]:
+    """Each nonzero entry, in order, skipping exact repeats."""
     seen: set[frozenset] = set()
-    for i, p in enumerate(polys):
+    for p in polys:
         if p.is_zero():
             continue
         fingerprint = frozenset(p.terms.items())
         if fingerprint in seen:
             continue
         seen.add(fingerprint)
-        yield i, p
+        yield p
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ monomial of the complementary degree.  Division is the textbook loop that
 rescans for the leading monomial.  The rewrite step is the one first written,
 which also searched the top-degree block for a linear relation among the
 generators as polynomials.  Membership cofactors come from Buchberger's
-algorithm with the eager transcript first written, on that textbook division.
+algorithm with an eager transcript, on that textbook division.
 The expression parser is the one first written, which makes every number,
 variable, power and product its own `Polynomial`.  The degree-sequence order
 walks the degrees from the top, condition (iv) compares two ranks, and the
@@ -40,7 +40,6 @@ from ciforge import (
     differential_at,
     evaluate,
 )
-from ciforge.poly import distinct_nonzero
 
 
 def degree_monomials(num_vars: int, degree: int) -> list[tuple[int, ...]]:
@@ -224,34 +223,54 @@ def _divides(a, b):
 
 
 def reference_cofactors(f, gens):
-    """Membership of ``f`` in the ideal of ``gens`` as first written: a
-    `QuotientRecord` whose quotients are cofactors over ``gens``.
+    """Membership of ``f`` in the ideal of ``gens`` with an eager transcript:
+    a `QuotientRecord` whose quotients are cofactors over ``gens``.
 
-    Buchberger's algorithm runs the pairs in the package's order, with its
-    coprime and chain criteria, and keeps an eager transcript: every basis
-    entry carries its full list of cofactors over ``gens``, updated at each
-    S-pair remainder, made monic and tail-reduced with its element.  The
-    quotients of ``f`` against the reduced basis are then expanded through
-    those lists.
+    Buchberger's algorithm enters the generators and runs the pairs in the
+    package's order, with its coprime and chain criteria, and every basis
+    entry carries its full list of cofactors over ``gens``.  A nonzero
+    generator enters in (degree, position) order, before the pairs of its
+    degree, as its remainder on division by the basis so far, whose list is
+    the unit row minus the quotients times the divisors' lists; a zero
+    remainder enters nothing.  Each S-pair remainder gets its list the same
+    way, and the lists are made monic and tail-reduced with their elements.
+    The quotients of ``f`` against the reduced basis are then expanded
+    through those lists.
     """
     ring = f.ring
     field = ring.field
     zero = ring.zero()
-    basis, reps = [], []
-    for position, g in distinct_nonzero(gens):
-        rep = [zero] * len(gens)
-        rep[position] = ring.one()
-        basis.append(g)
-        reps.append(rep)
-    lms = [_grevlex_greatest(g.terms) for g in basis]
+    basis, reps, lms = [], [], []
+    queue, pending = [], set()
 
     def lcm(i, j):
         return tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
 
-    queue = [(sum(lcm(i, j)), (j, i), i, j) for j in range(len(basis)) for i in range(j)]
-    heapq.heapify(queue)
-    pending = {frozenset((i, j)) for _, _, i, j in queue}
-    while queue:
+    def enter(quotients, remainder, rep):
+        for q, other in zip(quotients, reps):
+            rep = [r - q * o for r, o in zip(rep, other)]
+        new = len(basis)
+        basis.append(remainder)
+        reps.append(rep)
+        lms.append(_grevlex_greatest(remainder.terms))
+        for k in range(new):
+            heapq.heappush(queue, (sum(lcm(k, new)), (new, k), k, new))
+            pending.add(frozenset((k, new)))
+
+    waiting = sorted(
+        (sum(next(iter(g.terms))), position)
+        for position, g in enumerate(gens)
+        if not g.is_zero()
+    )
+    while waiting or queue:
+        if waiting and (not queue or queue[0][0] >= waiting[0][0]):
+            _, position = waiting.pop(0)
+            quotients, remainder = _divide(gens[position], basis)
+            if not remainder.is_zero():
+                unit = [zero] * len(gens)
+                unit[position] = ring.one()
+                enter(quotients, remainder, unit)
+            continue
         _, _, i, j = heapq.heappop(queue)
         pending.discard(frozenset((i, j)))
         m = lcm(i, j)
@@ -273,18 +292,9 @@ def reference_cofactors(f, gens):
             for k in (i, j)
         )
         quotients, remainder = _divide(basis[i] * mono_i - basis[j] * mono_j, basis)
-        if remainder.is_zero():
-            continue
-        rep = [mono_i * a - mono_j * b for a, b in zip(reps[i], reps[j])]
-        for q, other in zip(quotients, reps):
-            rep = [r - q * o for r, o in zip(rep, other)]
-        new = len(basis)
-        basis.append(remainder)
-        reps.append(rep)
-        lms.append(_grevlex_greatest(remainder.terms))
-        for k in range(new):
-            heapq.heappush(queue, (sum(lcm(k, new)), (new, k), k, new))
-            pending.add(frozenset((k, new)))
+        if not remainder.is_zero():
+            rep = [mono_i * a - mono_j * b for a, b in zip(reps[i], reps[j])]
+            enter(quotients, remainder, rep)
 
     keep = [
         i

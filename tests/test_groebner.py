@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from functools import cached_property
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -35,7 +35,12 @@ from ciforge.poly import grevlex_key
 
 from corpus import PLANTED_IN_P5, PLANTED_QUADRICS, RATIONAL_NORMAL_QUARTIC
 from helpers import expand, leading_coefficient
-from oracles import reference_cofactors, reference_dimension, reference_division
+from oracles import (
+    reference_cofactors,
+    reference_dimension,
+    reference_division,
+    reference_truncated_basis,
+)
 
 
 def strs(polys):
@@ -253,6 +258,84 @@ class TestDivisionWork:
         assert len(computed) == before
 
 
+class TestEntry:
+    """Generators enter one at a time, each divided by the basis built so far:
+    one that already lies in the ideal of those before it costs that division
+    and nothing else."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_redundant_generators_cost_one_division_each(self, monkeypatch, field):
+        ring = PolynomialRing(field, tuple(f"T{i}" for i in range(5)))
+        T = [ring.variable(i) for i in range(5)]
+        # Leading monomials T0..T3, tails in T4: each enters untouched.
+        independent = [T[i] - T[4] * (i + 2) for i in range(4)]
+        L0, L1, L2, L3 = independent
+        redundant = [L0 + L1, L1 * 2 - L3, L0 + L1 + L2 + L3, L2 * 3, L3 - L0]
+        gens = independent + redundant
+        dividends = []
+        original = groebner.normal_form
+
+        def observing(f, basis):
+            dividends.append(f)
+            return original(f, basis)
+
+        monkeypatch.setattr(groebner, "normal_form", observing)
+        basis = reduced_groebner(gens)
+        k, m = len(independent), len(redundant)
+        assert len(basis.elements) == k
+        # One entry division per generator, in position order, then one
+        # tail reduction per element: no S-pair is ever reduced.
+        assert len(dividends) == k + m + k
+        assert all(f is g for f, g in zip(dividends, gens))
+        # The independent forms are their own nodes; the final elements make
+        # the only rows, and no row reads a dropped generator.
+        assert len(basis.derivation) == k
+        dropped = set(range(k, k + m))
+        assert not any(node in dropped for row in basis.derivation for _, node in row)
+
+    def test_reduced_generator_enters_with_one_row(self, p3):
+        first = parse_polynomial("T0 - T1", p3)
+        second = parse_polynomial("T0 + T1", p3)
+        basis = reduced_groebner([first, second])
+        assert strs(basis.elements) == ["T1", "T0"]
+        # Node 2 is 1 * second - 1 * first = 2*T1; the elements follow.
+        entry, *final = basis.derivation
+        assert entry == ((QQ.one, 1), (p3.one(), 0))
+        assert len(final) == 2
+        for k, element in enumerate(basis.elements):
+            unit = [p3.zero()] * 2
+            unit[k] = p3.one()
+            record = QuotientRecord(basis.cofactors(unit), p3.zero())
+            assert expand(record, basis.source_gens) == element
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_basis_does_not_depend_on_entry_order(self, data):
+        ring = PolynomialRing(data.draw(st.sampled_from(FIELDS)), ("T0", "T1", "T2"))
+        degrees = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        gens = [g for g in (data.draw(forms(ring, d)) for d in degrees) if not g.is_zero()]
+        assume(gens)
+        duplicate = data.draw(st.sampled_from(gens))
+        multiple = data.draw(st.sampled_from(gens)) * data.draw(st.sampled_from((-1, 2, 3, 5)))
+        shuffled = data.draw(st.permutations(gens + [duplicate, multiple]))
+        elements = reduced_groebner(shuffled).elements
+        top = max(g.degree for g in (*gens, *elements))
+        assert list(elements) == reference_truncated_basis(gens, top + 1)
+        # Every S-pair reduces to zero by the textbook division, so no
+        # element is missing above the degrees compared.
+        field = ring.field
+        for a, b in combinations(elements, 2):
+            lcm = tuple(map(max, a.lead, b.lead))
+            s_poly = (
+                a * ring.monomial(tuple(x - y for x, y in zip(lcm, a.lead)), field.one)
+                - b * ring.monomial(tuple(x - y for x, y in zip(lcm, b.lead)), field.one)
+            )
+            _, remainder = reference_division(
+                dict(s_poly.terms), [dict(g.terms) for g in elements], field
+            )
+            assert not remainder
+
+
 class TestReducedBasis:
     def test_twisted_cubic(self, twisted_cubic):
         basis = reduced_groebner(list(twisted_cubic))
@@ -388,8 +471,8 @@ def memberships(draw):
 
 class TestCofactors:
     """`Ideal.member` composes cofactors from the basis derivation on demand;
-    they equal, polynomial for polynomial, those of the eager transcript
-    first written."""
+    they equal, polynomial for polynomial, those of the eager transcript in
+    `tests/oracles.py`, which enters generators in the same order."""
 
     @settings(deadline=None, max_examples=60)
     @given(memberships())
@@ -399,6 +482,19 @@ class TestCofactors:
         assert record == reference_cofactors(f, gens)
         assert member == record.remainder.is_zero()
         assert expand(record, gens) == f
+
+    def test_generator_enters_before_the_pairs_of_its_degree(self):
+        # The quadrics' S-pair has degree 3 and its remainder spans the cubic:
+        # run before the cubic entered, it would make the cubic redundant.
+        ring = PolynomialRing(QQ, ("T0", "T1", "T2"))
+        gens = [
+            parse_polynomial(s, ring)
+            for s in ("T0*T2", "T0*T1 + T1^2 + 2*T0*T2", "T1^2*T2 - 3*T0*T2^2")
+        ]
+        member, record = Ideal(gens).member(gens[2])
+        assert member
+        assert strs(record.quotients) == ["0", "0", "1"]
+        assert record == reference_cofactors(gens[2], gens)
 
     def test_deep_derivation(self):
         # The truncated ideal that decide's containment tests read: its basis
