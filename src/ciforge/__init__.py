@@ -15,7 +15,6 @@ from .certificates import (
 )
 from .decide import (
     GeneratorSystem,
-    Independent,
     Removed,
     Replaced,
     RewriteOutcome,
@@ -73,62 +72,61 @@ from .poly import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "basis_time_limit",
     "BuchbergerTimeout",
     "Certificate",
     "CertificateMismatchError",
+    "check_condition_iv",
     "CICertificate",
+    "degree_sequence",
     "DegreeSequence",
+    "differential_at",
+    "evaluate",
     "ExactMatrix",
     "Field",
+    "field_from_tag",
     "GeneratorSystem",
     "GroebnerBasis",
     "Ideal",
+    "ideal_equal",
+    "ideal_member",
     "IdealFile",
     "ImproperIdealError",
-    "Independent",
+    "input_fingerprint",
+    "kernel_basis",
+    "linear_relation_polys",
     "NonCICertificate",
+    "normal_form",
     "NotHomogeneousError",
     "NotInIdealError",
     "NotSmoothError",
+    "parse_certificate",
+    "parse_ideal_file",
+    "parse_polynomial",
     "ParseError",
     "PointNotOnVarietyError",
     "Polynomial",
     "PolynomialRing",
     "PrimeField",
+    "projective_dimension",
     "ProjectivePoint",
     "QQ",
     "QuotientRecord",
+    "rank",
     "RationalField",
+    "reduce_to_ci",
+    "reduced_groebner",
     "Removed",
     "Replaced",
     "RewriteOutcome",
     "RingMismatchError",
     "Scalar",
-    "SmoothnessReport",
-    "TrivialContainment",
-    "basis_time_limit",
-    "check_condition_iv",
-    "degree_sequence",
-    "differential_at",
-    "evaluate",
-    "field_from_tag",
-    "ideal_equal",
-    "ideal_member",
-    "input_fingerprint",
-    "kernel_basis",
-    "linear_relation_polys",
-    "normal_form",
-    "parse_certificate",
-    "parse_ideal_file",
-    "parse_polynomial",
-    "projective_dimension",
-    "rank",
-    "reduce_to_ci",
-    "reduced_groebner",
     "seq_succ",
     "serialize_certificate",
     "smoothness_check",
+    "SmoothnessReport",
     "subst_step",
+    "TrivialContainment",
     "trivially_contains",
     "truncated_generators",
     "verify_certificate",

@@ -129,9 +129,9 @@ def _cmd_decide(args: argparse.Namespace) -> tuple[list[str], int]:
     loaded = _load(args)
     x = _need_point(loaded)
     system = _system(loaded)
-    if loaded.field.characteristic:
+    if loaded.ring.field.characteristic:
         print(
-            f"warning: over F_{loaded.field.characteristic} the smooth-point "
+            f"warning: over F_{loaded.ring.field.characteristic} the smooth-point "
             "precondition means exactly 'Jacobian rank equals codimension'",
             file=sys.stderr,
         )

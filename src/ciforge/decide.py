@@ -63,13 +63,9 @@ class GeneratorSystem:
 
     @classmethod
     def from_polynomials(
-        cls, polys: Sequence[Polynomial], ring: PolynomialRing | None = None
+        cls, polys: Sequence[Polynomial], ring: PolynomialRing
     ) -> "GeneratorSystem":
         """Build a system, silently dropping zeros and exact duplicates."""
-        if ring is None:
-            if not polys:
-                raise ValueError("cannot infer the ring of an empty list")
-            ring = polys[0].ring
         return cls(ring, tuple(distinct_nonzero(polys)))
 
     def without(self, index: int) -> "GeneratorSystem":
@@ -197,27 +193,7 @@ class Replaced:
     cofactors: tuple[Polynomial, ...]
 
 
-@dataclass(frozen=True)
-class Independent:
-    """The differentials at the point are linearly independent."""
-
-
-RewriteOutcome = Removed | Replaced | Independent
-
-
-def _removed_record(
-    system: GeneratorSystem, index: int, combination: dict[int, Polynomial]
-) -> QuotientRecord:
-    """Representation of gens[index] over the remaining generators.
-
-    ``combination`` maps full-list indices (excluding ``index``) to cofactors.
-    """
-    quotients = []
-    for i in range(len(system.gens)):
-        if i == index:
-            continue
-        quotients.append(combination.get(i, system.ring.zero()))
-    return QuotientRecord(tuple(quotients), system.ring.zero())
+RewriteOutcome = Removed | Replaced
 
 
 def subst_step(
@@ -225,7 +201,7 @@ def subst_step(
     x: ProjectivePoint,
     differentials: Sequence[Sequence[Scalar]],
     elimination: ColumnElimination | None = None,
-) -> RewriteOutcome:
+) -> RewriteOutcome | None:
     """One rewrite step from a linear relation among differentials at ``x``.
 
     ``differentials`` are the generators' differentials at ``x``, in order;
@@ -240,7 +216,7 @@ def subst_step(
     pivot coordinate, scaled so the multiplier still takes the kernel value
     at ``x``.  A zero combination removes the last generator of the support
     (Removed); a nonzero one replaces the highest-index top-degree generator
-    (Replaced).
+    (Replaced).  None means the differentials are independent.
 
     The columns before the relation's last one are independent, so the
     top-degree generators of the support are linearly dependent as
@@ -256,7 +232,7 @@ def subst_step(
         raise ValueError("a carried elimination must cover independent leading columns")
     relation = elimination.first_relation(differentials)
     if relation is None:
-        return Independent()
+        return None
     support = [i for i, c in enumerate(relation) if c]
     degrees = [g.degree for g in system.gens]
     top_degree = max(degrees[i] for i in support)
@@ -264,15 +240,15 @@ def subst_step(
     field = ring.field
     k = x.pivot
     inv_xk = field.div(field.one, x.coords[k])
-    cofactors: dict[int, Polynomial] = {}
+    zero = ring.zero()
+    cofactors = [zero] * len(relation)
+    combined = zero
     for i in support:
         lift = top_degree - degrees[i]
         scale = field.mul(relation[i], field.pow(inv_xk, lift))
         cofactors[i] = ring.monomial(
             tuple(lift if j == k else 0 for j in range(ring.num_vars)), scale
         )
-    combined = ring.zero()
-    for i in support:
         combined = combined + cofactors[i] * system.gens[i]
 
     j = max(i for i in support if degrees[i] == top_degree)
@@ -280,16 +256,11 @@ def subst_step(
         # The lifted combination collapses; the relation already expresses
         # generator j (top block, constant multiplier) over the others.
         scale = field.div(field.one, field.neg(relation[j]))
-        others = {i: cofactors[i] * scale for i in support if i != j}
-        return Removed(j, _removed_record(system, j, others))
+        others = (c * scale for i, c in enumerate(cofactors) if i != j)
+        return Removed(j, QuotientRecord(tuple(others), zero))
 
-    differential = differential_at(combined, x)
-    assert not any(differential), "replacement differential failed to vanish"
-
-    full_cofactors = tuple(
-        cofactors.get(i, ring.zero()) for i in range(len(system.gens))
-    )
-    return Replaced(j, combined, relation, full_cofactors)
+    assert not any(differential_at(combined, x)), "replacement differential is nonzero"
+    return Replaced(j, combined, relation, tuple(cofactors))
 
 
 def _carried_differentials(
@@ -356,7 +327,7 @@ def reduce_to_ci(
     while len(current) > codim:
         check_deadline("rewrite loop")
         outcome = subst_step(current, x, columns, elimination)
-        if isinstance(outcome, Independent):
+        if outcome is None:
             raise AssertionError(
                 "differentials independent although the system exceeds the codimension"
             )
@@ -485,9 +456,9 @@ def verify_certificate(
     if cert.field_tag != ring.field.tag or cert.var_names != ring.var_names:
         return False
     _require_on_variety(system, x)
-    ideal = Ideal(system.gens, ring=ring)
     if not _trace_fits(cert, system):
         return False
+    ideal = Ideal(system.gens, ring=ring)
     if isinstance(cert, CICertificate):
         codim = (ring.num_vars - 1) - ideal.dimension()
         if cert.codim != codim or len(cert.final_gens) != codim:

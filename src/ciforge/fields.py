@@ -51,11 +51,9 @@ class RationalField:
     div = staticmethod(operator.truediv)
     pow = staticmethod(operator.pow)
 
-    def scalar(self, value: Scalar, denominator: int = 1) -> Fraction:
-        """A Fraction as it is, or ``value / denominator`` for two integers."""
-        if type(value) is Fraction and denominator == 1:
-            return value
-        return Fraction(operator.index(value), operator.index(denominator))
+    def scalar(self, value: Scalar) -> Fraction:
+        """A Fraction as it is, an integer as a Fraction."""
+        return value if type(value) is Fraction else Fraction(operator.index(value))
 
     def __contains__(self, value: object) -> bool:
         return type(value) is Fraction
@@ -115,12 +113,9 @@ class PrimeField:
             raise ZeroDivisionError("zero to a negative power in a prime field")
         return pow(a, exponent, self.p)
 
-    def scalar(self, value: int, denominator: int = 1) -> int:
-        """``value / denominator`` reduced into [0, p); both must be integers."""
-        value = operator.index(value) % self.p
-        if denominator != 1:
-            value = self.div(value, operator.index(denominator) % self.p)
-        return value
+    def scalar(self, value: int) -> int:
+        """The integer ``value`` reduced into [0, p)."""
+        return operator.index(value) % self.p
 
     def __contains__(self, value: object) -> bool:
         return type(value) is int and 0 <= value < self.p

@@ -4,6 +4,10 @@ The basis computation records how it made each polynomial, so membership can
 compose explicit cofactors over the original generators on demand, without
 solving anything afresh.  Cofactors are valid but not canonical; only the
 reduced basis itself is a canonical object.
+
+`ideal_member`, `ideal_equal`, `truncated_generators` and
+`projective_dimension` have no caller inside the package; they stay because
+the benchmark's tracer (``perfbench/tracer.py``) binds them by name.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -27,7 +30,6 @@ from .poly import (
     Polynomial,
     PolynomialRing,
     grevlex_key,
-    monomial_degree,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -253,15 +255,15 @@ def reduced_groebner(
     div, one = ring.field.div, ring.field.one
 
     pending: set[frozenset[int]] = set()
-    queue: list[tuple[int, int, int, int]] = []  # (lcm degree, creation idx, i, j)
-    created = count()
+    # (lcm degree, j, i) for the pair i < j: lowest degree first, then the
+    # order `enter` creates pairs in.
+    queue: list[tuple[int, int, int]] = []
 
     def enter(element: Polynomial, node: int) -> None:
         """Add ``element`` to the basis and queue its pairs with the others."""
         new, new_lm = len(basis), element.lead
         for k, lm in enumerate(lms):
-            lcm_degree = monomial_degree(monomial_lcm(lm, new_lm))
-            heapq.heappush(queue, (lcm_degree, next(created), k, new))
+            heapq.heappush(queue, (sum(monomial_lcm(lm, new_lm)), new, k))
             pending.add(frozenset((k, new)))
         basis.append(element)
         lms.append(new_lm)
@@ -295,7 +297,7 @@ def reduced_groebner(
                 enter(g, position)
             continue
 
-        _, _, i, j = heapq.heappop(queue)
+        _, j, i = heapq.heappop(queue)
         pending.discard(frozenset((i, j)))
         lcm = monomial_lcm(lms[i], lms[j])
         # Coprime criterion: disjoint leading supports never yield new elements.

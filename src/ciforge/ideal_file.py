@@ -19,61 +19,16 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .fields import Field, field_from_tag
+from .fields import field_from_tag
 from .parse import parse_polynomial
 from .poly import Polynomial, PolynomialRing, ProjectivePoint
 
 
 @dataclass(frozen=True)
 class IdealFile:
-    field: Field
     ring: PolynomialRing
     point: ProjectivePoint | None
     gens: tuple[Polynomial, ...]
-
-
-@dataclass(frozen=True)
-class _RawSections:
-    field_text: str
-    var_names: tuple[str, ...]
-    point_words: tuple[str, ...] | None
-    gen_lines: tuple[str, ...]
-
-
-def _strip(line: str) -> str:
-    return line.split("#", 1)[0].strip()
-
-
-def _split_sections(text: str) -> _RawSections:
-    lines = [s for s in (_strip(line) for line in text.splitlines()) if s]
-    index = 0
-
-    def take(keyword: str) -> str | None:
-        nonlocal index
-        if index < len(lines) and lines[index].startswith(keyword + ":"):
-            value = lines[index][len(keyword) + 1 :].strip()
-            index += 1
-            return value
-        return None
-
-    field_text = take("field")
-    if field_text is None:
-        raise ParseError("expected a 'field:' line first")
-    vars_text = take("vars")
-    if vars_text is None:
-        raise ParseError("expected a 'vars:' line after 'field:'")
-    point_text = take("point")
-    if take("gens") is None:
-        raise ParseError("expected a 'gens:' line introducing the generators")
-    gen_lines = tuple(lines[index:])
-    if not gen_lines:
-        raise ParseError("need at least one generator expression after 'gens:'")
-    return _RawSections(
-        field_text,
-        tuple(vars_text.split()),
-        tuple(point_text.split()) if point_text is not None else None,
-        gen_lines,
-    )
 
 
 def parse_ideal_file(
@@ -83,16 +38,33 @@ def parse_ideal_file(
     point_override: str | None = None,
 ) -> IdealFile:
     """Parse ``.ideal`` content; overrides replace the file's field / point."""
-    raw = _split_sections(text)
-    field = field_from_tag(field_override if field_override is not None else raw.field_text)
+    lines = [s for s in (line.split("#", 1)[0].strip() for line in text.splitlines()) if s]
+    # Each section present takes the next line, so len(sections) lines are read.
+    sections: dict[str, str] = {}
+    for keyword in ("field", "vars", "point", "gens"):
+        line = lines[len(sections)] if len(sections) < len(lines) else ""
+        if line.startswith(keyword + ":"):
+            sections[keyword] = line[len(keyword) + 1 :].strip()
+    if "field" not in sections:
+        raise ParseError("expected a 'field:' line first")
+    if "vars" not in sections:
+        raise ParseError("expected a 'vars:' line after 'field:'")
+    if "gens" not in sections:
+        raise ParseError("expected a 'gens:' line introducing the generators")
+    gen_lines = lines[len(sections) :]
+    if not gen_lines:
+        raise ParseError("need at least one generator expression after 'gens:'")
+
+    field = field_from_tag(sections["field"] if field_override is None else field_override)
     try:
-        ring = PolynomialRing(field, raw.var_names)
+        ring = PolynomialRing(field, tuple(sections["vars"].split()))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
-    point_words = raw.point_words
     if point_override is not None:
-        point_words = tuple(w for w in re.split(r"[,\s]+", point_override.strip()) if w)
+        point_words = [w for w in re.split(r"[,\s]+", point_override.strip()) if w]
+    else:
+        point_words = sections["point"].split() if "point" in sections else None
     point = None
     if point_words is not None:
         if len(point_words) != ring.num_vars:
@@ -105,7 +77,4 @@ def parse_ideal_file(
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 
-    gens: list[Polynomial] = []
-    for line in raw.gen_lines:
-        gens.append(parse_polynomial(line, ring))
-    return IdealFile(field, ring, point, tuple(gens))
+    return IdealFile(ring, point, tuple(parse_polynomial(g, ring) for g in gen_lines))

@@ -5,6 +5,10 @@ column-by-column elimination, `ColumnElimination`, which the rewrite loop
 also carries from step to step.  The relation it finds for each dependent
 column is unique, so every answer is deterministic and equals the one read
 off the reduced row-echelon form.
+
+`kernel_basis` and `linear_relation_polys` have no caller inside the
+package; they stay because the benchmark's tracer (``perfbench/tracer.py``)
+binds them by name.
 """
 
 from __future__ import annotations

@@ -22,10 +22,6 @@ Exponents = tuple[int, ...]
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def monomial_degree(exponents: Exponents) -> int:
-    return sum(exponents)
-
-
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(add, a, b))
 

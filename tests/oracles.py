@@ -30,7 +30,6 @@ from itertools import product
 
 from ciforge import (
     ExactMatrix,
-    Independent,
     ParseError,
     PointNotOnVarietyError,
     Polynomial,
@@ -355,7 +354,7 @@ def reference_subst_step(system, x):
     jacobian = ExactMatrix(field, tuple(zip(*differentials)), len(differentials))
     relation = _first_kernel_vector(jacobian)
     if relation is None:
-        return Independent()
+        return None
     support = [i for i, c in enumerate(relation) if c]
     degrees = [sum(next(iter(g.terms))) for g in system.gens]
     top_degree = max(degrees[i] for i in support)

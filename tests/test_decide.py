@@ -16,7 +16,6 @@ from ciforge import (
     DegreeSequence,
     GeneratorSystem,
     Ideal,
-    Independent,
     NonCICertificate,
     NotHomogeneousError,
     NotInIdealError,
@@ -53,7 +52,7 @@ from corpus import (
     TWISTED_CUBIC,
 )
 from helpers import differentials, expand
-from oracles import reference_condition_iv, reference_subst_step
+from oracles import minimal_generator_total, reference_condition_iv, reference_subst_step
 
 
 def ideal_of(system):
@@ -215,7 +214,7 @@ class TestSubstStep:
         x = ProjectivePoint(
             (QQ.scalar(1), QQ.scalar(0), QQ.scalar(0), QQ.scalar(0))
         )
-        assert isinstance(subst_step(system, x, differentials(system, x)), Independent)
+        assert subst_step(system, x, differentials(system, x)) is None
 
     def test_differentials_must_match_the_generators(self, lqr_system, ones):
         with pytest.raises(ValueError):
@@ -322,6 +321,24 @@ class TestAgainstReferenceStep:
         outcome = subst_step(system, ones, differentials(system, ones))
         assert outcome == reference_subst_step(system, ones)
         assert isinstance(outcome, Replaced)
+
+
+class TestAgreesWithTheOracle:
+    """On small ideals with a planted smooth point, the decision is CI exactly
+    when a minimal generating set has codimension size, and its certificate
+    verifies."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(vanishing_systems())
+    def test_decision_matches_minimal_generator_count(self, case):
+        system, x = case
+        assume(all(g.degree <= 3 for g in system.gens))
+        report = smoothness_check(ideal_of(system), x)
+        assume(report.smooth)
+        cert = reduce_to_ci(system, x)
+        total = minimal_generator_total(system.gens, system.ring.num_vars)
+        assert isinstance(cert, CICertificate) == (total == report.codim)
+        assert verify_certificate(cert, system, x)
 
 
 class TestReduceToCI:
@@ -636,6 +653,15 @@ class TestBasisWork:
         calls = _count_bases(monkeypatch)
         assert verify_certificate(cert, system, x)
         assert calls == [system.gens, cert.final_gens]
+
+    def test_verify_unfit_trace_computes_no_basis(self, monkeypatch):
+        system, x = PLANTED_QUADRICS.system, PLANTED_QUADRICS.point
+        cert = reduce_to_ci(system, x)
+        assert isinstance(cert, CICertificate) and cert.trace
+        dropped = replace(cert, trace=cert.trace[1:])
+        calls = _count_bases(monkeypatch)
+        assert not verify_certificate(dropped, system, x)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "entry", [TWISTED_CUBIC, CUBIC_IN_HYPERPLANE], ids=lambda e: e.name

@@ -42,10 +42,11 @@ class TestPrimeField:
         p = field.p
         if d % p == 0:
             with pytest.raises(ZeroDivisionError):
-                field.scalar(n, d)
+                field.div(field.scalar(n), field.scalar(d))
         else:
-            assert field.scalar(n, d) == n * pow(d, -1, p) % p
-            assert field.scalar(n, d) == reduced(Fraction(n, d), p)
+            quotient = field.div(field.scalar(n), field.scalar(d))
+            assert quotient == n * pow(d, -1, p) % p
+            assert quotient == reduced(Fraction(n, d), p)
         assert field.scalar(n) == n % p
 
     def test_division_by_zero(self, field):
@@ -54,7 +55,7 @@ class TestPrimeField:
         with pytest.raises(ZeroDivisionError):
             field.pow(field.zero, -1)
         with pytest.raises(ZeroDivisionError):
-            field.scalar(1, field.p)
+            field.div(field.scalar(1), field.scalar(field.p))
 
     def test_scalars_are_ints_in_range(self, field):
         assert field.zero == 0 and field.one == 1
@@ -81,9 +82,10 @@ class TestRationalField:
     def test_scalar(self):
         half = Fraction(1, 2)
         assert QQ.scalar(half) is half
-        assert QQ.scalar(3, 6) == half and type(QQ.scalar(3)) is Fraction
+        assert QQ.div(QQ.scalar(3), QQ.scalar(6)) == half and type(QQ.scalar(3)) is Fraction
         assert QQ.zero == 0 and QQ.one == 1
         assert half in QQ and 1 not in QQ
+        # (half, 3): scalar takes no denominator; n/d is field.div.
         for args in [(0.5,), ("3",), (half, 3)]:
             with pytest.raises(TypeError):
                 QQ.scalar(*args)
@@ -94,4 +96,4 @@ class TestRationalField:
         with pytest.raises(ZeroDivisionError):
             QQ.pow(QQ.zero, -1)
         with pytest.raises(ZeroDivisionError):
-            QQ.scalar(1, 0)
+            QQ.div(QQ.scalar(1), QQ.scalar(0))

@@ -138,7 +138,8 @@ def polynomials(draw, ring, support=SMALL_MONOMIALS, min_terms=0):
     terms = {}
     for e in monomials:
         numerator = draw(st.integers(1, 6)) * draw(st.sampled_from((1, -1)))
-        terms[e] = ring.field.scalar(numerator, draw(st.integers(1, 3)))
+        denominator = ring.field.scalar(draw(st.integers(1, 3)))
+        terms[e] = ring.field.div(ring.field.scalar(numerator), denominator)
     return Polynomial(ring, terms)
 
 

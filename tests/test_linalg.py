@@ -102,6 +102,15 @@ class TestKernel:
 FIELDS = [QQ, PrimeField(7), PrimeField(32003)]
 
 
+def small_fractions(field):
+    """n/d in ``field`` for n in [-6, 6] and d in [1, 4]."""
+    return st.builds(
+        lambda n, d: field.div(field.scalar(n), field.scalar(d)),
+        st.integers(-6, 6),
+        st.integers(1, 4),
+    )
+
+
 @st.composite
 def field_matrices(draw):
     """A matrix over Q, F_7 or F_32003 with up to 4 rows and 5 columns; about
@@ -111,7 +120,7 @@ def field_matrices(draw):
     ncols = draw(st.integers(0, 5))
     entry = st.one_of(
         st.just(field.zero),
-        st.builds(field.scalar, st.integers(-6, 6), st.integers(1, 4)),
+        small_fractions(field),
     )
     rows = draw(
         st.lists(
@@ -185,7 +194,7 @@ def column_edits(draw):
     height = draw(st.integers(0, 4))
     entry = st.one_of(
         st.just(field.zero),
-        st.builds(field.scalar, st.integers(-6, 6), st.integers(1, 4)),
+        small_fractions(field),
     )
     column = st.tuples(*[entry] * height)
     columns = draw(st.lists(column, max_size=7))

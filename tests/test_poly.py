@@ -192,7 +192,7 @@ def field_polys(draw):
         exps = tuple(draw(st.integers(0, 4)) for _ in range(3))
         num = draw(st.integers(-9, 9) if rational else st.integers(-40000, 40000))
         den = draw(st.integers(1, 9)) if rational else 1
-        terms[exps] = ring.field.scalar(num, den)
+        terms[exps] = ring.field.div(ring.field.scalar(num), ring.field.scalar(den))
     return Polynomial(ring, terms)
 
 
