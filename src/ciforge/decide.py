@@ -51,6 +51,11 @@ class GeneratorSystem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gens", tuple(self.gens))
+        self._check_generators()
+        if len(list(distinct_nonzero(self.gens))) != len(self.gens):
+            raise ValueError("duplicate generator")
+
+    def _check_generators(self) -> None:
         if not self.gens:
             raise ValueError("generator system must be nonempty")
         for g in self.gens:
@@ -58,15 +63,20 @@ class GeneratorSystem:
                 raise ValueError("generator outside the declared ring")
             if g.degree is None:
                 raise ValueError("zero generator")
-        if len(list(distinct_nonzero(self.gens))) != len(self.gens):
-            raise ValueError("duplicate generator")
 
     @classmethod
     def from_polynomials(
         cls, polys: Sequence[Polynomial], ring: PolynomialRing
     ) -> "GeneratorSystem":
-        """Build a system, silently dropping zeros and exact duplicates."""
-        return cls(ring, tuple(distinct_nonzero(polys)))
+        """Build a system, silently dropping zeros and exact duplicates.
+
+        The one scan that drops them leaves none, so it is not repeated.
+        """
+        system = object.__new__(cls)
+        object.__setattr__(system, "ring", ring)
+        object.__setattr__(system, "gens", tuple(distinct_nonzero(polys)))
+        system._check_generators()
+        return system
 
     def without(self, index: int) -> "GeneratorSystem":
         """The system minus generator ``index``.

@@ -8,6 +8,16 @@ the coercion ``scalar`` and the constants ``zero`` and ``one``.  Code outside
 this module does scalar arithmetic only through these, binding them to locals
 in hot loops.  Over Q they are the ``operator`` builtins, so they cost no
 Python frame.
+
+Division (``groebner.normal_form``) works on coefficients in each field's
+*working form*: over Q a ``(numerator, denominator)`` int pair in lowest
+terms with a positive denominator, over F_p the int itself; ``work_zero`` is
+zero in it.  ``to_work`` and ``from_work`` convert a whole term map at the
+start and end of a division.  ``integral`` scales a divisor's coefficients to
+integers, ``ratio`` divides a working value by such an integer, and the fused
+step ``sub_mul(v, f, c)`` gives v - f*c for working v and f and an integer c.
+Over Q a step is integer arithmetic and one ``math.gcd``, not a `Fraction`
+per operation; over F_p it is one call where ``add`` and ``mul`` are two.
 """
 
 from __future__ import annotations
@@ -15,13 +25,15 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
+from typing import Mapping, TypeVar
 
 from .errors import ParseError
 
 MAX_PRIME = 2**31
 
 Scalar = Fraction | int
+Key = TypeVar("Key")
 
 
 def _is_prime(n: int) -> bool:
@@ -54,6 +66,42 @@ class RationalField:
     def scalar(self, value: Scalar) -> Fraction:
         """A Fraction as it is, an integer as a Fraction."""
         return value if type(value) is Fraction else Fraction(operator.index(value))
+
+    # Division's working form: (numerator, denominator) in lowest terms.
+    work_zero = (0, 1)
+
+    @staticmethod
+    def to_work(terms: Mapping[Key, Fraction]) -> dict[Key, tuple[int, int]]:
+        return {k: (c.numerator, c.denominator) for k, c in terms.items()}
+
+    @staticmethod
+    def from_work(terms: Mapping[Key, tuple[int, int]], scale: int = 1) -> dict[Key, Fraction]:
+        """Each working value times the integer ``scale``, as a Fraction."""
+        return {k: Fraction(n * scale, d) for k, (n, d) in terms.items()}
+
+    @staticmethod
+    def integral(terms: Mapping[Key, Fraction]) -> tuple[dict[Key, int], int]:
+        """Integers and a positive scale with terms[k] == ints[k] / scale."""
+        scale = lcm(*(c.denominator for c in terms.values()))
+        return {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}, scale
+
+    @staticmethod
+    def ratio(w: tuple[int, int], a: int) -> tuple[int, int]:
+        """w / a for a nonzero integer a."""
+        n, d = w
+        g = gcd(n, a)  # n and d are coprime, so n/g and d*a/g are
+        n, a = n // g, a // g
+        return (n, d * a) if a > 0 else (-n, -d * a)
+
+    @staticmethod
+    def sub_mul(v: tuple[int, int], f: tuple[int, int], c: int) -> tuple[int, int]:
+        """v - f*c for an integer c."""
+        vn, vd = v
+        fn, fd = f
+        n = vn * fd - fn * c * vd
+        d = vd * fd
+        g = gcd(n, d)
+        return n // g, d // g
 
     def __contains__(self, value: object) -> bool:
         return type(value) is Fraction
@@ -116,6 +164,31 @@ class PrimeField:
     def scalar(self, value: int) -> int:
         """The integer ``value`` reduced into [0, p)."""
         return operator.index(value) % self.p
+
+    # Division's working form: the scalar itself.
+    work_zero = 0
+
+    @staticmethod
+    def to_work(terms: Mapping[Key, int]) -> dict[Key, int]:
+        return dict(terms)
+
+    @staticmethod
+    def from_work(terms: dict[Key, int], scale: int = 1) -> dict[Key, int]:
+        """The working map itself; ``integral``'s scale is always 1 here."""
+        return terms
+
+    @staticmethod
+    def integral(terms: Mapping[Key, int]) -> tuple[Mapping[Key, int], int]:
+        """The scalars are integers already: the map itself, at scale 1."""
+        return terms, 1
+
+    def ratio(self, w: int, a: int) -> int:
+        """w / a for a nonzero a."""
+        return w * pow(a, -1, self.p) % self.p
+
+    def sub_mul(self, v: int, f: int, c: int) -> int:
+        """v - f*c."""
+        return (v - f * c) % self.p
 
     def __contains__(self, value: object) -> bool:
         return type(value) is int and 0 <= value < self.p

@@ -80,15 +80,18 @@ _STEPS_PER_DEADLINE_CHECK = 1024
 def _divide_terms(
     field: Field,
     dividend: Mapping[Exponents, Scalar],
-    divisors: Sequence[tuple[Exponents, Scalar, Mapping[Exponents, Scalar]]],
+    divisors: Sequence[tuple[Exponents, int, Sequence[tuple[Exponents, int]], int]],
 ) -> tuple[list[dict[Exponents, Scalar]], dict[Exponents, Scalar]]:
     """Core division loop on raw term maps over ``field``.
 
-    Each divisor is given as (leading monomial, leading coefficient, terms),
-    where the leading monomial is the key object stored in terms.  At every
-    step the current leading monomial of the work polynomial is either
-    cancelled by the first divisor whose leading monomial divides it or moved
-    to the remainder, so the loop strictly descends in grevlex.
+    Each divisor is given as (leading monomial, leading coefficient, other
+    terms, scale), its coefficients times ``scale`` made integers by
+    `Field.integral`.  At every step the current leading monomial of the work
+    polynomial is either cancelled by the first divisor whose leading
+    monomial divides it or moved to the remainder, so the loop strictly
+    descends in grevlex.  Coefficients stay in the field's working form
+    until the end, so a step costs one ``ratio`` and one fused ``sub_mul``
+    per divisor term.
 
     The work polynomial's monomials sit in a min-heap under `grevlex_key`,
     written out inline, which pops the grevlex-greatest first.  A
@@ -96,11 +99,11 @@ def _divide_terms(
     it since is skipped when popped.  Nothing at or above a processed
     monomial is ever added again, so each monomial is processed once.
     """
-    work = dict(dividend)
+    work = field.to_work(dividend)
     heap = [(-sum(e), e[::-1], e) for e in work]  # (*grevlex_key(e), e)
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
-    add, mul, neg, div = field.add, field.mul, field.neg, field.div
+    ratio, sub_mul, zero = field.ratio, field.sub_mul, field.work_zero
     remainder: dict[Exponents, Scalar] = {}
     quotients: list[dict[Exponents, Scalar]] = [{} for _ in divisors]
     steps = 0
@@ -112,32 +115,34 @@ def _divide_terms(
         steps += 1
         if steps % _STEPS_PER_DEADLINE_CHECK == 0:
             check_deadline("division")
-        for q, (glm, glc, gterms) in zip(quotients, divisors):
+        for q, (glm, glc, gtail, _) in zip(quotients, divisors):
             if monomial_divides(glm, lm):
                 shift = monomial_div(lm, glm)
-                factor = div(lc, glc)
+                # lc / glc times the scale, which `from_work` applies at the end.
+                factor = ratio(lc, glc)
                 q[shift] = factor  # lm is processed once, so shift is new
-                minus = neg(factor)
                 # The divisor's leading term cancels lm, which already left
                 # the work polynomial.
-                for ge, gc in gterms.items():
-                    if ge is glm:
-                        continue
+                for ge, gc in gtail:
                     e = monomial_mul(shift, ge)
                     value = work.get(e)
                     if value is None:
-                        work[e] = mul(minus, gc)
+                        work[e] = sub_mul(zero, factor, gc)
                         push(heap, (-sum(e), e[::-1], e))
                     else:
-                        value = add(value, mul(minus, gc))
-                        if value:
-                            work[e] = value
-                        else:
+                        value = sub_mul(value, factor, gc)
+                        if value == zero:
                             del work[e]
+                        else:
+                            work[e] = value
                 break
         else:
             remainder[lm] = lc
-    return quotients, remainder
+    from_work = field.from_work
+    return (
+        [from_work(q, d[3]) if q else q for q, d in zip(quotients, divisors)],
+        from_work(remainder),
+    )
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> QuotientRecord:
@@ -155,8 +160,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> QuotientRecord:
             raise RingMismatchError("divisor in a different ring")
         if g.is_zero():
             raise ValueError("zero divisor in basis")
-        lm = g.lead
-        divisors.append((lm, g.terms[lm], g.terms))
+        divisors.append((g.lead, *g.integral_terms))
     quotients, remainder = _divide_terms(ring.field, f.terms, divisors)
     zero = ring.zero()
     return QuotientRecord(

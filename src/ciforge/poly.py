@@ -175,6 +175,16 @@ class Polynomial:
         return min(self.terms, key=grevlex_key)
 
     @cached_property
+    def integral_terms(self) -> tuple[int, list[tuple[Exponents, int]], int]:
+        """(leading coefficient, other terms, scale) with the coefficients
+        times ``scale`` made integers by the field (`Field.integral`),
+        computed on first use and then kept.  Division asks each divisor for
+        it.  The zero polynomial has none (`ValueError`)."""
+        lead = self.lead
+        ints, scale = self.ring.field.integral(self.terms)
+        return ints[lead], [(e, c) for e, c in ints.items() if e is not lead], scale
+
+    @cached_property
     def degree(self) -> int | None:
         """The common total degree of the terms, computed on first use and
         then kept; None for the zero polynomial.  Terms of mixed degrees
@@ -301,17 +311,31 @@ def _require_point_of(ring: PolynomialRing, x: ProjectivePoint) -> None:
 
 
 def evaluate(p: Polynomial, x: ProjectivePoint) -> Scalar:
-    """Exact value of ``p`` at the supplied homogeneous coordinates."""
+    """Exact value of ``p`` at the supplied homogeneous coordinates.
+
+    A term with a positive exponent on a zero coordinate is skipped, and each
+    coordinate power above the first is computed once per call.
+    """
     _require_point_of(p.ring, x)
     ring_field = p.ring.field
     add, mul, power = ring_field.add, ring_field.mul, ring_field.pow
+    coords = x.coords
+    powers: dict[tuple[int, int], Scalar] = {}
     total = ring_field.zero
     for exps, coeff in p.terms.items():
         value = coeff
-        for c, e in zip(x.coords, exps):
+        for j, e in enumerate(exps):
             if e:
-                value = mul(value, power(c, e))
-        total = add(total, value)
+                c = coords[j]
+                if not c:
+                    break
+                if e > 1:
+                    c = powers.get((j, e))
+                    if c is None:
+                        c = powers[j, e] = power(coords[j], e)
+                value = mul(value, c)
+        else:
+            total = add(total, value)
     return total
 
 
@@ -320,22 +344,43 @@ def differential_at(p: Polynomial, x: ProjectivePoint) -> tuple[Scalar, ...]:
 
     The result depends on the chosen homogeneous coordinates of ``x``; callers
     must only rely on scale-invariant facts (vanishing, span membership).
+
+    A term with no variable at a zero coordinate feeds every partial of a
+    variable it contains.  One whose only such variable is T_j, to the first
+    power, feeds the partial by T_j alone; any other term feeds none.  Each
+    coordinate power above the first is computed once per call.
     """
     p.degree  # raises NotHomogeneousError
     _require_point_of(p.ring, x)
     ring_field = p.ring.field
     add, mul, power = ring_field.add, ring_field.mul, ring_field.pow
-    out = [ring_field.zero] * p.ring.num_vars
+    coords = x.coords
+    every = range(len(coords))
+    powers: dict[tuple[int, int], Scalar] = {}
+    out = [ring_field.zero] * len(coords)
     for exps, coeff in p.terms.items():
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            value = mul(coeff, e)
-            for j, (c, ej) in enumerate(zip(x.coords, exps)):
-                k = ej - 1 if j == i else ej
-                if k:
-                    value = mul(value, power(c, k))
-            out[i] = add(out[i], value)
+        at_zero = None
+        for j, e in enumerate(exps):
+            if e and not coords[j]:
+                if e > 1 or at_zero is not None:
+                    break
+                at_zero = j
+        else:
+            for i in every if at_zero is None else (at_zero,):
+                ei = exps[i]
+                if not ei:
+                    continue
+                value = coeff if ei == 1 else mul(coeff, ei)
+                for j, ej in enumerate(exps):
+                    k = ej - 1 if j == i else ej
+                    if k == 1:
+                        value = mul(value, coords[j])
+                    elif k:
+                        c = powers.get((j, k))
+                        if c is None:
+                            c = powers[j, k] = power(coords[j], k)
+                        value = mul(value, c)
+                out[i] = add(out[i], value)
     return tuple(out)
 
 

@@ -8,6 +8,8 @@ rescans for the leading monomial.  The rewrite step is the one first written,
 which also searched the top-degree block for a linear relation among the
 generators as polynomials.  Membership cofactors come from Buchberger's
 algorithm with an eager transcript, on that textbook division.
+A polynomial's value and differential at a point come from the loops first
+written, which multiply out every coordinate power of every term.
 The expression parser is the one first written, which makes every number,
 variable, power and product its own `Polynomial`.  The degree-sequence order
 walks the degrees from the top, condition (iv) compares two ranks, and the
@@ -36,8 +38,6 @@ from ciforge import (
     QuotientRecord,
     Removed,
     Replaced,
-    differential_at,
-    evaluate,
 )
 
 
@@ -171,6 +171,38 @@ def _grevlex_ascending_key(exps):
 def _grevlex_greatest(monomials):
     """Greatest exponent tuple in grevlex."""
     return max(monomials, key=_grevlex_ascending_key)
+
+
+def reference_evaluate(p, x):
+    """Value of ``p`` at the coordinates of ``x``: every term's coefficient
+    times every power of a coordinate, summed."""
+    field = p.ring.field
+    total = field.zero
+    for exps, coeff in p.terms.items():
+        value = coeff
+        for c, e in zip(x.coords, exps):
+            if e:
+                value = field.mul(value, field.pow(c, e))
+        total = field.add(total, value)
+    return total
+
+
+def reference_differential_at(p, x):
+    """Every partial derivative of ``p`` at ``x``, each term differentiated
+    by each variable it contains and multiplied out in full."""
+    field = p.ring.field
+    out = [field.zero] * p.ring.num_vars
+    for exps, coeff in p.terms.items():
+        for i, e in enumerate(exps):
+            if e == 0:
+                continue
+            value = field.mul(coeff, e)
+            for j, (c, ej) in enumerate(zip(x.coords, exps)):
+                k = ej - 1 if j == i else ej
+                if k:
+                    value = field.mul(value, field.pow(c, k))
+            out[i] = field.add(out[i], value)
+    return tuple(out)
 
 
 def reference_division(dividend: dict, divisors: list[dict], field):
@@ -346,11 +378,11 @@ def reference_subst_step(system, x):
     a nonzero one replaces it.
     """
     for i, g in enumerate(system.gens):
-        if evaluate(g, x):
+        if reference_evaluate(g, x):
             raise PointNotOnVarietyError(f"generator {i} does not vanish at {x}")
     ring = system.ring
     field = ring.field
-    differentials = [differential_at(g, x) for g in system.gens]
+    differentials = [reference_differential_at(g, x) for g in system.gens]
     jacobian = ExactMatrix(field, tuple(zip(*differentials)), len(differentials))
     relation = _first_kernel_vector(jacobian)
     if relation is None:
@@ -392,7 +424,7 @@ def reference_subst_step(system, x):
     combined = ring.zero()
     for i in support:
         combined = combined + cofactors[i] * system.gens[i]
-    assert not any(differential_at(combined, x))
+    assert not any(reference_differential_at(combined, x))
 
     j = max(top)
     if combined.is_zero():
@@ -425,8 +457,8 @@ def reference_condition_iv(f, family, x) -> bool:
     family's differentials exactly when appending it keeps the rank; an empty
     family spans nothing."""
     field = f.ring.field
-    target = list(differential_at(f, x))
-    rows = [list(differential_at(b, x)) for b in family]
+    target = list(reference_differential_at(f, x))
+    rows = [list(reference_differential_at(b, x)) for b in family]
     if not rows:
         return not any(target)
     return row_reduce_rank(rows + [target], field) == row_reduce_rank(rows, field)
@@ -710,11 +742,11 @@ def reference_certificate_valid(data: dict, gens, point, codim: int) -> bool:
         return members(final, gens) and members(gens, final)
 
     coords = tuple(field.scalar_from_str(c) for c in data["point"])
-    jacobian = [list(differential_at(g, point)) for g in gens]
+    jacobian = [list(reference_differential_at(g, point)) for g in gens]
     if coords != point.coords or row_reduce_rank(jacobian, field) != codim:
         return False
     witness = reference_parse(data["witness"], ring)
-    if len(_degrees(witness)) != 1 or any(differential_at(witness, point)):
+    if len(_degrees(witness)) != 1 or any(reference_differential_at(witness, point)):
         return False
     if not members([witness], gens):
         return False

@@ -101,7 +101,7 @@ class TestGeneratorSystem:
 
     def test_rejects_duplicates(self, p3):
         f = parse_polynomial("T0 - T1", p3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate generator"):
             GeneratorSystem(p3, (f, f))
 
     def test_rejects_inhomogeneous(self, p3):
@@ -112,6 +112,29 @@ class TestGeneratorSystem:
         f = parse_polynomial("T0 - T1", p3)
         system = GeneratorSystem.from_polynomials([p3.zero(), f, f], p3)
         assert system.gens == (f,)
+
+    def test_from_polynomials_scans_for_duplicates_once(self, monkeypatch, p3):
+        scans = []
+        original = decide.distinct_nonzero
+
+        def counting(polys):
+            scans.append(polys)
+            return original(polys)
+
+        monkeypatch.setattr(decide, "distinct_nonzero", counting)
+        f = parse_polynomial("T0 - T1", p3)
+        system = GeneratorSystem.from_polynomials([f, p3.zero(), p3.variable(2), f], p3)
+        assert system.gens == (f, p3.variable(2))
+        assert len(scans) == 1
+
+    def test_from_polynomials_keeps_the_other_checks(self, p3):
+        with pytest.raises(NotHomogeneousError):
+            GeneratorSystem.from_polynomials([parse_polynomial("T0 + T1^2", p3)], p3)
+        with pytest.raises(ValueError, match="nonempty"):
+            GeneratorSystem.from_polynomials([p3.zero()], p3)
+        other = PolynomialRing(QQ, ("x", "y"))
+        with pytest.raises(ValueError, match="outside the declared ring"):
+            GeneratorSystem.from_polynomials([other.variable(0)], p3)
 
     def test_degree_sequence(self, lqr_system):
         assert degree_sequence(lqr_system).counts == (1, 2)

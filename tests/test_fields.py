@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,19 @@ class TestPrimeField:
             assert field.pow(b, -e) == reduced(fb**-e, p)
         results = [field.add(a, b), field.sub(a, b), field.mul(a, b), field.neg(a)]
         assert all(type(r) is int and r in field for r in results)
+
+    @given(data=st.data())
+    def test_working_form_matches_fractions_mod_p(self, field, data):
+        p = field.p
+        v, f, c = (data.draw(st.integers(0, p - 1)) for _ in range(3))
+        a = data.draw(st.integers(1, p - 1))
+        assert field.to_work({0: v}) == {0: v}
+        assert field.from_work(field.to_work({0: v})) == {0: v}
+        assert field.integral({0: a, 1: c}) == ({0: a, 1: c}, 1)
+        assert field.ratio(v, a) == reduced(Fraction(v, a), p)
+        result = field.sub_mul(v, f, c)
+        assert result == reduced(Fraction(v - f * c), p) and result in field
+        assert field.sub_mul(f * c % p, f, c) == field.work_zero
 
     @given(n=st.integers(-10**6, 10**6), d=st.integers(-10**6, 10**6))
     def test_scalar_is_n_over_d(self, field, n, d):
@@ -78,6 +92,31 @@ class TestRationalField:
         if b:
             assert QQ.div(a, b) == a / b
             assert QQ.pow(b, e) == b**e
+
+    @given(
+        v=fractions,
+        f=fractions.filter(bool),
+        c=st.integers(-(10**20), 10**20),
+        terms=st.lists(fractions.filter(bool), min_size=1, max_size=5),
+    )
+    def test_working_form_is_fraction_arithmetic(self, v, f, c, terms):
+        def value(w):
+            n, d = w
+            assert d > 0 and math.gcd(n, d) == 1  # lowest terms
+            return Fraction(n, d)
+
+        (wv,), (wf,) = QQ.to_work({0: v}).values(), QQ.to_work({0: f}).values()
+        assert value(QQ.sub_mul(wv, wf, c)) == v - f * c
+        assert value(QQ.sub_mul(QQ.work_zero, wf, c)) == -f * c
+        assert QQ.sub_mul(wf, wf, 1) == QQ.work_zero
+        if c:
+            assert value(QQ.ratio(wv, c)) == v / c
+        ints, scale = QQ.integral(dict(enumerate(terms)))
+        assert scale > 0 and all(type(n) is int for n in ints.values())
+        assert [Fraction(n, scale) for n in ints.values()] == terms
+        back = QQ.from_work({0: wv, 1: wf}, scale)
+        assert back == {0: v * scale, 1: f * scale}
+        assert all(type(x) is Fraction for x in back.values())
 
     def test_scalar(self):
         half = Fraction(1, 2)

@@ -130,41 +130,76 @@ FIELDS = (QQ, PrimeField(7), PrimeField(32003))
 SMALL_MONOMIALS = [e for e in product(range(4), repeat=3) if sum(e) <= 3]
 
 
+SMALL_NUMERATORS = st.integers(1, 6)
+SMALL_DENOMINATORS = st.integers(1, 3)
+
+
 @st.composite
-def polynomials(draw, ring, support=SMALL_MONOMIALS, min_terms=0):
+def polynomials(
+    draw,
+    ring,
+    support=SMALL_MONOMIALS,
+    min_terms=0,
+    numerators=SMALL_NUMERATORS,
+    denominators=SMALL_DENOMINATORS,
+):
     monomials = draw(
         st.lists(st.sampled_from(support), min_size=min_terms, max_size=6, unique=True)
     )
     terms = {}
     for e in monomials:
-        numerator = draw(st.integers(1, 6)) * draw(st.sampled_from((1, -1)))
-        denominator = ring.field.scalar(draw(st.integers(1, 3)))
+        numerator = draw(numerators) * draw(st.sampled_from((1, -1)))
+        denominator = ring.field.scalar(draw(denominators))
         terms[e] = ring.field.div(ring.field.scalar(numerator), denominator)
     return Polynomial(ring, terms)
 
 
 @st.composite
-def divisions(draw):
-    """(dividend, divisors, multiple) in three variables over Q, F_7 or
-    F_32003.
+def divisions(
+    draw, fields=FIELDS, numerators=SMALL_NUMERATORS, denominators=SMALL_DENOMINATORS
+):
+    """(dividend, divisors, multiple) in three variables over one of
+    ``fields``, coefficients ±n/d with n and d drawn from ``numerators`` and
+    ``denominators``.
 
     The divisor list may be empty and may hold two divisors with one leading
     monomial.  With ``multiple`` set the dividend is a multiple of a lone
     divisor, so it cancels completely.
     """
-    ring = PolynomialRing(draw(st.sampled_from(FIELDS)), ("T0", "T1", "T2"))
-    divisors = draw(st.lists(polynomials(ring, min_terms=1), max_size=3))
+    ring = PolynomialRing(draw(st.sampled_from(fields)), ("T0", "T1", "T2"))
+
+    def polys(**kwargs):
+        return polynomials(ring, numerators=numerators, denominators=denominators, **kwargs)
+
+    divisors = draw(st.lists(polys(min_terms=1), max_size=3))
     if divisors and draw(st.booleans()):
         first = divisors[0]
         below = [e for e in SMALL_MONOMIALS if grevlex_key(e) > grevlex_key(first.lead)]
         shared = first * ring.field.scalar(draw(st.integers(2, 5)))
-        shared = shared + draw(polynomials(ring, support=below or [first.lead]))
+        shared = shared + draw(polys(support=below or [first.lead]))
         if not shared.is_zero():
             divisors.insert(draw(st.integers(0, len(divisors))), shared)
     if divisors and draw(st.booleans()):
         divisors = divisors[:1]
-        return draw(polynomials(ring)) * divisors[0], divisors, True
-    return draw(polynomials(ring)), divisors, False
+        return draw(polys()) * divisors[0], divisors, True
+    return draw(polys()), divisors, False
+
+
+def assert_matches_the_reference_division(case):
+    f, divisors, multiple = case
+    record = normal_form(f, divisors)
+    field = f.ring.field
+    quotients, remainder = reference_division(
+        dict(f.terms), [dict(g.terms) for g in divisors], field
+    )
+    assert [q.terms for q in record.quotients] == quotients
+    assert record.remainder.terms == remainder
+    # Fraction(2) == 2, so the equalities above do not show the scalar type.
+    for p in (*record.quotients, record.remainder):
+        assert all(c in field for c in p.terms.values())
+    if multiple:
+        assert record.remainder.is_zero()
+        assert record.quotients[0] * divisors[0] == f
 
 
 class TestDivisionKernel:
@@ -172,16 +207,17 @@ class TestDivisionKernel:
 
     @given(divisions())
     def test_matches_the_reference_division(self, case):
-        f, divisors, multiple = case
-        record = normal_form(f, divisors)
-        quotients, remainder = reference_division(
-            dict(f.terms), [dict(g.terms) for g in divisors], f.ring.field
+        assert_matches_the_reference_division(case)
+
+    @given(
+        divisions(
+            fields=(QQ,),
+            numerators=st.integers(1, 10**20),
+            denominators=st.integers(1, 10**12),
         )
-        assert [q.terms for q in record.quotients] == quotients
-        assert record.remainder.terms == remainder
-        if multiple:
-            assert record.remainder.is_zero()
-            assert record.quotients[0] * divisors[0] == f
+    )
+    def test_matches_the_reference_division_on_large_rationals(self, case):
+        assert_matches_the_reference_division(case)
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_multiple_cancels_completely(self, field):

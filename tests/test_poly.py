@@ -24,7 +24,7 @@ from ciforge import (
     reduced_groebner,
 )
 
-from oracles import reference_parse
+from oracles import reference_differential_at, reference_evaluate, reference_parse
 
 FIELDS = (QQ, PrimeField(7), PrimeField(32003))
 
@@ -391,3 +391,50 @@ class TestDifferential:
             grad = differential_at(f, x)
             total = sum((c * g for c, g in zip(x.coords, grad)), QQ.zero)
             assert total == d * evaluate(f, x)
+
+
+@st.composite
+def at_points(draw, zero_coordinates: str):
+    """(homogeneous polynomial, point) over Q, F_7 or F_32003 in 2-5 variables.
+
+    The point has no zero coordinate, one, or all but one, as
+    ``zero_coordinates`` says.  A term puts its whole degree on one variable
+    or spreads it at random, so zero coordinates carry exponents 1 and above;
+    degree 7 over F_7 makes 7th powers, whose differentials vanish.
+    """
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(2, 5))
+    ring = PolynomialRing(field, tuple(f"x{i}" for i in range(n)))
+    zeros = {"none": 0, "one": 1, "all but one": n - 1}[zero_coordinates]
+    order = draw(st.permutations(range(n)))
+    if field is QQ:
+        nonzero = st.builds(Fraction, st.integers(-(10**6), 10**6).filter(bool), st.integers(1, 50))
+    else:
+        nonzero = st.integers(1, field.p - 1)
+    coords = [field.zero] * n
+    for i in order[zeros:]:
+        coords[i] = draw(nonzero)
+    degree = draw(st.sampled_from((1, 2, 3, 7)))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            exps = [0] * n
+            exps[draw(st.integers(0, n - 1))] = degree
+        else:
+            picks = draw(st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree))
+            exps = [picks.count(i) for i in range(n)]
+        terms[tuple(exps)] = draw(nonzero)
+    return Polynomial(ring, terms), ProjectivePoint(tuple(coords))
+
+
+@pytest.mark.parametrize("zero_coordinates", ["none", "one", "all but one"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_point_kernel_agrees_with_the_reference_loops(zero_coordinates, data):
+    f, x = data.draw(at_points(zero_coordinates))
+    field = f.ring.field
+    value = evaluate(f, x)
+    assert value == reference_evaluate(f, x) and value in field
+    gradient = differential_at(f, x)
+    assert gradient == reference_differential_at(f, x)
+    assert all(c in field for c in gradient)
