@@ -14,13 +14,12 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .degrees import DegreeSequence
 from .errors import ParseError
 from .fields import field_from_tag
 from .parse import parse_polynomial
 from .poly import Polynomial, PolynomialRing, ProjectivePoint
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def input_fingerprint(
@@ -47,7 +46,6 @@ class CICertificate:
     var_names: tuple[str, ...]
     codim: int
     final_gens: tuple[Polynomial, ...]
-    trace: tuple[DegreeSequence, ...]
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,6 @@ class NonCICertificate:
     point: ProjectivePoint
     truncated_basis: tuple[Polynomial, ...]
     remainder: Polynomial
-    trace: tuple[DegreeSequence, ...]
 
 
 Certificate = CICertificate | NonCICertificate
@@ -81,7 +78,6 @@ def serialize_certificate(cert: Certificate) -> str:
         "field": cert.field_tag,
         "vars": list(cert.var_names),
         "codim": cert.codim,
-        "trace": [list(t.counts) for t in cert.trace],
     }
     if isinstance(cert, CICertificate):
         data["kind"] = "ci"
@@ -112,7 +108,9 @@ def _items(value: object, name: str, kind: type) -> list:
 def parse_certificate(text: str) -> Certificate:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides malformed JSON: an integer with more digits than Python
+        # converts, or nesting deeper than the interpreter's stack.
         raise ParseError(f"certificate is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("certificate must be a JSON object")
@@ -134,10 +132,6 @@ def parse_certificate(text: str) -> Certificate:
             "field_tag": field.tag,
             "var_names": ring.var_names,
             "codim": _checked(data["codim"], "codim", int),
-            "trace": tuple(
-                DegreeSequence(tuple(_items(t, "trace", int)))
-                for t in _checked(data["trace"], "trace", list)
-            ),
         }
         if data["kind"] == "ci":
             return CICertificate(
@@ -163,5 +157,5 @@ def parse_certificate(text: str) -> Certificate:
         raise
     except ValueError as exc:
         # A well-typed field whose value is out of range: repeated variable
-        # names, a negative degree count, an all-zero point.
+        # names or an all-zero point.
         raise ParseError(f"malformed certificate: {exc}") from exc

@@ -29,6 +29,7 @@ from .certificates import (
 from .decide import (
     GeneratorSystem,
     check_condition_iv,
+    degree_sequence,
     reduce_to_ci,
     trivially_contains,
     verify_certificate,
@@ -135,11 +136,18 @@ def _cmd_decide(args: argparse.Namespace) -> tuple[list[str], int]:
             "precondition means exactly 'Jacobian rank equals codimension'",
             file=sys.stderr,
         )
-    cert = reduce_to_ci(system, x)
+    # The degree sequence before the loop and after each step.  A non-CI run
+    # stops at a step that has no "after", and still reports the input's.
+    trace = [degree_sequence(system)]
+
+    def record(before, outcome, after):
+        trace.append(degree_sequence(after))
+
+    cert = reduce_to_ci(system, x, on_iteration=record)
     payload = serialize_certificate(cert)
     lines = [f"codimension: {cert.codim}"]
-    if cert.trace:
-        lines.append("trace: " + " ".join(str(t) for t in cert.trace))
+    if len(system) > cert.codim:
+        lines.append("trace: " + " ".join(str(t) for t in trace))
     if isinstance(cert, CICertificate):
         lines += ["decision: complete intersection"]
         lines += [f"generator: {g}" for g in cert.final_gens]

@@ -327,11 +327,8 @@ def reduce_to_ci(
     ring = system.ring
     fingerprint = input_fingerprint(ring, system.gens, x)
 
-    trace: list[DegreeSequence] = []
     current = system
-    if len(current) > codim:
-        trace.append(degree_sequence(current))
-
+    previous = degree_sequence(current)
     columns = list(report.jacobian)
     elimination = ColumnElimination(ring.field)
     while len(current) > codim:
@@ -355,7 +352,6 @@ def reduce_to_ci(
                     point=x,
                     truncated_basis=containment.truncated_basis,
                     remainder=containment.remainder,
-                    trace=tuple(trace),
                 )
             spliced = (
                 current.gens[: outcome.index]
@@ -364,13 +360,12 @@ def reduce_to_ci(
             )
             new_system = GeneratorSystem.from_polynomials(spliced, ring)
 
-        previous = trace[-1]
         now = degree_sequence(new_system)
         if not seq_succ(previous, now):
             raise AssertionError(
                 f"degree sequence failed to decrease: {previous} to {now}"
             )
-        trace.append(now)
+        previous = now
         if on_iteration is not None:
             on_iteration(current, outcome, new_system)
         columns = _carried_differentials(current, columns, new_system, x)
@@ -386,7 +381,6 @@ def reduce_to_ci(
         var_names=ring.var_names,
         codim=codim,
         final_gens=current.gens,
-        trace=tuple(trace),
     )
 
 
@@ -419,34 +413,6 @@ def check_condition_iv(
     return elimination.add(differential_at(f, x)) is not None
 
 
-def _trace_fits(cert: Certificate, system: GeneratorSystem) -> bool:
-    """Whether the trace could be the one a run on ``system`` records.
-
-    It is empty exactly when the input already has codimension size, and
-    otherwise starts at the input's degree sequence and strictly decreases.
-    A CI certificate's final generators must be nonzero, homogeneous and of
-    degree at least 1 whatever the trace, and a nonempty CI trace ends at
-    their degree sequence.
-    """
-    trace = cert.trace
-    if isinstance(cert, CICertificate):
-        try:
-            degrees = [g.degree for g in cert.final_gens]
-        except NotHomogeneousError:
-            return False
-        if not all(degrees):  # None for a zero generator, 0 for a constant
-            return False
-        if trace and trace[-1] != DegreeSequence.from_degrees(degrees):
-            return False
-    if not trace:
-        return len(system) == cert.codim
-    return (
-        len(system) != cert.codim
-        and trace[0] == degree_sequence(system)
-        and all(seq_succ(a, b) for a, b in zip(trace, trace[1:]))
-    )
-
-
 def verify_certificate(
     cert: Certificate, system: GeneratorSystem, x: ProjectivePoint
 ) -> bool:
@@ -466,15 +432,21 @@ def verify_certificate(
     if cert.field_tag != ring.field.tag or cert.var_names != ring.var_names:
         return False
     _require_on_variety(system, x)
-    if not _trace_fits(cert, system):
-        return False
-    ideal = Ideal(system.gens, ring=ring)
     if isinstance(cert, CICertificate):
-        codim = (ring.num_vars - 1) - ideal.dimension()
-        if cert.codim != codim or len(cert.final_gens) != codim:
+        # First what needs no basis: codimension-many final generators, each
+        # nonzero, homogeneous and of degree at least 1.
+        try:
+            degrees = [g.degree for g in cert.final_gens]
+        except NotHomogeneousError:
+            return False
+        if len(degrees) != cert.codim or not all(degrees):  # None: zero; 0: constant
+            return False
+        ideal = Ideal(system.gens, ring=ring)
+        if cert.codim != (ring.num_vars - 1) - ideal.dimension():
             return False
         final = reduced_groebner(cert.final_gens, ring=ring)
         return final.elements == ideal.basis.elements
+    ideal = Ideal(system.gens, ring=ring)
     report = smoothness_check(ideal, x)
     if cert.codim != report.codim or not report.smooth or cert.point != x:
         return False

@@ -220,6 +220,11 @@ class _Parser:
 def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
     """Parse ``text`` into a polynomial of ``ring``.
 
-    Raises ParseError with a character position for malformed input.
+    Raises ParseError with a character position for malformed input, and
+    without one for parentheses nested deeper than the interpreter's stack.
     """
-    return Polynomial._trusted(ring, _Parser(text, ring).parse())
+    try:
+        terms = _Parser(text, ring).parse()
+    except RecursionError:
+        raise ParseError("parentheses are nested too deeply") from None
+    return Polynomial._trusted(ring, terms)

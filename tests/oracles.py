@@ -683,33 +683,19 @@ def reference_truncated_basis(gens, degree: int) -> list:
     return elements
 
 
-def _degree_counts(degrees) -> tuple[int, ...]:
-    degrees = list(degrees)
-    return tuple(degrees.count(d) for d in range(1, max(degrees, default=0) + 1))
-
-
-def _trimmed(counts) -> tuple[int, ...]:
-    counts = tuple(counts)
-    while counts and counts[-1] == 0:
-        counts = counts[:-1]
-    return counts
-
-
 def reference_certificate_valid(data: dict, gens, point, codim: int) -> bool:
     """Whether the certificate JSON object ``data`` holds for the input
     ``gens`` (nonzero, homogeneous, distinct) at ``point``, whose zero locus
     is known to have codimension ``codim``.
 
     The rules are the ones README states, each checked on slices: the field,
-    variables and codimension match; the trace is empty exactly when the
-    input has ``codim`` generators, and otherwise starts at the input's
-    degree counts and strictly decreases.  A CI claim lists ``codim``
-    nonzero homogeneous generators of positive degree that generate the
-    input's ideal, and a nonempty trace ends at their degree counts.  A
-    non-CI claim is made at the input's point, which must be smooth, for a
-    nonzero homogeneous member singular there whose normal form modulo the
-    lower-degree members is nonzero and is the claimed remainder; the
-    claimed truncated basis is the reduced basis below the witness's degree.
+    variables and codimension match.  A CI claim lists ``codim`` nonzero
+    homogeneous generators of positive degree that generate the input's
+    ideal.  A non-CI claim is made at the input's point, which must be
+    smooth, for a nonzero homogeneous member singular there whose normal
+    form modulo the lower-degree members is nonzero and is the claimed
+    remainder; the claimed truncated basis is the reduced basis below the
+    witness's degree.
     A polynomial that does not parse raises `ParseError`.
     """
     ring = gens[0].ring
@@ -717,16 +703,6 @@ def reference_certificate_valid(data: dict, gens, point, codim: int) -> bool:
     if data["field"] != field.tag or data["vars"] != list(ring.var_names):
         return False
     if data["codim"] != codim:
-        return False
-    trace = [_trimmed(t) for t in data["trace"]]
-    if not trace:
-        if len(gens) != codim:
-            return False
-    elif (
-        len(gens) == codim
-        or trace[0] != _degree_counts(min(_degrees(g)) for g in gens)
-        or not all(reference_seq_succ(a, b) for a, b in zip(trace, trace[1:]))
-    ):
         return False
 
     def members(polys, of):
@@ -736,8 +712,6 @@ def reference_certificate_valid(data: dict, gens, point, codim: int) -> bool:
         final = [reference_parse(s, ring) for s in data["final_gens"]]
         degrees = [_degrees(g) for g in final]
         if len(final) != codim or any(len(d) != 1 or d == {0} for d in degrees):
-            return False
-        if trace and trace[-1] != _degree_counts(min(d) for d in degrees):
             return False
         return members(final, gens) and members(gens, final)
 

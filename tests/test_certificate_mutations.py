@@ -1,9 +1,9 @@
 """Every single-field change to a corpus certificate is caught.
 
 The certificate of each golden case (CI and non-CI, over Q and F_32003),
-and of two inputs that already have codimension size and so leave an empty
-trace, is mutated one field at a time: the witness, each truncated-basis
-element, the remainder, the codimension, each trace entry and each final
+and of two inputs that already have codimension size and so take no
+rewrite step, is mutated one field at a time: the witness, each
+truncated-basis element, the remainder, the codimension and each final
 generator.  `verify` must answer `verified: no` (exit 3) or refuse the file
 as a parse error (exit 1), with nothing else on stdout; it never fails a
 precondition (exit 2) or raises.  A mutant that is still a valid
@@ -60,13 +60,6 @@ def mutants(data: dict, ring, gens):
     """(label, certificate data) for each single-field change to ``data``."""
     for step in (1, -1):
         yield f"codim{step:+d}", {**data, "codim": data["codim"] + step}
-    trace = data["trace"]
-    for i, entry in enumerate(trace):
-        for step in (1, -1):
-            if entry[-1] + step >= 0:
-                changed = trace[:i] + [entry[:-1] + [entry[-1] + step]] + trace[i + 1 :]
-                yield f"trace[{i}]{step:+d}", {**data, "trace": changed}
-        yield f"trace[{i}]-dropped", {**data, "trace": trace[:i] + trace[i + 1 :]}
 
     def listed(key):
         texts = data[key]

@@ -53,11 +53,11 @@ def test_serialization_is_deterministic(twisted_cubic_system, ones):
 
 def test_payload_shape(nonci_cert):
     data = json.loads(serialize_certificate(nonci_cert))
-    assert data["format_version"] == 1
+    assert data["format_version"] == 2
     assert data["kind"] == "non-ci"
     assert data["field"] == "q"
     assert data["point"] == ["1", "1", "1", "1"]
-    assert data["trace"] == [[0, 3]]
+    assert "trace" not in data
     assert "witness" in data
 
 

@@ -152,9 +152,6 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("trace", [["a"]]),
-            ("trace", 5),
-            ("trace", [[-1]]),
             ("vars", 5),
             ("witness", 5),
             ("point", [1, 1, 1, 1]),
@@ -162,9 +159,6 @@ class TestVerifyCommand:
             ("codim", 2.5),
         ],
         ids=[
-            "trace-of-strings",
-            "trace-number",
-            "negative-count",
             "vars-number",
             "witness-number",
             "point-of-numbers",
@@ -186,28 +180,45 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    def test_forged_trace_refuted(self, lqr_file, tmp_path, capsys):
+    def test_version_1_certificate_is_a_parse_error(self, cubic_file, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"
-        run_command(["decide", str(lqr_file), "--out", str(cert_path)])
+        run_command(["decide", str(cubic_file), "--out", str(cert_path)])
         data = json.loads(cert_path.read_text())
-        # A strictly decreasing trace that belongs to some other input.
-        data["trace"] = [[0] * 8 + [1], [0] * 7 + [1]]
+        data.update(format_version=1, trace=[[0, 3]])
         cert_path.write_text(json.dumps(data))
         capsys.readouterr()
-        assert run_command(["verify", str(lqr_file), "--cert", str(cert_path)]) == 3
-        assert "verified: no" in capsys.readouterr().out
+        assert run_command(["verify", str(cubic_file), "--cert", str(cert_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unsupported certificate format version 1" in captured.err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # json.dumps cannot write an int past the conversion limit.
+            '{"codim":' + "9" * 5000 + "}",
+            '{"a":' + "[" * 100_000 + "]" * 100_000 + "}",
+        ],
+        ids=["over-long-integer", "deep-nesting"],
+    )
+    def test_unreadable_json_is_a_parse_error(self, cubic_file, tmp_path, capsys, text):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(text)
+        assert run_command(["verify", str(cubic_file), "--cert", str(cert_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: certificate is not valid JSON: ")
 
     def test_non_homogeneous_final_generator_with_empty_trace_refuted(
         self, tmp_path, capsys
     ):
-        # The input already has codimension size, so the trace is empty and
-        # only the final generators' own check sees the change.
+        # The input already has codimension size, so the loop takes no step
+        # and only the final generators' own check sees the change.
         path = tmp_path / "two-lines.ideal"
         path.write_text("field: q\nvars: T0 T1 T2\npoint: 0 0 1\ngens:\nT0\nT1\n")
         cert_path = tmp_path / "cert.json"
         assert run_command(["decide", str(path), "--out", str(cert_path)]) == 0
         data = json.loads(cert_path.read_text())
-        assert data["trace"] == []
         data["final_gens"][1] = "T0 + T1^2"
         cert_path.write_text(json.dumps(data))
         capsys.readouterr()
@@ -324,6 +335,18 @@ class TestUsageAndParsing:
         assert captured.out == ""
         assert "too many digits" in captured.err
         assert "(at position " in captured.err
+
+    @pytest.mark.parametrize("where", ["ideal-file", "poly"])
+    def test_deeply_nested_parentheses_are_a_parse_error(self, tmp_path, capsys, where):
+        deep = "(" * 1000 + "T0" + ")" * 1000
+        path = tmp_path / "line.ideal"
+        gen = deep if where == "ideal-file" else "T0 - T1"
+        path.write_text(f"field: q\nvars: T0 T1\ngens:\n{gen}\n")
+        poly = deep if where == "poly" else "T0"
+        assert run_command(["member", str(path), "--poly", poly]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nested too deeply" in captured.err
 
     def test_computed_value_past_the_print_limit_prints_nothing(self, tmp_path, capsys):
         # Each denominator has at most 4300 digits; the remainder's, their

@@ -13,7 +13,6 @@ from ciforge import decide, groebner, linalg
 from ciforge import (
     BuchbergerTimeout,
     CICertificate,
-    DegreeSequence,
     GeneratorSystem,
     Ideal,
     NonCICertificate,
@@ -372,7 +371,6 @@ class TestReduceToCI:
         assert str(cert.witness) == (
             "T1^2 - T0*T2 - T1*T2 + T2^2 + T0*T3 - T1*T3"
         )
-        assert [t.counts for t in cert.trace] == [(0, 3)]
         # witness is singular at the point but not trivially contained
         assert differential_at(cert.witness, ones) == (Fraction(0),) * 4
         assert not trivially_contains(ideal_of(twisted_cubic_system), cert.witness).trivial
@@ -382,7 +380,6 @@ class TestReduceToCI:
         assert isinstance(cert, CICertificate)
         assert cert.codim == 2
         assert [str(g) for g in cert.final_gens] == ["T0 - T1", "-T1*T2 + T0*T3"]
-        assert [t.counts for t in cert.trace] == [(1, 2), (1, 1)]
         assert ideal_equal(list(cert.final_gens), list(lqr_system.gens))
 
     def test_hypersurface_immediate(self, p3):
@@ -390,9 +387,14 @@ class TestReduceToCI:
         x = ProjectivePoint(
             (QQ.scalar(1), QQ.scalar(0), QQ.scalar(0), QQ.scalar(0))
         )
-        cert = reduce_to_ci(GeneratorSystem.from_polynomials([f], p3), x)
+        steps = []
+        cert = reduce_to_ci(
+            GeneratorSystem.from_polynomials([f], p3),
+            x,
+            on_iteration=lambda *step: steps.append(step),
+        )
         assert isinstance(cert, CICertificate)
-        assert cert.trace == ()
+        assert steps == []
         assert cert.final_gens == (f,)
 
     def test_point_off_variety(self, twisted_cubic_system):
@@ -555,7 +557,6 @@ class TestVerify:
             var_names=cert.var_names,
             codim=cert.codim,
             final_gens=cert.final_gens[:1],
-            trace=cert.trace,
         )
         assert not verify_certificate(tampered, lqr_system, ones)
 
@@ -570,7 +571,6 @@ class TestVerify:
             point=cert.point,
             truncated_basis=cert.truncated_basis,
             remainder=cert.remainder,
-            trace=cert.trace,
         )
         assert not verify_certificate(tampered, twisted_cubic_system, ones)
 
@@ -594,33 +594,7 @@ class TestVerify:
             point=x,
             truncated_basis=(),
             remainder=square,
-            trace=(degree_sequence(system),),
         )
-        assert not verify_certificate(forged, system, x)
-
-    @pytest.mark.parametrize(
-        "trace",
-        [
-            (),
-            (DegreeSequence.from_degrees((9,)), DegreeSequence.from_degrees((8,))),
-            (DegreeSequence((1, 2)), DegreeSequence((0, 1))),
-            (DegreeSequence((1, 2)), DegreeSequence((1, 3)), DegreeSequence((1, 1))),
-        ],
-        ids=["empty", "foreign-descent", "wrong-end", "not-decreasing"],
-    )
-    def test_rejects_trace_not_bound_to_input(self, trace):
-        system, x = LINE_QUADRIC_REDUNDANT.system, LINE_QUADRIC_REDUNDANT.point
-        cert = reduce_to_ci(system, x)
-        assert verify_certificate(cert, system, x)
-        assert not verify_certificate(replace(cert, trace=trace), system, x)
-
-    def test_rejects_trace_for_codimension_sized_input(self, p3):
-        f = parse_polynomial("T0*T3 - T1*T2", p3)
-        system = GeneratorSystem(p3, (f,))
-        x = ProjectivePoint((QQ.one, QQ.zero, QQ.zero, QQ.zero))
-        cert = reduce_to_ci(system, x)
-        assert verify_certificate(cert, system, x)
-        forged = replace(cert, trace=(degree_sequence(system),))
         assert not verify_certificate(forged, system, x)
 
     def test_rejects_other_point_or_record(self, twisted_cubic_system, ones):
@@ -677,13 +651,15 @@ class TestBasisWork:
         assert verify_certificate(cert, system, x)
         assert calls == [system.gens, cert.final_gens]
 
-    def test_verify_unfit_trace_computes_no_basis(self, monkeypatch):
+    @pytest.mark.parametrize("change", ["dropped", "constant"])
+    def test_verify_unfit_final_generators_compute_no_basis(self, monkeypatch, change):
         system, x = PLANTED_QUADRICS.system, PLANTED_QUADRICS.point
         cert = reduce_to_ci(system, x)
-        assert isinstance(cert, CICertificate) and cert.trace
-        dropped = replace(cert, trace=cert.trace[1:])
+        assert isinstance(cert, CICertificate)
+        final = cert.final_gens
+        unfit = final[1:] if change == "dropped" else (system.ring.one(),) + final[1:]
         calls = _count_bases(monkeypatch)
-        assert not verify_certificate(dropped, system, x)
+        assert not verify_certificate(replace(cert, final_gens=unfit), system, x)
         assert calls == []
 
     @pytest.mark.parametrize(

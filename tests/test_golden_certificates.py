@@ -1,11 +1,14 @@
-"""Certificates are pinned byte for byte.
+"""Certificates and `decide` reports are pinned byte for byte.
 
 `golden_certificates.json` holds the exact bytes `ciforge decide --out` wrote
 for each case below, recorded before the basis cache was introduced
 (``planted-p5-ci-q`` before Buchberger's eager cofactor transcript gave
-way to the derivation record).  A change that reorders or re-derives any part
-of a certificate shows up here, over Q and over F_p, for complete
-intersections and non-CIs alike.
+way to the derivation record) and re-recorded when format version 2 dropped
+the trace.  A change that reorders or re-derives any part of a certificate
+shows up here, over Q and over F_p, for complete intersections and non-CIs
+alike.  `golden_decide_stdout.json` holds each case's `decide` standard
+output and exit code, recorded while the trace was still part of the
+certificate, so the `trace:` line is pinned too.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from corpus import (
 )
 
 GOLDEN = Path(__file__).with_name("golden_certificates.json")
+GOLDEN_STDOUT = Path(__file__).with_name("golden_decide_stdout.json")
 
 # name -> (corpus entry, field override or None)
 CASES = {
@@ -67,3 +71,14 @@ def decide_bytes(tmp_path: Path, name: str) -> str:
 def test_certificate_bytes_unchanged(tmp_path, capsys, name):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert decide_bytes(tmp_path, name) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_decide_stdout_unchanged(tmp_path, capsys, name):
+    golden = json.loads(GOLDEN_STDOUT.read_text(encoding="utf-8"))[name]
+    entry, field = CASES[name]
+    ideal = tmp_path / f"{name}.ideal"
+    ideal.write_text(ideal_text(entry), encoding="utf-8")
+    argv = ["decide", str(ideal)] + ([] if field is None else ["--field", field])
+    code = run_command(argv)
+    assert (code, capsys.readouterr().out) == (golden["exit"], golden["stdout"])
