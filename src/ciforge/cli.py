@@ -107,7 +107,7 @@ def build_parser() -> _ArgumentParser:
 def _load(args: argparse.Namespace) -> IdealFile:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {args.file}: {exc}") from exc
     return parse_ideal_file(
         text,
@@ -213,7 +213,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
     loaded = _load(args)
     try:
         cert_text = Path(args.cert).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {args.cert}: {exc}") from exc
     cert = parse_certificate(cert_text)
     if loaded.point is not None:

@@ -243,34 +243,55 @@ def subst_step(
     relation = elimination.first_relation(differentials)
     if relation is None:
         return None
+    gens = system.gens
     support = [i for i, c in enumerate(relation) if c]
-    degrees = [g.degree for g in system.gens]
-    top_degree = max(degrees[i] for i in support)
+    degrees = {i: gens[i].degree for i in support}
+    top_degree = max(degrees.values())
+    lifts = {i: top_degree - d for i, d in degrees.items()}
 
     field = ring.field
     k = x.pivot
     inv_xk = field.div(field.one, x.coords[k])
-    zero = ring.zero()
-    cofactors = [zero] * len(relation)
-    combined = zero
+    scales = {i: field.mul(relation[i], field.pow(inv_xk, lifts[i])) for i in support}
+    # Sum the lift once, on integers: generator i is its integral form over
+    # its own scale (``integral_terms`` is lead coefficient, other terms,
+    # scale), and every multiplier goes over one common denominator.
+    weights, denominator = field.integral(
+        {i: field.div(scales[i], gens[i].integral_terms[2]) for i in support}
+    )
+    total: dict[tuple[int, ...], int] = {}
+    get = total.get
     for i in support:
-        lift = top_degree - degrees[i]
-        scale = field.mul(relation[i], field.pow(inv_xk, lift))
-        cofactors[i] = ring.monomial(
-            tuple(lift if j == k else 0 for j in range(ring.num_vars)), scale
-        )
-        combined = combined + cofactors[i] * system.gens[i]
+        lead_coefficient, rest, _ = gens[i].integral_terms
+        weight, lift = weights[i], lifts[i]
+        for e, c in ((gens[i].lead, lead_coefficient), *rest):
+            if lift:
+                e = e[:k] + (e[k] + lift,) + e[k + 1 :]
+            total[e] = get(e, 0) + weight * c
+    combined = field.from_integral(total, denominator)
 
-    j = max(i for i in support if degrees[i] == top_degree)
-    if combined.is_zero():
+    def lifted(i: int, scale: Scalar) -> Polynomial:
+        exponents = [0] * ring.num_vars
+        exponents[k] = lifts[i]
+        return Polynomial._trusted(ring, {tuple(exponents): scale})
+
+    j = max(i for i in support if not lifts[i])
+    zero = ring.zero()
+    multipliers = [zero] * len(relation)
+    if not combined:
         # The lifted combination collapses; the relation already expresses
         # generator j (top block, constant multiplier) over the others.
-        scale = field.div(field.one, field.neg(relation[j]))
-        others = (c * scale for i, c in enumerate(cofactors) if i != j)
-        return Removed(j, QuotientRecord(tuple(others), zero))
+        inv = field.div(field.one, field.neg(relation[j]))
+        for i in support:
+            multipliers[i] = lifted(i, field.mul(scales[i], inv))
+        del multipliers[j]
+        return Removed(j, QuotientRecord(tuple(multipliers), zero))
 
-    assert not any(differential_at(combined, x)), "replacement differential is nonzero"
-    return Replaced(j, combined, relation, tuple(cofactors))
+    new_poly = Polynomial._trusted(ring, combined)
+    assert not any(differential_at(new_poly, x)), "replacement differential is nonzero"
+    for i in support:
+        multipliers[i] = lifted(i, scales[i])
+    return Replaced(j, new_poly, relation, tuple(multipliers))
 
 
 def _carried_differentials(

@@ -18,6 +18,14 @@ integers, ``ratio`` divides a working value by such an integer, and the fused
 step ``sub_mul(v, f, c)`` gives v - f*c for working v and f and an integer c.
 Over Q a step is integer arithmetic and one ``math.gcd``, not a `Fraction`
 per operation; over F_p it is one call where ``add`` and ``mul`` are two.
+
+Fraction-free elimination (``linalg.ColumnElimination``) and the lifted
+combination of a rewrite step (``decide.subst_step``) run on integers
+instead.  ``integral_vector`` is ``integral`` for a sequence,
+``from_integral`` is its inverse (integers over a nonzero scale back to
+scalars, zeros dropped), and ``primitive`` keeps a vector's integers small
+without changing the line it spans: over Q it divides by their gcd, over
+F_p it reduces them mod p.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Mapping, TypeVar
+from typing import Collection, Mapping, TypeVar
 
 from .errors import ParseError
 
@@ -80,10 +88,32 @@ class RationalField:
         return {k: Fraction(n * scale, d) for k, (n, d) in terms.items()}
 
     @staticmethod
-    def integral(terms: Mapping[Key, Fraction]) -> tuple[dict[Key, int], int]:
+    def integral_vector(values: Collection[Fraction]) -> tuple[list[int], int]:
+        """Integers and a positive scale with values[i] == ints[i] / scale."""
+        scale = lcm(*(c.denominator for c in values))
+        return [c.numerator * (scale // c.denominator) for c in values], scale
+
+    @classmethod
+    def integral(cls, terms: Mapping[Key, Fraction]) -> tuple[dict[Key, int], int]:
         """Integers and a positive scale with terms[k] == ints[k] / scale."""
-        scale = lcm(*(c.denominator for c in terms.values()))
-        return {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}, scale
+        ints, scale = cls.integral_vector(terms.values())
+        return dict(zip(terms, ints)), scale
+
+    @staticmethod
+    def from_integral(terms: Mapping[Key, int], scale: int) -> dict[Key, Fraction]:
+        """Each nonzero integer over the nonzero integer ``scale``."""
+        return {k: Fraction(v, scale) for k, v in terms.items() if v}
+
+    @staticmethod
+    def primitive(
+        ints: list[int], more: Mapping[Key, int]
+    ) -> tuple[list[int], dict[Key, int]]:
+        """Both divided by the gcd of all their entries, zeros of ``more``
+        dropped; one entry must be nonzero."""
+        g = gcd(*ints, *more.values())
+        if g == 1:
+            return ints, {k: v for k, v in more.items() if v}
+        return [v // g for v in ints], {k: v // g for k, v in more.items() if v}
 
     @staticmethod
     def ratio(w: tuple[int, int], a: int) -> tuple[int, int]:
@@ -181,6 +211,24 @@ class PrimeField:
     def integral(terms: Mapping[Key, int]) -> tuple[Mapping[Key, int], int]:
         """The scalars are integers already: the map itself, at scale 1."""
         return terms, 1
+
+    @staticmethod
+    def integral_vector(values: Collection[int]) -> tuple[list[int], int]:
+        """The scalars are integers already: them, at scale 1."""
+        return list(values), 1
+
+    def from_integral(self, terms: Mapping[Key, int], scale: int) -> dict[Key, int]:
+        """Each integer over ``scale`` (nonzero mod p) in [0, p), zeros dropped."""
+        p = self.p
+        inv = pow(scale, -1, p)
+        return {k: r for k, v in terms.items() if (r := v * inv % p)}
+
+    def primitive(
+        self, ints: list[int], more: Mapping[Key, int]
+    ) -> tuple[list[int], dict[Key, int]]:
+        """Both reduced mod p, zeros of ``more`` dropped."""
+        p = self.p
+        return [v % p for v in ints], {k: r for k, v in more.items() if (r := v % p)}
 
     def ratio(self, w: int, a: int) -> int:
         """w / a for a nonzero a."""

@@ -1,10 +1,13 @@
-"""Exact dense linear algebra over the coefficient field.
+"""Exact linear algebra over the coefficient field, by fraction-free
+elimination on integers.
 
 Rank, kernel bases and linear relations among polynomials all read one
-column-by-column elimination, `ColumnElimination`, which the rewrite loop
-also carries from step to step.  The relation it finds for each dependent
-column is unique, so every answer is deterministic and equals the one read
-off the reduced row-echelon form.
+column-by-column elimination, `ColumnElimination`.  It scales each column to
+integers and reduces it with integer steps, one gcd per step over Q and one
+reduction mod p over F_p, so it builds no `Fraction` per operation.  The
+rewrite loop carries one from step to step.  The relation it finds for each
+dependent column is unique, so every answer is deterministic and equals the
+one read off the reduced row-echelon form; it is returned as scalars.
 
 `kernel_basis` and `linear_relation_polys` have no caller inside the
 package; they stay because the benchmark's tracer (``perfbench/tracer.py``)
@@ -60,9 +63,16 @@ class ColumnElimination:
     """A column-by-column elimination that can be resumed.
 
     Columns are fed in order; each is reduced against the independent columns
-    before it.  An independent column is kept as (pivot row, column scaled to
-    1 there, combination of the original columns ``0..j`` that gives it).  A
-    dependent column is not kept; `add` returns its relation instead.
+    before it.  The reduction is fraction-free: a column is scaled to
+    integers (`Field.integral_vector`), and reducing it by a kept column
+    ``v`` with pivot entry ``a``, where it has entry ``b``, gives
+    ``a*c - b*v``, made small again by `Field.primitive` (over Q the gcd of
+    its entries is divided out, over F_p they are reduced mod p).  An
+    independent column is kept as (its index, pivot row, reduced integer
+    column, combination): the combination maps the indices of the original
+    columns that give the reduced one, at most rank + 1 of them, to integer
+    coefficients.  A dependent column is not kept; `add` returns its
+    relation instead.
 
     A reduced column and its combination depend only on the columns before
     it, so after `truncate(index)` the kept part is exactly the elimination
@@ -72,7 +82,7 @@ class ColumnElimination:
 
     def __init__(self, field: Field) -> None:
         self.field = field
-        self.reduced: list[tuple[int, list[Scalar], list[Scalar]]] = []
+        self.reduced: list[tuple[int, int, list[int], dict[int, int]]] = []
         self.width = 0  # columns fed so far, dependent ones included
 
     def add(self, column: Sequence[Scalar]) -> Vector | None:
@@ -87,26 +97,29 @@ class ColumnElimination:
         """
         check_deadline("row reduction")
         field = self.field
-        sub, mul = field.sub, field.mul
+        primitive = field.primitive
         j = self.width
         self.width += 1
-        combination = [field.zero] * j + [field.one]
-        for pivot, basis_column, basis_combination in self.reduced:
-            factor = column[pivot]
-            if not factor:
+        column, scale = field.integral_vector(column)
+        combination = {j: scale}
+        for _, pivot, basis_column, basis_combination in self.reduced:
+            b = column[pivot]
+            if not b:
                 continue
-            column = [sub(a, mul(factor, b)) if b else a for a, b in zip(column, basis_column)]
-            for k, c in enumerate(basis_combination):
-                if c:
-                    combination[k] = sub(combination[k], mul(factor, c))
+            a = basis_column[pivot]
+            column = [a * u - b * v for u, v in zip(column, basis_column)]
+            combination = {k: a * c for k, c in combination.items()}
+            for k, c in basis_combination.items():
+                combination[k] = combination.get(k, 0) - b * c
+            column, combination = primitive(column, combination)
         pivot = next((i for i, v in enumerate(column) if v), None)
-        if pivot is None:
-            return tuple(combination)
-        inv = field.div(field.one, column[pivot])
-        self.reduced.append(
-            (pivot, [mul(v, inv) for v in column], [mul(c, inv) for c in combination])
-        )
-        return None
+        if pivot is not None:
+            self.reduced.append((j, pivot, column, combination))
+            return None
+        relation = [field.zero] * (j + 1)
+        for k, c in field.from_integral(combination, combination[j]).items():
+            relation[k] = c
+        return tuple(relation)
 
     def first_relation(self, columns: Sequence[Sequence[Scalar]]) -> Vector | None:
         """Feed ``columns[width:]`` up to the first dependent one and return
@@ -122,7 +135,7 @@ class ColumnElimination:
     def truncate(self, index: int) -> None:
         """Forget columns ``index`` onwards."""
         if index < self.width:
-            self.reduced = [r for r in self.reduced if len(r[2]) <= index]
+            self.reduced = [r for r in self.reduced if r[0] < index]
             self.width = index
 
 

@@ -75,6 +75,15 @@ class TestDecide:
     def test_missing_file(self, capsys):
         assert run_command(["decide", "does-not-exist.ideal"]) == 1
 
+    @pytest.mark.parametrize("command", ["decide", "dim"])
+    def test_undecodable_ideal_file_is_a_parse_error(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.ideal"
+        path.write_bytes(TWISTED_CUBIC.encode().replace(b"T1*T3", b"T1*\xffT3"))
+        assert run_command([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+
     def test_writes_certificate(self, cubic_file, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"
         run_command(["decide", str(cubic_file), "--out", str(cert_path)])
@@ -208,6 +217,16 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: certificate is not valid JSON: ")
+
+    def test_undecodable_certificate_is_a_parse_error(self, cubic_file, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        run_command(["decide", str(cubic_file), "--out", str(cert_path)])
+        capsys.readouterr()
+        cert_path.write_bytes(b"\xff\xfe" + cert_path.read_bytes())
+        assert run_command(["verify", str(cubic_file), "--cert", str(cert_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {cert_path}: ")
 
     def test_non_homogeneous_final_generator_with_empty_trace_refuted(
         self, tmp_path, capsys

@@ -51,7 +51,13 @@ from corpus import (
     TWISTED_CUBIC,
 )
 from helpers import differentials, expand
-from oracles import minimal_generator_total, reference_condition_iv, reference_subst_step
+from oracles import (
+    minimal_generator_total,
+    reference_condition_iv,
+    reference_differential_at,
+    reference_subst_step,
+    row_reduce_rank,
+)
 
 
 def ideal_of(system):
@@ -267,14 +273,27 @@ def vanishing_systems(draw):
     vanishes at the drawn point.  Besides fresh generators of degree 1-3 it
     draws scalar multiples, same-degree combinations and variable multiples
     of earlier ones, so relations among the differentials, top-degree blocks
-    dependent as polynomials and lifts that cancel all occur."""
+    dependent as polynomials and lifts that cancel all occur.  Point
+    coordinates (the pivot among them) and coefficients are small integers
+    or fractions n/d, so over Q the lift's common denominator is exercised."""
     field = draw(st.sampled_from(FIELDS))
     n = draw(st.integers(2, 4))
     ring = PolynomialRing(field, tuple(f"T{i}" for i in range(n)))
-    coords = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
-    x = ProjectivePoint(tuple(field.scalar(c) for c in coords))
+
+    def small_or_fraction(bound):
+        return st.one_of(
+            st.integers(-bound, bound).map(field.scalar),
+            st.builds(
+                lambda a, b: field.div(field.scalar(a), field.scalar(b)),
+                st.integers(-3, 3),
+                st.integers(2, 4),
+            ),
+        )
+
+    coords = draw(st.lists(small_or_fraction(2), min_size=n, max_size=n).filter(any))
+    x = ProjectivePoint(tuple(coords))
     k = x.pivot
-    small = st.integers(-3, 3).map(field.scalar)
+    small = small_or_fraction(3)
     gens: list[Polynomial] = []
     for _ in range(draw(st.integers(1, n + 3))):
         kind = draw(st.sampled_from(["fresh", "multiple", "combination", "shift"]))
@@ -305,6 +324,17 @@ def vanishing_systems(draw):
             gens.append(g)
     assume(gens)
     return GeneratorSystem.from_polynomials(gens, ring), x
+
+
+class TestSmoothnessAgainstTheOracle:
+    @settings(deadline=None)
+    @given(vanishing_systems())
+    def test_rank_matches_the_oracle(self, case):
+        system, x = case
+        assume(all(g.degree <= 3 for g in system.gens))
+        report = smoothness_check(ideal_of(system), x)
+        rows = [reference_differential_at(g, x) for g in system.gens]
+        assert report.jacobian_rank == row_reduce_rank(rows, system.ring.field)
 
 
 class TestAgainstReferenceStep:

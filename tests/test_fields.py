@@ -51,6 +51,22 @@ class TestPrimeField:
         assert result == reduced(Fraction(v - f * c), p) and result in field
         assert field.sub_mul(f * c % p, f, c) == field.work_zero
 
+    @given(
+        ints=st.lists(st.integers(-(10**20), 10**20), max_size=5),
+        more=st.dictionaries(st.integers(0, 9), st.integers(-(10**20), 10**20), max_size=5),
+        scale=st.integers(-(10**12), 10**12),
+    )
+    def test_integer_form_matches_fractions_mod_p(self, field, ints, more, scale):
+        p = field.p
+        assert field.integral_vector([v % p for v in ints]) == ([v % p for v in ints], 1)
+        small, smaller = field.primitive(ints, more)
+        assert small == [v % p for v in ints]
+        assert smaller == {k: v % p for k, v in more.items() if v % p}
+        if scale % p:
+            back = field.from_integral(more, scale)
+            assert back == {k: r for k, v in more.items() if (r := reduced(Fraction(v, scale), p))}
+            assert all(x in field for x in back.values())
+
     @given(n=st.integers(-10**6, 10**6), d=st.integers(-10**6, 10**6))
     def test_scalar_is_n_over_d(self, field, n, d):
         p = field.p
@@ -117,6 +133,28 @@ class TestRationalField:
         back = QQ.from_work({0: wv, 1: wf}, scale)
         assert back == {0: v * scale, 1: f * scale}
         assert all(type(x) is Fraction for x in back.values())
+
+    @given(
+        values=st.lists(fractions, max_size=5),
+        more=st.dictionaries(st.integers(0, 9), st.integers(-(10**20), 10**20), max_size=5),
+        factor=st.integers(1, 10**6),
+        scale=st.integers(-(10**12), 10**12).filter(bool),
+    )
+    def test_integer_form_is_fraction_arithmetic(self, values, more, factor, scale):
+        ints, common = QQ.integral_vector(values)
+        assert common > 0 and all(type(n) is int for n in ints)
+        assert [Fraction(n, common) for n in ints] == values
+        back = QQ.from_integral(more, scale)
+        assert back == {k: Fraction(v, scale) for k, v in more.items() if v}
+        assert all(type(x) is Fraction for x in back.values())
+        # primitive divides out the common factor of both, and no more.
+        scaled = {k: v * factor for k, v in more.items()}
+        if any(ints) or any(more.values()):
+            small, smaller = QQ.primitive([n * factor for n in ints], scaled)
+            assert math.gcd(*small, *smaller.values()) == 1
+            g = math.gcd(*ints, *more.values())
+            assert small == [n // g for n in ints]
+            assert smaller == {k: v // g for k, v in more.items() if v}
 
     def test_scalar(self):
         half = Fraction(1, 2)

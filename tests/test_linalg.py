@@ -111,29 +111,57 @@ def small_fractions(field):
     )
 
 
+def entries(field):
+    """Zero, a small fraction or, over Q, a large rational: numerator up to
+    10^20 and denominator up to 10^12 in size, so that one column mixes
+    denominators.  Over F_p a large integer reduced mod p."""
+    large = st.builds(
+        lambda n, d: field.div(field.scalar(n), field.scalar(d)),
+        st.integers(-(10**20), 10**20),
+        st.integers(1, 10**12).filter(field.scalar),
+    )
+    return st.one_of(st.just(field.zero), small_fractions(field), large)
+
+
+@st.composite
+def columns_of(draw, field, height, max_size):
+    """Up to ``max_size`` columns of the given height: fresh ones, and sums
+    of two earlier ones with large multipliers, so dependent columns with
+    large entries occur."""
+    columns = []
+    for _ in range(draw(st.integers(0, max_size))):
+        if columns and draw(st.booleans()):
+            a, b = draw(st.lists(st.sampled_from(columns), min_size=2, max_size=2))
+            s, t = draw(st.lists(entries(field), min_size=2, max_size=2))
+            columns.append(
+                tuple(field.add(field.mul(s, u), field.mul(t, v)) for u, v in zip(a, b))
+            )
+        else:
+            columns.append(draw(st.tuples(*[entries(field)] * height)))
+    return columns
+
+
 @st.composite
 def field_matrices(draw):
-    """A matrix over Q, F_7 or F_32003 with up to 4 rows and 5 columns; about
-    half the entries are zero, the others are small fractions."""
+    """A matrix over Q, F_7 or F_32003 with up to 4 rows and 5 columns, its
+    columns drawn by `columns_of`."""
     field = draw(st.sampled_from(FIELDS))
     nrows = draw(st.integers(0, 4))
-    ncols = draw(st.integers(0, 5))
-    entry = st.one_of(
-        st.just(field.zero),
-        small_fractions(field),
-    )
-    rows = draw(
-        st.lists(
-            st.tuples(*[entry] * ncols), min_size=nrows, max_size=nrows
-        )
-    )
-    return ExactMatrix(field, tuple(rows), ncols)
+    columns = draw(columns_of(field, nrows, 5))
+    rows = tuple(tuple(c[i] for c in columns) for i in range(nrows))
+    return ExactMatrix(field, rows, len(columns))
+
+
+def in_field(field, vectors):
+    return all(c in field for v in vectors if v is not None for c in v)
 
 
 class TestAgainstReference:
     @given(field_matrices())
     def test_kernel_and_rank_match_the_oracle(self, m):
-        assert kernel_basis(m) == reference_kernel_basis(m)
+        basis = kernel_basis(m)
+        assert basis == reference_kernel_basis(m)
+        assert in_field(m.field, basis)
         assert rank(m) == row_reduce_rank(m.rows, m.field)
 
     @pytest.mark.parametrize("reader", [rank, kernel_basis, first_kernel_vector])
@@ -159,7 +187,9 @@ class TestAgainstReference:
 class TestFirstKernelVector:
     @given(field_matrices())
     def test_equals_first_kernel_basis_vector(self, m):
-        assert first_kernel_vector(m) == (reference_kernel_basis(m) or [None])[0]
+        relation = first_kernel_vector(m)
+        assert relation == (reference_kernel_basis(m) or [None])[0]
+        assert in_field(m.field, [relation])
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize(
@@ -192,12 +222,8 @@ def column_edits(draw):
     delete or replace the column at a drawn position."""
     field = draw(st.sampled_from(FIELDS))
     height = draw(st.integers(0, 4))
-    entry = st.one_of(
-        st.just(field.zero),
-        small_fractions(field),
-    )
-    column = st.tuples(*[entry] * height)
-    columns = draw(st.lists(column, max_size=7))
+    column = st.tuples(*[entries(field)] * height)
+    columns = draw(columns_of(field, height, 7))
     edits = draw(
         st.lists(
             st.tuples(st.sampled_from(["delete", "replace"]), st.integers(0, 99), column),
@@ -238,6 +264,21 @@ class TestResumedElimination:
             elimination.truncate(i)
             relation = elimination.first_relation(columns)
             assert relation == self.fresh(field, columns)
+            assert in_field(field, [relation])
+
+    @given(column_edits())
+    def test_resumed_after_a_full_elimination(self, case):
+        # Every column fed, dependent ones and the independent ones after
+        # them too, then cut back to the first dependent column.
+        field, columns, _ = case
+        elimination = ColumnElimination(field)
+        relations = [elimination.add(column) for column in columns]
+        rows = [list(r) for r in zip(*columns)]
+        assert len(elimination.reduced) == row_reduce_rank(rows, field)
+        first = next((j for j, r in enumerate(relations) if r is not None), len(columns))
+        elimination.truncate(first)
+        assert elimination.width == len(elimination.reduced) == first
+        assert elimination.first_relation(columns) == self.fresh(field, columns)
 
     def test_truncate_keeps_only_the_prefix(self):
         elimination = ColumnElimination(QQ)
