@@ -186,12 +186,16 @@ class GroebnerBasis:
     ``len(source_gens) + r`` is what row ``r`` made: its first multiplier (a
     polynomial or a scalar) times that node, minus each further multiplier
     times its node.  The last ``len(elements)`` rows make the elements.
+
+    ``through`` is None for a full basis.  A basis computed ``through=d``
+    holds only the reduced basis's elements of degree at most d.
     """
 
     ring: PolynomialRing
     elements: tuple[Polynomial, ...]
     source_gens: tuple[Polynomial, ...]
     derivation: tuple[tuple[tuple[Polynomial | Scalar, int], ...], ...]
+    through: int | None = None
 
     def leading_monomials(self) -> list[Exponents]:
         return [g.lead for g in self.elements]
@@ -226,6 +230,8 @@ def reduced_groebner(
     gens: Sequence[Polynomial],
     *,
     ring: PolynomialRing | None = None,
+    through: int | None = None,
+    within: "Ideal | None" = None,
 ) -> GroebnerBasis:
     """Reduced grevlex Groebner basis of the ideal generated by ``gens``.
 
@@ -242,6 +248,24 @@ def reduced_groebner(
     row ``((1, position), (quotient, node)...)``.  The result is the unique
     reduced basis of the ideal, independent of generator order.  Each
     polynomial it makes appends a derivation row.
+
+    ``through=d`` stops at degree d, giving a d-Groebner basis (Becker and
+    Weispfenning, *Groebner Bases*, 1993, §10.2): generators of degree above
+    d do not enter, and a pair of lcm degree above d is never reduced, though
+    it stays pending so the chain criterion sees what a full run would.  The
+    elements of degree at most d, and their derivation, are then those of a
+    full run; the rest are missing, so the result records the bound and an
+    `Ideal` over it refuses what needs a full basis.
+
+    ``within=W``, an `Ideal` with a full basis, skips work that W's basis
+    settles (Traverso's Hilbert-driven pair skipping, 1996).  If the
+    generators lie in W, the basis B built so far generates a subideal of W,
+    so once every leading monomial of W's basis of degree at most e is
+    divisible by one of B, B agrees with W through degree e and a pair of
+    degree e reduces to zero: it is skipped, making no row.  Membership of
+    the generators is proved at the first such pair, once; if one lies
+    outside W nothing is skipped.  So the result equals the unbounded one
+    for any generators.
     """
     if ring is None:
         if not gens:
@@ -250,6 +274,11 @@ def reduced_groebner(
     source = tuple(gens)
     if any(g.ring != ring for g in source):
         raise RingMismatchError("generators belong to different rings")
+    if within is not None:
+        if within.ring != ring:
+            raise RingMismatchError("the bounding ideal belongs to a different ring")
+        if within.basis.through is not None:
+            raise ValueError("the bounding ideal needs a full basis")
 
     basis: list[Polynomial] = []
     lms: list[Exponents] = []
@@ -267,7 +296,9 @@ def reduced_groebner(
         """Add ``element`` to the basis and queue its pairs with the others."""
         new, new_lm = len(basis), element.lead
         for k, lm in enumerate(lms):
-            heapq.heappush(queue, (sum(monomial_lcm(lm, new_lm)), new, k))
+            degree = sum(monomial_lcm(lm, new_lm))
+            if through is None or degree <= through:
+                heapq.heappush(queue, (degree, new, k))
             pending.add(frozenset((k, new)))
         basis.append(element)
         lms.append(new_lm)
@@ -285,6 +316,32 @@ def reduced_groebner(
         ((g.degree, p) for p, g in enumerate(source) if not g.is_zero()),
         reverse=True,
     )
+    if through is not None:
+        waiting = [w for w in waiting if w[0] <= through]
+
+    # (degree, leading monomial) of W's basis elements that no leading
+    # monomial in ``lms`` is known to divide, the lowest degree last; None
+    # once nothing may be skipped.
+    uncovered = None
+    if within is not None:
+        uncovered = [(g.degree, g.lead) for g in reversed(within.basis.elements)]
+    proven = False
+
+    def settled(degree: int) -> bool:
+        """Whether W's basis shows that a pair of ``degree`` reduces to zero."""
+        nonlocal uncovered, proven
+        while uncovered and uncovered[-1][0] <= degree:
+            target = uncovered[-1][1]
+            if not any(monomial_divides(lm, target) for lm in lms):
+                return False
+            uncovered.pop()
+        if not proven:
+            # Sound only for generators in W: one division each, once.
+            if not all(g in within for g in source):
+                uncovered = None
+                return False
+            proven = True
+        return True
 
     while waiting or queue:
         check_deadline("basis computation")
@@ -301,7 +358,7 @@ def reduced_groebner(
                 enter(g, position)
             continue
 
-        _, j, i = heapq.heappop(queue)
+        degree, j, i = heapq.heappop(queue)
         pending.discard(frozenset((i, j)))
         lcm = monomial_lcm(lms[i], lms[j])
         # Coprime criterion: disjoint leading supports never yield new elements.
@@ -321,6 +378,8 @@ def reduced_groebner(
                 redundant = True
                 break
         if redundant:
+            continue
+        if uncovered is not None and settled(degree):
             continue
 
         shift_i = monomial_div(lcm, lms[i])
@@ -361,7 +420,7 @@ def reduced_groebner(
         final.append(record.remainder)
         final_nodes.append(made(head + _nonzero_terms(record.quotients, final_nodes)))
 
-    return GroebnerBasis(ring, tuple(final), source, tuple(derivation))
+    return GroebnerBasis(ring, tuple(final), source, tuple(derivation), through)
 
 
 class Ideal:
@@ -371,6 +430,10 @@ class Ideal:
     one basis.  The reduced basis of each below-degree part is kept by degree:
     it depends only on the ideal and the degree, so every containment test in
     one degree shares one computation.
+
+    ``through`` and ``within`` go to `reduced_groebner`.  An ideal whose
+    basis stops at degree d answers membership only up to degree d and
+    refuses `dimension`, which needs the whole basis (`ValueError`).
     """
 
     def __init__(
@@ -378,8 +441,10 @@ class Ideal:
         gens: Sequence[Polynomial],
         *,
         ring: PolynomialRing | None = None,
+        through: int | None = None,
+        within: "Ideal | None" = None,
     ) -> None:
-        self.basis = reduced_groebner(gens, ring=ring)
+        self.basis = reduced_groebner(gens, ring=ring, through=through, within=within)
         self._below: dict[int, Ideal] = {}
 
     @property
@@ -390,8 +455,16 @@ class Ideal:
     def gens(self) -> tuple[Polynomial, ...]:
         return self.basis.source_gens
 
+    def _require_within_bound(self, f: Polynomial) -> None:
+        through = self.basis.through
+        if through is not None and not f.is_zero() and f.degree > through:
+            raise ValueError(
+                f"membership in degree {f.degree}, but the basis stops at degree {through}"
+            )
+
     def __contains__(self, f: Polynomial) -> bool:
         """Whether ``f`` is a member; composes no cofactors."""
+        self._require_within_bound(f)
         return normal_form(f, self.basis.elements).remainder.is_zero()
 
     def member(self, f: Polynomial) -> tuple[bool, QuotientRecord]:
@@ -403,6 +476,7 @@ class Ideal:
         with the basis derivation.
         """
         f.degree  # raises NotHomogeneousError
+        self._require_within_bound(f)
         record = normal_form(f, self.basis.elements)
         cofactors = self.basis.cofactors(record.quotients)
         return record.remainder.is_zero(), QuotientRecord(cofactors, record.remainder)
@@ -420,10 +494,18 @@ class Ideal:
         return tuple(g for g in self.basis.elements if g.degree < m)
 
     def truncated_ideal(self, m: int) -> "Ideal":
-        """The ideal generated by ``truncated(m)``, computed once per ``m``."""
+        """The ideal generated by ``truncated(m)``, its basis computed through
+        degree ``m`` and once per ``m``.
+
+        It answers membership of degree ``m`` exactly.  Its generators are
+        this ideal's basis in degrees below ``m``, which they generate, so
+        every pair below ``m`` reduces to zero and is skipped (``within``).
+        """
         below = self._below.get(m)
         if below is None:
-            below = self._below[m] = Ideal(self.truncated(m), ring=self.ring)
+            below = self._below[m] = Ideal(
+                self.truncated(m), ring=self.ring, through=m, within=self
+            )
         return below
 
     def dimension(self) -> int:
@@ -437,6 +519,8 @@ class Ideal:
         the problem is NP-hard in general, so every node checks the time
         limit.  Returns −1 for the empty projective locus.
         """
+        if self.basis.through is not None:
+            raise ValueError("the dimension needs a full basis")
         if any(g.degree == 0 for g in self.basis.elements):
             raise ImproperIdealError("ideal contains a nonzero constant")
         supports = {

@@ -391,23 +391,26 @@ def format_polynomial(p: Polynomial) -> str:
     """
     if p.is_zero():
         return "0"
-    ring_field = p.ring.field
+    names = p.ring.var_names
     pieces: list[str] = []
     for exps, coeff in p.sorted_terms():
         factors = []
-        for name, e in zip(p.ring.var_names, exps):
+        for name, e in zip(names, exps):
             if e == 1:
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        negative = coeff < 0  # only a rational can be
-        magnitude = ring_field.neg(coeff) if negative else coeff
+        # Reading the sign and |coeff| off the printed scalar ("n" or "n/d";
+        # only a rational can be negative) costs no Fraction arithmetic.
+        text = str(coeff)
+        negative = text[0] == "-"
+        magnitude = text[1:] if negative else text
         if not factors:
-            body = str(magnitude)
-        elif magnitude == ring_field.one:
+            body = magnitude
+        elif magnitude == "1":
             body = "*".join(factors)
         else:
-            body = str(magnitude) + "*" + "*".join(factors)
+            body = magnitude + "*" + "*".join(factors)
         if not pieces:
             pieces.append("-" + body if negative else body)
         else:

@@ -11,7 +11,9 @@ algorithm with an eager transcript, on that textbook division.
 A polynomial's value and differential at a point come from the loops first
 written, which multiply out every coordinate power of every term.
 The expression parser is the one first written, which makes every number,
-variable, power and product its own `Polynomial`.  The degree-sequence order
+variable, power and product its own `Polynomial`; the printer is the one
+first written, which compares each coefficient with zero and one and negates
+it by the field's own operations.  The degree-sequence order
 walks the degrees from the top, condition (iv) compares two ranks, and the
 dimension scans every variable subset, each as first written.  The
 certificate rules are checked on degree slices alone: a normal form is what
@@ -599,6 +601,36 @@ def reference_parse(text: str, ring) -> Polynomial:
     """``text`` parsed node by node, each node a `Polynomial`; raises
     `ParseError` with the same messages and positions as `parse_polynomial`."""
     return _ReferenceParser(text, ring).parse()
+
+
+def reference_format_polynomial(p) -> str:
+    """The canonical print form of ``p``, term by term in descending grevlex,
+    each coefficient's sign and unit test taken by scalar comparisons."""
+    if p.is_zero():
+        return "0"
+    field = p.ring.field
+    pieces = []
+    for exps in sorted(p.terms, key=_grevlex_ascending_key, reverse=True):
+        coeff = p.terms[exps]
+        factors = []
+        for name, e in zip(p.ring.var_names, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        negative = coeff < 0  # only a rational can be
+        magnitude = field.neg(coeff) if negative else coeff
+        if not factors:
+            body = str(magnitude)
+        elif magnitude == field.one:
+            body = "*".join(factors)
+        else:
+            body = str(magnitude) + "*" + "*".join(factors)
+        if not pieces:
+            pieces.append("-" + body if negative else body)
+        else:
+            pieces.append(("- " if negative else "+ ") + body)
+    return " ".join(pieces)
 
 
 def _degrees(p) -> set[int]:

@@ -10,9 +10,10 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ciforge import groebner
+from ciforge import decide, groebner
 from ciforge import (
     BuchbergerTimeout,
+    CICertificate,
     Ideal,
     ImproperIdealError,
     NotHomogeneousError,
@@ -28,8 +29,10 @@ from ciforge import (
     normal_form,
     parse_polynomial,
     projective_dimension,
+    reduce_to_ci,
     reduced_groebner,
     truncated_generators,
+    verify_certificate,
 )
 from ciforge.poly import grevlex_key
 
@@ -382,6 +385,19 @@ class TestReducedBasis:
             "T1^2 - T0*T2",
         ]
 
+    def test_chain_criterion_reads_the_pending_pairs(self):
+        # The chain criterion may drop a pair only for a third element whose
+        # pairs with both ends are no longer pending; taking every pair as
+        # settled drops pairs that z^4 comes from.
+        ring = PolynomialRing(QQ, ("x", "y", "z"))
+        gens = [
+            parse_polynomial(text, ring)
+            for text in ("x*y + z^2", "x*z + 2*y^2", "y*z + 3*x^2")
+        ]
+        elements = reduced_groebner(gens).elements
+        assert "z^4" in strs(elements)
+        assert list(elements) == reference_truncated_basis(gens, 5)
+
     def test_tail_reduction(self, p3):
         gens = [
             parse_polynomial("T0 - T1", p3),
@@ -600,6 +616,162 @@ class TestIdeal:
         assert ideal.truncated_ideal(3) is below
         assert ideal.truncated_ideal(2) is not below
         assert strs(below.gens) == ["T0 - T1", "T1*T2 - T1*T3"]
+
+
+@st.composite
+def bounded_inputs(draw):
+    """(gens, W) over Q, F_7 or F_32003 in three variables: W is generated
+    by one to three forms of degree 1-3.  ``gens`` start, at times, with
+    another presentation of W's generators (each plus multiples of those
+    before it), so that their basis is W's; then come up to three forms of
+    degree 1-4, all combinations of W's generators or only some of them, so
+    that the generators may lie outside W."""
+    ring = PolynomialRing(draw(st.sampled_from(FIELDS)), ("T0", "T1", "T2"))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    w_gens = [g for g in (draw(forms(ring, d)) for d in degrees) if not g.is_zero()]
+    assume(w_gens)
+
+    def combination(degree, of):
+        g = ring.zero()
+        for w in of:
+            if degree >= w.degree:
+                g = g + draw(forms(ring, degree - w.degree)) * w
+        return g
+
+    gens = []
+    if draw(st.booleans()):
+        for k, w in enumerate(w_gens):
+            unit = draw(st.sampled_from((1, 2, -3)))
+            gens.append(w * unit + combination(w.degree, w_gens[:k]))
+    every_one_inside = draw(st.booleans())
+    for d in draw(st.lists(st.integers(1, 4), max_size=3)):
+        if every_one_inside or draw(st.booleans()):
+            gens.append(combination(d, w_gens))
+        else:
+            gens.append(draw(forms(ring, d)))
+    assume(gens)
+    return gens, Ideal(w_gens)
+
+
+class TestBounds:
+    """``through`` keeps a full run's elements up to its degree; ``within``
+    changes nothing in the result, whatever the generators."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(case=bounded_inputs(), through=st.integers(0, 5))
+    def test_bounds_keep_the_unbounded_result(self, case, through):
+        gens, w = case
+        ring = w.ring
+        unbounded = reduced_groebner(gens, ring=ring)
+        # Skipped pairs would have reduced to zero, which makes no row, so
+        # the derivation is the same too.
+        assert reduced_groebner(gens, ring=ring, within=w) == unbounded
+        low = tuple(g for g in unbounded.elements if g.degree <= through)
+        for bounding in (None, w):
+            bounded = reduced_groebner(gens, ring=ring, through=through, within=bounding)
+            assert bounded.elements == low
+            assert bounded.through == through
+
+    def test_generators_outside_the_bounding_ideal_skip_nothing(self):
+        # No generator lies in W = (2x + 4z), yet 6x covers W's one leading
+        # monomial, so without the membership proof the quadrics' pairs
+        # would be skipped and z^3 lost.
+        ring = PolynomialRing(PrimeField(7), ("x", "y", "z"))
+        w = Ideal([parse_polynomial("2*x + 4*z", ring)])
+        gens = [
+            parse_polynomial(text, ring)
+            for text in ("6*x", "4*x*z + 6*y*z + 3*z^2", "4*y^2 + 5*z^2")
+        ]
+        basis = reduced_groebner(gens, within=w)
+        assert basis == reduced_groebner(gens)
+        assert "z^3" in strs(basis.elements)
+
+    def test_bounding_ideal_needs_a_full_basis_of_the_same_ring(self, p3):
+        gens = [parse_polynomial("T0*T1", p3), parse_polynomial("T2^2", p3)]
+        with pytest.raises(ValueError, match="full basis"):
+            reduced_groebner(gens, within=Ideal(gens, through=2))
+        other = PolynomialRing(QQ, ("x", "y", "z", "w"))
+        with pytest.raises(RingMismatchError):
+            reduced_groebner(gens, within=Ideal([other.variable(0)]))
+
+    def test_bounded_ideal_refuses_what_needs_the_whole_basis(self):
+        below = Ideal(PLANTED_QUADRICS.gens).truncated_ideal(3)
+        assert below.basis.through == 3
+        with pytest.raises(ValueError, match="full basis"):
+            below.dimension()
+        ring = below.ring
+        cubic = below.gens[0] * ring.variable(0)
+        assert cubic in below and below.member(cubic)[0]
+        with pytest.raises(ValueError, match="stops at degree 3"):
+            cubic * ring.variable(1) in below
+        with pytest.raises(ValueError, match="stops at degree 3"):
+            below.member(cubic * ring.variable(1))
+
+
+class TestBoundedWork:
+    """What the bounds save, counted in divisions: a truncated ideal reduces
+    only the S-pairs of the degree it is asked about, and the CI verifier's
+    second basis no S-pair that the input's basis shows to reduce to zero."""
+
+    @pytest.fixture
+    def divisions(self, monkeypatch):
+        """(dividend, zero remainder) of every division from now on."""
+        calls = []
+        original = groebner.normal_form
+
+        def observing(f, basis):
+            record = original(f, basis)
+            calls.append((f, record.remainder.is_zero()))
+            return record
+
+        monkeypatch.setattr(groebner, "normal_form", observing)
+        return calls
+
+    @staticmethod
+    def s_pairs(divisions, basis):
+        """The S-pair divisions of one basis computation, which made every
+        division in ``divisions``: the others divide a generator (on entry,
+        or to prove it a member of the bounding ideal) or, last, tail-reduce
+        each element."""
+        sources = {id(g) for g in basis.source_gens}
+        rest = [(f, zero) for f, zero in divisions if id(f) not in sources]
+        return rest[: len(rest) - len(basis.elements)]
+
+    @pytest.mark.parametrize("entry", [PLANTED_QUADRICS, PLANTED_IN_P5], ids=lambda e: e.name)
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_truncated_ideal_reduces_only_pairs_of_its_degree(
+        self, divisions, entry, degree
+    ):
+        ideal = Ideal(entry.gens)
+        divisions.clear()
+        below = ideal.truncated_ideal(degree)
+        assert all(f.degree == degree for f, _ in self.s_pairs(divisions, below.basis))
+        divisions.clear()
+        unbounded = reduced_groebner(below.gens)
+        assert any(f.degree != degree for f, _ in self.s_pairs(divisions, unbounded))
+        low = tuple(g for g in unbounded.elements if g.degree <= degree)
+        assert below.basis.elements == low
+
+    @pytest.mark.parametrize("entry", [PLANTED_QUADRICS, PLANTED_IN_P5], ids=lambda e: e.name)
+    def test_ci_verifier_reduces_no_pair_to_zero(self, monkeypatch, divisions, entry):
+        system, x = entry.system, entry.point
+        cert = reduce_to_ci(system, x)
+        assert isinstance(cert, CICertificate)
+        second = []
+
+        def final_basis(gens, **kwargs):
+            divisions.clear()
+            basis = reduced_groebner(gens, **kwargs)
+            second.append((basis, list(divisions)))
+            return basis
+
+        monkeypatch.setattr(decide, "reduced_groebner", final_basis)
+        assert verify_certificate(cert, system, x)
+        [(basis, calls)] = second
+        pairs = self.s_pairs(calls, basis)
+        assert pairs and not any(zero for _, zero in pairs)
+        # One division per final generator proves it a member of the input.
+        assert len(calls) == 2 * len(cert.final_gens) + len(pairs) + len(basis.elements)
 
 
 class TestDimension:

@@ -24,7 +24,12 @@ from ciforge import (
     reduced_groebner,
 )
 
-from oracles import reference_differential_at, reference_evaluate, reference_parse
+from oracles import (
+    reference_differential_at,
+    reference_evaluate,
+    reference_format_polynomial,
+    reference_parse,
+)
 
 FIELDS = (QQ, PrimeField(7), PrimeField(32003))
 
@@ -199,6 +204,34 @@ def field_polys(draw):
 @given(field_polys())
 def test_print_parse_fixed_point(f):
     assert parse_polynomial(str(f), f.ring) == f
+
+
+@st.composite
+def printable_polys(draw):
+    """A polynomial in x, y, z over Q, F_7 or F_32003: up to six terms, a
+    constant among them at times, with coefficients of either sign around
+    one or with up to 20-digit numerators and 12-digit denominators."""
+    ring = PolynomialRing(draw(st.sampled_from(FIELDS)), ("x", "y", "z"))
+    field = ring.field
+    small = st.integers(-2, 2)
+    numerators = st.one_of(small, st.integers(-(10**20), 10**20))
+    denominators = st.one_of(st.integers(1, 2), st.integers(1, 10**12))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in range(3))
+        value = field.scalar(draw(numerators))
+        if field is QQ:
+            value = field.div(value, field.scalar(draw(denominators)))
+        terms[exps] = value
+    return Polynomial(ring, terms)
+
+
+@settings(max_examples=300)
+@given(printable_polys())
+def test_print_form_matches_the_reference_printer(f):
+    # The printed form is hashed into every certificate's input fingerprint,
+    # so it must not change by a byte.
+    assert str(f) == reference_format_polynomial(f)
 
 
 # -- the parser against the reference parser ----------------------------------
