@@ -9,7 +9,6 @@ from .certificates import (
     Certificate,
     CICertificate,
     NonCICertificate,
-    input_fingerprint,
     parse_certificate,
     serialize_certificate,
 )
@@ -39,27 +38,11 @@ from .errors import (
     ParseError,
     PointNotOnVarietyError,
     RingMismatchError,
+    basis_time_limit,
 )
 from .fields import QQ, Field, PrimeField, RationalField, Scalar, field_from_tag
-from .groebner import (
-    GroebnerBasis,
-    Ideal,
-    QuotientRecord,
-    basis_time_limit,
-    ideal_equal,
-    ideal_member,
-    normal_form,
-    projective_dimension,
-    reduced_groebner,
-    truncated_generators,
-)
+from .groebner import Ideal, QuotientRecord, normal_form, reduced_groebner
 from .ideal_file import IdealFile, parse_ideal_file
-from .linalg import (
-    ExactMatrix,
-    kernel_basis,
-    linear_relation_polys,
-    rank,
-)
 from .parse import parse_polynomial
 from .poly import (
     Polynomial,
@@ -82,19 +65,12 @@ __all__ = [
     "DegreeSequence",
     "differential_at",
     "evaluate",
-    "ExactMatrix",
     "Field",
     "field_from_tag",
     "GeneratorSystem",
-    "GroebnerBasis",
     "Ideal",
-    "ideal_equal",
-    "ideal_member",
     "IdealFile",
     "ImproperIdealError",
-    "input_fingerprint",
-    "kernel_basis",
-    "linear_relation_polys",
     "NonCICertificate",
     "normal_form",
     "NotHomogeneousError",
@@ -108,11 +84,9 @@ __all__ = [
     "Polynomial",
     "PolynomialRing",
     "PrimeField",
-    "projective_dimension",
     "ProjectivePoint",
     "QQ",
     "QuotientRecord",
-    "rank",
     "RationalField",
     "reduce_to_ci",
     "reduced_groebner",
@@ -128,6 +102,5 @@ __all__ = [
     "subst_step",
     "TrivialContainment",
     "trivially_contains",
-    "truncated_generators",
     "verify_certificate",
 ]

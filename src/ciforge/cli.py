@@ -34,8 +34,8 @@ from .decide import (
     trivially_contains,
     verify_certificate,
 )
-from .errors import BuchbergerTimeout, ParseError
-from .groebner import Ideal, basis_time_limit
+from .errors import BuchbergerTimeout, ParseError, basis_time_limit
+from .groebner import Ideal
 from .ideal_file import IdealFile, parse_ideal_file
 from .poly import ProjectivePoint
 from .parse import parse_polynomial

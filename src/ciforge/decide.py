@@ -28,9 +28,10 @@ from .errors import (
     NotInIdealError,
     NotSmoothError,
     PointNotOnVarietyError,
+    check_deadline,
 )
 from .fields import Scalar
-from .groebner import Ideal, QuotientRecord, check_deadline, reduced_groebner
+from .groebner import Ideal, QuotientRecord, reduced_groebner
 from .linalg import ColumnElimination, ExactMatrix, rank
 from .poly import (
     Polynomial,
@@ -166,21 +167,28 @@ def _member_degree(ideal: Ideal, f: Polynomial, what: str) -> int:
 def trivially_contains(ideal: Ideal, f: Polynomial) -> TrivialContainment:
     """Whether ``f`` is a combination of ideal members of strictly lower degree.
 
-    ``f`` must be a nonzero homogeneous member of the ideal (checked).
+    ``f`` must be a nonzero homogeneous member of the ideal (checked).  A
+    member of the truncated ideal is a member of the ideal, so only a
+    non-trivial answer divides ``f`` by the ideal's own basis.
     """
-    d = _member_degree(ideal, f, "polynomial")
-    if ideal.basis.elements[0].degree >= d:  # the elements ascend in degree
-        return TrivialContainment(False, (), (), (), f)
-    below = ideal.truncated_ideal(d)
-    truncated = below.gens
-    member, record = below.member(f)
-    if not member:
-        return TrivialContainment(False, (), (), truncated, record.remainder)
-    # f is nonzero, so at least one cofactor is.
-    members, cofactors = zip(
-        *((psi, c) for psi, c in zip(truncated, record.quotients) if not c.is_zero())
-    )
-    return TrivialContainment(True, members, cofactors, truncated, record.remainder)
+    d = f.degree
+    if d is None:
+        raise ValueError("polynomial must be nonzero")
+    elements = ideal.basis.elements
+    truncated, remainder = (), f
+    if elements and elements[0].degree < d:  # the elements ascend in degree
+        below = ideal.truncated_ideal(d)
+        truncated = below.gens
+        member, record = below.member(f)
+        remainder = record.remainder
+        if member:
+            # f is nonzero, so at least one cofactor is.
+            members, cofactors = zip(
+                *((psi, c) for psi, c in zip(truncated, record.quotients) if not c.is_zero())
+            )
+            return TrivialContainment(True, members, cofactors, truncated, remainder)
+    _member_degree(ideal, f, "polynomial")
+    return TrivialContainment(False, (), (), truncated, remainder)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the time limit that
+raises `BuchbergerTimeout`.
+
+The time limit lives here, below every layer that checks it, so the parser
+and the linear algebra check it without depending on the basis computation.
+"""
 
 from __future__ import annotations
+
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator
 
 
 class ParseError(ValueError):
@@ -46,4 +56,26 @@ class CertificateMismatchError(ValueError):
 
 
 class BuchbergerTimeout(TimeoutError):
-    """A basis computation exceeded its deadline."""
+    """A phase run under `basis_time_limit` passed the limit."""
+
+
+_deadline: ContextVar[float | None] = ContextVar("basis_deadline", default=None)
+
+
+@contextmanager
+def basis_time_limit(seconds: float) -> Iterator[None]:
+    """Bound the wall-clock time of parsing, basis computations, divisions,
+    row reductions, dimension searches and rewrite loops started in this
+    context."""
+    token = _deadline.set(time.monotonic() + seconds)
+    try:
+        yield
+    finally:
+        _deadline.reset(token)
+
+
+def check_deadline(phase: str) -> None:
+    """Raise `BuchbergerTimeout`, naming ``phase``, once the limit has passed."""
+    deadline = _deadline.get()
+    if deadline is not None and time.monotonic() > deadline:
+        raise BuchbergerTimeout(f"{phase} exceeded its time limit")

@@ -5,25 +5,16 @@ compose explicit cofactors over the original generators on demand, without
 solving anything afresh.  Cofactors are valid but not canonical; only the
 reduced basis itself is a canonical object.
 
-`ideal_member`, `ideal_equal`, `truncated_generators` and
-`projective_dimension` have no caller inside the package; they stay because
-the benchmark's tracer (``perfbench/tracer.py``) binds them by name.
+The four wrappers at the end of this module serve only the benchmark's tracer.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import (
-    BuchbergerTimeout,
-    ImproperIdealError,
-    RingMismatchError,
-)
+from .errors import ImproperIdealError, RingMismatchError, check_deadline
 from .fields import Field, Scalar
 from .poly import (
     Exponents,
@@ -35,30 +26,6 @@ from .poly import (
     monomial_lcm,
     monomial_mul,
 )
-
-
-# ---------------------------------------------------------------------------
-# Cooperative time limit for every long-running phase.
-
-_deadline: ContextVar[float | None] = ContextVar("basis_deadline", default=None)
-
-
-@contextmanager
-def basis_time_limit(seconds: float) -> Iterator[None]:
-    """Bound the wall-clock time of basis computations, divisions, row
-    reductions and rewrite loops started in this context."""
-    token = _deadline.set(time.monotonic() + seconds)
-    try:
-        yield
-    finally:
-        _deadline.reset(token)
-
-
-def check_deadline(phase: str) -> None:
-    """Raise `BuchbergerTimeout`, naming ``phase``, once the limit has passed."""
-    deadline = _deadline.get()
-    if deadline is not None and time.monotonic() > deadline:
-        raise BuchbergerTimeout(f"{phase} exceeded its time limit")
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,7 @@ rewrite loop carries one from step to step.  The relation it finds for each
 dependent column is unique, so every answer is deterministic and equals the
 one read off the reduced row-echelon form; it is returned as scalars.
 
-`kernel_basis` and `linear_relation_polys` have no caller inside the
-package; they stay because the benchmark's tracer (``perfbench/tracer.py``)
-binds them by name.
+`kernel_basis` and `linear_relation_polys` serve only the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -19,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import NotHomogeneousError, RingMismatchError
+from .errors import NotHomogeneousError, RingMismatchError, check_deadline
 from .fields import Field, Scalar
-from .groebner import check_deadline
 from .poly import Polynomial, grevlex_key
 
 Vector = tuple[Scalar, ...]

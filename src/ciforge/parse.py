@@ -16,10 +16,12 @@ A rational coefficient with more decimal digits than Python converts to a
 string (`sys.get_int_max_str_digits`) is a parse error at the term that makes
 it, since it could not be printed; so is an exponent written with that many.
 
-Parsing honours `basis_time_limit`: the parser checks the limit once per unit
-of every ``^`` exponent, whatever the base, and before every product of
-parenthesised sums, so inputs such as ``(T0 + T1)^100000``, ``T0^100000000``
-or ``2^100000000`` stop with `BuchbergerTimeout` naming ``parsing``.
+Parsing honours `basis_time_limit`, through `errors.check_deadline`, so the
+parser does not depend on the basis computation.  It checks the limit once
+per unit of every ``^`` exponent, whatever the base, and before every product
+of parenthesised sums, so inputs such as ``(T0 + T1)^100000``,
+``T0^100000000`` or ``2^100000000`` stop with `BuchbergerTimeout` naming
+``parsing``.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ import re
 import sys
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import ParseError, check_deadline
 from .fields import Scalar
-from .groebner import check_deadline
 from .poly import (
     Exponents,
     Polynomial,

@@ -201,9 +201,6 @@ class Polynomial:
         """Terms in canonical (grevlex descending) order."""
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]))
 
-    def __iter__(self) -> Iterator[tuple[Exponents, Scalar]]:
-        return iter(self.sorted_terms())
-
     # -- arithmetic ------------------------------------------------------
 
     def _require_same_ring(self, other: "Polynomial") -> None:

@@ -33,7 +33,6 @@ import re
 from itertools import product
 
 from ciforge import (
-    ExactMatrix,
     ParseError,
     PointNotOnVarietyError,
     Polynomial,
@@ -41,6 +40,7 @@ from ciforge import (
     Removed,
     Replaced,
 )
+from ciforge.linalg import ExactMatrix
 
 
 def degree_monomials(num_vars: int, degree: int) -> list[tuple[int, ...]]:

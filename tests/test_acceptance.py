@@ -25,7 +25,6 @@ from ciforge import (
     differential_at,
     degree_sequence,
     evaluate,
-    ideal_equal,
     normal_form,
     parse_certificate,
     reduce_to_ci,
@@ -35,6 +34,7 @@ from ciforge import (
     subst_step,
     verify_certificate,
 )
+from ciforge.groebner import ideal_equal
 from ciforge.poly import monomial_div, monomial_divides, monomial_lcm
 
 from corpus import CORPUS

@@ -11,12 +11,12 @@ from ciforge import (
     ParseError,
     ProjectivePoint,
     QQ,
-    input_fingerprint,
     parse_certificate,
     parse_polynomial,
     reduce_to_ci,
     serialize_certificate,
 )
+from ciforge.certificates import input_fingerprint
 
 
 @pytest.fixture

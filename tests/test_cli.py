@@ -302,6 +302,14 @@ class TestOtherCommands:
     def test_trivial_non_member_exit_2(self, lqr_file, capsys):
         assert run_command(["trivial", str(lqr_file), "--poly", "T2^2"]) == 2
 
+    def test_trivial_in_the_zero_ideal_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "zero.ideal"
+        path.write_text("field: q\nvars: x y\ngens:\n0\n")
+        assert run_command(["trivial", str(path), "--poly", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: polynomial x is not in the ideal\n"
+
     def test_check_iv_refuted(self, cubic_file, capsys):
         code = run_command(
             [

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ciforge import decide, groebner, linalg
+from ciforge import decide, errors, groebner, linalg
 from ciforge import (
     BuchbergerTimeout,
     CICertificate,
@@ -34,8 +34,6 @@ from ciforge import (
     degree_sequence,
     differential_at,
     evaluate,
-    ideal_equal,
-    input_fingerprint,
     parse_polynomial,
     reduce_to_ci,
     smoothness_check,
@@ -43,6 +41,8 @@ from ciforge import (
     trivially_contains,
     verify_certificate,
 )
+from ciforge.certificates import input_fingerprint
+from ciforge.groebner import ideal_equal
 
 from corpus import (
     CUBIC_IN_HYPERPLANE,
@@ -467,7 +467,7 @@ class TestReduceToCI:
 
         def observe(before, outcome, after):
             steps.append(outcome)
-            monkeypatch.setattr(groebner.time, "monotonic", lambda: math.inf)
+            monkeypatch.setattr(errors.time, "monotonic", lambda: math.inf)
 
         with basis_time_limit(3600.0):
             with pytest.raises(BuchbergerTimeout, match="rewrite loop"):
@@ -673,6 +673,29 @@ class TestBasisWork:
         assert degrees, "the instance must exercise Replaced steps"
         assert calls[0] == system.gens
         assert len(calls) <= 1 + len(degrees)
+
+    def test_decide_divides_no_trivial_replacement_by_the_input_basis(self, monkeypatch):
+        # A member of a truncated ideal is a member of the input ideal, so a
+        # trivially contained replacement needs no `in` query on the latter.
+        system, x = PLANTED_QUADRICS.system, PLANTED_QUADRICS.point
+        asked = []
+        contains = groebner.Ideal.__contains__
+
+        def counting(ideal, f):
+            if ideal.basis.through is None:
+                asked.append(f)
+            return contains(ideal, f)
+
+        monkeypatch.setattr(groebner.Ideal, "__contains__", counting)
+        replacements = []
+
+        def observe(before, outcome, after):
+            if isinstance(outcome, Replaced):
+                replacements.append(outcome.new_poly)
+
+        assert isinstance(reduce_to_ci(system, x, on_iteration=observe), CICertificate)
+        assert replacements, "the instance must exercise Replaced steps"
+        assert [f for f in asked if any(f is r for r in replacements)] == []
 
     def test_verify_ci_two_bases(self, monkeypatch):
         system, x = PLANTED_QUADRICS.system, PLANTED_QUADRICS.point

@@ -10,7 +10,7 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ciforge import decide, groebner
+from ciforge import decide, errors, groebner
 from ciforge import (
     BuchbergerTimeout,
     CICertificate,
@@ -24,15 +24,17 @@ from ciforge import (
     QuotientRecord,
     RingMismatchError,
     basis_time_limit,
-    ideal_equal,
-    ideal_member,
     normal_form,
     parse_polynomial,
-    projective_dimension,
     reduce_to_ci,
     reduced_groebner,
-    truncated_generators,
     verify_certificate,
+)
+from ciforge.groebner import (
+    ideal_equal,
+    ideal_member,
+    projective_dimension,
+    truncated_generators,
 )
 from ciforge.poly import grevlex_key
 
@@ -124,7 +126,7 @@ class TestNormalForm:
         )
         divisor = ring.variable(0) - ring.variable(1)
         with basis_time_limit(3600.0):
-            monkeypatch.setattr(groebner.time, "monotonic", lambda: math.inf)
+            monkeypatch.setattr(errors.time, "monotonic", lambda: math.inf)
             with pytest.raises(BuchbergerTimeout, match="division"):
                 normal_form(f, [divisor])
 
@@ -823,7 +825,7 @@ class TestDimension:
             return 0.0 if calls <= 10 else math.inf
 
         with basis_time_limit(3600.0):
-            monkeypatch.setattr(groebner.time, "monotonic", monotonic)
+            monkeypatch.setattr(errors.time, "monotonic", monotonic)
             with pytest.raises(BuchbergerTimeout, match="dimension"):
                 ideal.dimension()
         assert calls == 11
