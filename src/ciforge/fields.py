@@ -11,11 +11,13 @@ Python frame.
 
 Division (``groebner.normal_form``) works on coefficients in each field's
 *working form*: over Q a ``(numerator, denominator)`` int pair in lowest
-terms with a positive denominator, over F_p the int itself; ``work_zero`` is
-zero in it.  ``to_work`` and ``from_work`` convert a whole term map at the
-start and end of a division.  ``integral`` scales a divisor's coefficients to
-integers, ``ratio`` divides a working value by such an integer, and the fused
-step ``sub_mul(v, f, c)`` gives v - f*c for working v and f and an integer c.
+terms with a positive denominator, over F_p the int itself; ``work_zero`` and
+``work_one`` are zero and one in it.  ``to_work`` and ``from_work`` convert a
+whole term map at the start and end of a division.  ``integral`` scales a
+divisor's coefficients to integers, ``ratio`` divides a working value by such
+an integer given in ``divisor_form`` (over F_p its inverse, so a divisor is
+inverted once, not at every step), and the fused step ``sub_mul(v, f, c)``
+gives v - f*c for working v and f and an integer c.
 Over Q a step is integer arithmetic and one ``math.gcd``, not a `Fraction`
 per operation; over F_p it is one call where ``add`` and ``mul`` are two.
 
@@ -77,6 +79,7 @@ class RationalField:
 
     # Division's working form: (numerator, denominator) in lowest terms.
     work_zero = (0, 1)
+    work_one = (1, 1)
 
     @staticmethod
     def to_work(terms: Mapping[Key, Fraction]) -> dict[Key, tuple[int, int]]:
@@ -116,8 +119,13 @@ class RationalField:
         return [v // g for v in ints], {k: v // g for k, v in more.items() if v}
 
     @staticmethod
+    def divisor_form(a: int) -> int:
+        """What `ratio` takes to divide by the nonzero integer a: a itself."""
+        return a
+
+    @staticmethod
     def ratio(w: tuple[int, int], a: int) -> tuple[int, int]:
-        """w / a for a nonzero integer a."""
+        """w / a for a nonzero integer a (`divisor_form`)."""
         n, d = w
         g = gcd(n, a)  # n and d are coprime, so n/g and d*a/g are
         n, a = n // g, a // g
@@ -197,6 +205,7 @@ class PrimeField:
 
     # Division's working form: the scalar itself.
     work_zero = 0
+    work_one = 1
 
     @staticmethod
     def to_work(terms: Mapping[Key, int]) -> dict[Key, int]:
@@ -230,9 +239,14 @@ class PrimeField:
         p = self.p
         return [v % p for v in ints], {k: r for k, v in more.items() if (r := v % p)}
 
-    def ratio(self, w: int, a: int) -> int:
-        """w / a for a nonzero a."""
-        return w * pow(a, -1, self.p) % self.p
+    def divisor_form(self, a: int) -> int:
+        """What `ratio` takes to divide by a, nonzero mod p: its inverse, so
+        that dividing many values by one divisor inverts it once."""
+        return pow(a, -1, self.p)
+
+    def ratio(self, w: int, inverse: int) -> int:
+        """w / a, given ``divisor_form(a)``."""
+        return w * inverse % self.p
 
     def sub_mul(self, v: int, f: int, c: int) -> int:
         """v - f*c."""

@@ -12,17 +12,24 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import ImproperIdealError, RingMismatchError, check_deadline
+from .errors import (
+    ImproperIdealError,
+    NotHomogeneousError,
+    RingMismatchError,
+    check_deadline,
+)
 from .fields import Field, Scalar
 from .poly import (
     Exponents,
+    MonomialLayout,
     Polynomial,
     PolynomialRing,
     grevlex_key,
     monomial_div,
     monomial_divides,
+    monomial_layout,
     monomial_lcm,
     monomial_mul,
 )
@@ -46,13 +53,17 @@ _STEPS_PER_DEADLINE_CHECK = 1024
 
 def _divide_terms(
     field: Field,
-    dividend: Mapping[Exponents, Scalar],
-    divisors: Sequence[tuple[Exponents, int, Sequence[tuple[Exponents, int]], int]],
+    layout: MonomialLayout,
+    work: dict[int, object],
+    divisors: Sequence[tuple[int, int, Sequence[tuple[int, int]], int]],
 ) -> tuple[list[dict[Exponents, Scalar]], dict[Exponents, Scalar]]:
-    """Core division loop on raw term maps over ``field``.
+    """Core division loop on packed monomials; returns the quotients and the
+    remainder as term maps over ``field``.
 
-    Each divisor is given as (leading monomial, leading coefficient, other
-    terms, scale), its coefficients times ``scale`` made integers by
+    ``work`` is the dividend's packed working map (`Polynomial.packed_work`),
+    which the loop consumes.  Each divisor is its `Polynomial.packed_divisor`
+    form in ``layout``: (leading monomial, leading coefficient, other terms,
+    scale), its coefficients times ``scale`` made integers by
     `Field.integral`.  At every step the current leading monomial of the work
     polynomial is either cancelled by the first divisor whose leading
     monomial divides it or moved to the remainder, so the loop strictly
@@ -60,22 +71,26 @@ def _divide_terms(
     until the end, so a step costs one ``ratio`` and one fused ``sub_mul``
     per divisor term.
 
-    The work polynomial's monomials sit in a min-heap under `grevlex_key`,
-    written out inline, which pops the grevlex-greatest first.  A
-    monomial is pushed when it enters the work polynomial; one that has left
-    it since is skipped when popped.  Nothing at or above a processed
-    monomial is ever added again, so each monomial is processed once.
+    A packed monomial is one integer (`MonomialLayout`): a product is ``+``,
+    a greater integer is a grevlex-greater monomial, and the divisor's
+    leading monomial divides ``lm`` exactly when ``(lm - glm) & guard`` is
+    zero.  The work polynomial's monomials sit in a min-heap of their
+    negations, which pops the grevlex-greatest first.  A monomial is pushed
+    when it enters the work polynomial; one that has left it since is
+    skipped when popped.  Nothing at or above a processed monomial is ever
+    added again, so each monomial is processed once.  Only the quotients and
+    the remainder are unpacked, at the end.
     """
-    work = field.to_work(dividend)
-    heap = [(-sum(e), e[::-1], e) for e in work]  # (*grevlex_key(e), e)
+    heap = [-m for m in work]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     ratio, sub_mul, zero = field.ratio, field.sub_mul, field.work_zero
-    remainder: dict[Exponents, Scalar] = {}
-    quotients: list[dict[Exponents, Scalar]] = [{} for _ in divisors]
+    guard = layout.guard
+    remainder: dict[int, object] = {}
+    quotients: list[dict[int, object]] = [{} for _ in divisors]
     steps = 0
     while heap:
-        lm = pop(heap)[2]
+        lm = -pop(heap)
         lc = work.pop(lm, None)
         if lc is None:
             continue
@@ -83,19 +98,19 @@ def _divide_terms(
         if steps % _STEPS_PER_DEADLINE_CHECK == 0:
             check_deadline("division")
         for q, (glm, glc, gtail, _) in zip(quotients, divisors):
-            if monomial_divides(glm, lm):
-                shift = monomial_div(lm, glm)
+            shift = lm - glm
+            if not shift & guard:
                 # lc / glc times the scale, which `from_work` applies at the end.
                 factor = ratio(lc, glc)
                 q[shift] = factor  # lm is processed once, so shift is new
                 # The divisor's leading term cancels lm, which already left
                 # the work polynomial.
                 for ge, gc in gtail:
-                    e = monomial_mul(shift, ge)
+                    e = shift + ge
                     value = work.get(e)
                     if value is None:
                         work[e] = sub_mul(zero, factor, gc)
-                        push(heap, (-sum(e), e[::-1], e))
+                        push(heap, -e)
                     else:
                         value = sub_mul(value, factor, gc)
                         if value == zero:
@@ -105,10 +120,14 @@ def _divide_terms(
                 break
         else:
             remainder[lm] = lc
-    from_work = field.from_work
+    from_work, unpack = field.from_work, layout.unpack
+
+    def unpacked(terms: dict[int, object], scale: int = 1) -> dict[Exponents, Scalar]:
+        return {unpack(e): c for e, c in from_work(terms, scale).items()}
+
     return (
-        [from_work(q, d[3]) if q else q for q, d in zip(quotients, divisors)],
-        from_work(remainder),
+        [unpacked(q, d[3]) if q else {} for q, d in zip(quotients, divisors)],
+        unpacked(remainder),
     )
 
 
@@ -119,21 +138,73 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> QuotientRecord:
     first basis element whose leading monomial divides it.  The remainder has
     no monomial divisible by any basis leading monomial.  A long division
     honours `basis_time_limit`.
+
+    The division runs on packed monomials in the layout for the highest
+    degree among ``f``'s terms and the divisors' leading monomials, which
+    bounds every monomial the division meets.  Each polynomial keeps its
+    packed forms per layout, so a basis element is packed once, however many
+    divisions it takes part in.  ``f``'s own leading monomial is never
+    computed.
     """
     ring = f.ring
-    divisors = []
+    try:
+        top = f.degree or 0
+    except NotHomogeneousError:
+        top = max(map(sum, f.terms))
     for g in basis:
-        if g.ring != ring:
+        if g.ring is not ring and g.ring != ring:
             raise RingMismatchError("divisor in a different ring")
         if g.is_zero():
             raise ValueError("zero divisor in basis")
-        divisors.append((g.lead, *g.integral_terms))
-    quotients, remainder = _divide_terms(ring.field, f.terms, divisors)
+        top = max(top, sum(g.lead))
+    layout = monomial_layout(ring.num_vars, top)
+    divisors = [g.packed_divisor(layout) for g in basis]
+    quotients, remainder = _divide_terms(
+        ring.field, layout, dict(f.packed_work(layout)), divisors
+    )
     zero = ring.zero()
     return QuotientRecord(
         tuple(Polynomial._trusted(ring, q) if q else zero for q in quotients),
         Polynomial._trusted(ring, remainder),
     )
+
+
+def _s_polynomial(
+    ring: PolynomialRing,
+    layout: MonomialLayout,
+    g: Polynomial,
+    h: Polynomial,
+    lcm: int,
+    degree: int,
+) -> Polynomial:
+    """g * m_g / lc(g) - h * m_h / lc(h), where the monomials m_g and m_h
+    lift both leading monomials to the packed ``lcm`` of degree ``degree``.
+
+    It is built on the parents' packed divisor forms, so the polynomial
+    comes with its packed working map in ``layout`` and division does not
+    pack it again.  The leading terms cancel, and g's other terms stay
+    distinct after the shift, so only h's can meet one already there.
+    """
+    field = ring.field
+    ratio, sub_mul, zero, one = field.ratio, field.sub_mul, field.work_zero, field.work_one
+    g_lead, g_lc, g_rest, _ = g.packed_divisor(layout)
+    h_lead, h_lc, h_rest, _ = h.packed_divisor(layout)
+    # Over the integral forms, g / lc(g) has the coefficients c / g_lc.
+    shift, factor = lcm - g_lead, ratio(one, g_lc)
+    work = {shift + e: sub_mul(zero, factor, -c) for e, c in g_rest}
+    shift, factor = lcm - h_lead, ratio(one, h_lc)
+    for e, c in h_rest:
+        e += shift
+        value = work.get(e)
+        if value is None:
+            work[e] = sub_mul(zero, factor, c)
+        else:
+            value = sub_mul(value, factor, c)
+            if value == zero:
+                del work[e]
+            else:
+                work[e] = value
+    return Polynomial._from_packed(ring, layout, work, degree if work else None)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +330,13 @@ def reduced_groebner(
     # order `enter` creates pairs in.
     queue: list[tuple[int, int, int]] = []
 
+    top = 0  # the highest degree of a leading monomial in the basis
+
     def enter(element: Polynomial, node: int) -> None:
         """Add ``element`` to the basis and queue its pairs with the others."""
+        nonlocal top
         new, new_lm = len(basis), element.lead
+        top = max(top, sum(new_lm))
         for k, lm in enumerate(lms):
             degree = sum(monomial_lcm(lm, new_lm))
             if through is None or degree <= through:
@@ -349,14 +424,15 @@ def reduced_groebner(
         if uncovered is not None and settled(degree):
             continue
 
-        shift_i = monomial_div(lcm, lms[i])
-        shift_j = monomial_div(lcm, lms[j])
-        mono_i = ring.monomial(shift_i, div(one, lcs[i]))
-        mono_j = ring.monomial(shift_j, div(one, lcs[j]))
-        s_poly = basis[i] * mono_i - basis[j] * mono_j
+        # normal_form picks this layout too: no leading monomial in the
+        # basis has a degree above ``top``.
+        layout = monomial_layout(ring.num_vars, max(degree, top))
+        s_poly = _s_polynomial(ring, layout, basis[i], basis[j], layout.pack(lcm), degree)
         record = normal_form(s_poly, basis)
         if record.remainder.is_zero():
             continue
+        mono_i = ring.monomial(monomial_div(lcm, lms[i]), div(one, lcs[i]))
+        mono_j = ring.monomial(monomial_div(lcm, lms[j]), div(one, lcs[j]))
         head = ((mono_i, nodes[i]), (mono_j, nodes[j]))
         enter(record.remainder, made(head + _nonzero_terms(record.quotients, nodes)))
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import add, le, sub
+from functools import cache, cached_property
+from operator import add, le, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotHomogeneousError, RingMismatchError
@@ -80,6 +80,72 @@ def mul_terms(
 # in this key is descending grevlex: the greatest monomial sorts first.
 def grevlex_key(exponents: Exponents) -> tuple:
     return (-sum(exponents), exponents[::-1])
+
+
+# The most unpacked monomials a layout keeps: a run meets a few hundred per
+# layout, and a long-running process must not grow without bound.
+_UNPACKED_LIMIT = 1 << 14
+
+
+class MonomialLayout:
+    """Monomials of degree at most ``top`` in ``num_vars`` variables, each
+    packed into one integer (Bachmann and Schönemann, ISSAC 1998).
+
+    With b = ``top.bit_length()``, the low part holds one field of b + 1 bits
+    per variable, T_0 lowest: the exponent, with the field's top bit a guard
+    that a packed monomial leaves clear.  Above it sit the grevlex fields, b
+    bits each: the partial sums e_0, e_0 + e_1, ..., the total degree highest.
+    Packing is linear, ``pack(e) == sum(e_k * weights[k])``, so for monomials
+    of degree at most ``top``:
+
+    - a product is the sum of the packed forms;
+    - packed a > packed b exactly when a is grevlex-greater, since the total
+      degree decides first and then a larger partial sum means a smaller
+      exponent further right;
+    - b divides a exactly when ``(a - b) & guard == 0``: where an exponent of
+      a is smaller, the lowest such field borrows and sets its guard bit.
+
+    Use `monomial_layout`, which makes one layout per width.
+    """
+
+    __slots__ = ("weights", "guard", "_shifts", "_mask", "_unpacked")
+
+    def __init__(self, num_vars: int, width: int) -> None:
+        low = width + 1
+        base = num_vars * low  # where the grevlex fields start
+        self.weights = tuple(
+            (1 << k * low) + sum(1 << base + j * width for j in range(k, num_vars))
+            for k in range(num_vars)
+        )
+        self.guard = sum(1 << k * low + width for k in range(num_vars))
+        self._shifts = tuple(k * low for k in range(num_vars))
+        self._mask = (1 << width) - 1
+        self._unpacked: dict[int, Exponents] = {}
+
+    def pack(self, exponents: Exponents) -> int:
+        return sum(map(mul, exponents, self.weights))
+
+    def unpack(self, packed: int) -> Exponents:
+        """The exponent tuple of a packed monomial, kept once computed."""
+        memo = self._unpacked
+        exponents = memo.get(packed)
+        if exponents is None:
+            if len(memo) >= _UNPACKED_LIMIT:
+                memo.clear()
+            mask = self._mask
+            exponents = memo[packed] = tuple(packed >> shift & mask for shift in self._shifts)
+        return exponents
+
+
+@cache
+def _layout(num_vars: int, width: int) -> MonomialLayout:
+    return MonomialLayout(num_vars, width)
+
+
+def monomial_layout(num_vars: int, top: int) -> MonomialLayout:
+    """The layout for monomials of degree at most ``top``; tops of one bit
+    length share it."""
+    return _layout(num_vars, top.bit_length())
 
 
 @dataclass(frozen=True)
@@ -183,6 +249,57 @@ class Polynomial:
         lead = self.lead
         ints, scale = self.ring.field.integral(self.terms)
         return ints[lead], [(e, c) for e, c in ints.items() if e is not lead], scale
+
+    @cached_property
+    def _packed(self) -> dict[MonomialLayout, tuple]:
+        return {}
+
+    @cached_property
+    def _packed_work(self) -> dict[MonomialLayout, dict]:
+        return {}
+
+    def packed_divisor(self, layout: MonomialLayout) -> tuple[int, int, list, int]:
+        """(leading monomial, leading coefficient, other terms, scale) in
+        ``layout``, from `integral_terms`, computed once per layout.  The
+        monomials are packed and the leading coefficient is in the form
+        `Field.ratio` divides by (`Field.divisor_form`)."""
+        form = self._packed.get(layout)
+        if form is None:
+            lead_coefficient, rest, scale = self.integral_terms
+            pack = layout.pack
+            form = self._packed[layout] = (
+                pack(self.lead),
+                self.ring.field.divisor_form(lead_coefficient),
+                [(pack(e), c) for e, c in rest],
+                scale,
+            )
+        return form
+
+    def packed_work(self, layout: MonomialLayout) -> dict:
+        """The term map with packed monomials and coefficients in the
+        field's working form, computed once per layout.  Division copies it
+        before changing it."""
+        work = self._packed_work.get(layout)
+        if work is None:
+            pack = layout.pack
+            work = self._packed_work[layout] = {
+                pack(e): c for e, c in self.ring.field.to_work(self.terms).items()
+            }
+        return work
+
+    @classmethod
+    def _from_packed(
+        cls, ring: PolynomialRing, layout: MonomialLayout, work: dict, degree: int | None
+    ) -> "Polynomial":
+        """The polynomial of a packed working map whose terms all have
+        ``degree`` (None for an empty map); the map is kept as its
+        `packed_work` in ``layout``."""
+        unpack = layout.unpack
+        terms = ring.field.from_work(work)
+        p = cls._trusted(ring, {unpack(e): c for e, c in terms.items()})
+        # Fill the cached properties `degree` and `_packed_work`.
+        p.__dict__.update(degree=degree, _packed_work={layout: work})
+        return p
 
     @cached_property
     def degree(self) -> int | None:

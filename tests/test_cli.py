@@ -271,6 +271,16 @@ class TestOtherCommands:
         assert run_command(["dim", str(cubic_file)]) == 0
         assert capsys.readouterr().out.strip() == "1"
 
+    def test_dim_of_an_ideal_containing_one(self, tmp_path, capsys):
+        # Dividing 1 by 2 runs in the layout for degree 0, whose grevlex
+        # fields have no bits: the constant is its only monomial.
+        path = tmp_path / "unit.ideal"
+        path.write_text("field: q\nvars: T0 T1\ngens:\n2\n1\nT0^2\n")
+        assert run_command(["dim", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ideal contains a nonzero constant\n"
+
     def test_member_yes(self, cubic_file, capsys):
         code = run_command(
             ["member", str(cubic_file), "--poly", "T0*T2 - T1^2 + T1*T3 - T2^2"]

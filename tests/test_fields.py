@@ -46,7 +46,7 @@ class TestPrimeField:
         assert field.to_work({0: v}) == {0: v}
         assert field.from_work(field.to_work({0: v})) == {0: v}
         assert field.integral({0: a, 1: c}) == ({0: a, 1: c}, 1)
-        assert field.ratio(v, a) == reduced(Fraction(v, a), p)
+        assert field.ratio(v, field.divisor_form(a)) == reduced(Fraction(v, a), p)
         result = field.sub_mul(v, f, c)
         assert result == reduced(Fraction(v - f * c), p) and result in field
         assert field.sub_mul(f * c % p, f, c) == field.work_zero
@@ -126,7 +126,7 @@ class TestRationalField:
         assert value(QQ.sub_mul(QQ.work_zero, wf, c)) == -f * c
         assert QQ.sub_mul(wf, wf, 1) == QQ.work_zero
         if c:
-            assert value(QQ.ratio(wv, c)) == v / c
+            assert value(QQ.ratio(wv, QQ.divisor_form(c))) == v / c
         ints, scale = QQ.integral(dict(enumerate(terms)))
         assert scale > 0 and all(type(n) is int for n in ints.values())
         assert [Fraction(n, scale) for n in ints.values()] == terms

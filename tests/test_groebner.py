@@ -36,7 +36,7 @@ from ciforge.groebner import (
     projective_dimension,
     truncated_generators,
 )
-from ciforge.poly import grevlex_key
+from ciforge.poly import grevlex_key, monomial_div, monomial_layout, monomial_lcm
 
 from corpus import PLANTED_IN_P5, PLANTED_QUADRICS, RATIONAL_NORMAL_QUARTIC
 from helpers import expand, leading_coefficient
@@ -147,9 +147,10 @@ def polynomials(
     min_terms=0,
     numerators=SMALL_NUMERATORS,
     denominators=SMALL_DENOMINATORS,
+    max_terms=6,
 ):
     monomials = draw(
-        st.lists(st.sampled_from(support), min_size=min_terms, max_size=6, unique=True)
+        st.lists(st.sampled_from(support), min_size=min_terms, max_size=max_terms, unique=True)
     )
     terms = {}
     for e in monomials:
@@ -190,6 +191,44 @@ def divisions(
     return draw(polys()), divisors, False
 
 
+@st.composite
+def sparse_monomials(draw, num_vars):
+    """An exponent tuple with at most three nonzero exponents, each up to 9."""
+    exponents = [0] * num_vars
+    for k in draw(st.lists(st.integers(0, num_vars - 1), max_size=3, unique=True)):
+        exponents[k] = draw(st.integers(1, 9))
+    return tuple(exponents)
+
+
+@st.composite
+def wide_divisions(draw):
+    """(dividend, divisors, multiple) in 2 to 12 variables over one of
+    FIELDS, with exponents up to 9, so that the highest degree, which picks
+    the packed layout, lands on either side of its width steps.
+
+    The dividend need not be homogeneous, and a divisor may have a higher
+    degree than the dividend.  Multiples of some divisors are added to the
+    dividend, so divisions take steps; with ``multiple`` set the dividend is
+    a multiple of a lone divisor.
+    """
+    n = draw(st.integers(2, 12))
+    ring = PolynomialRing(draw(st.sampled_from(FIELDS)), tuple(f"T{i}" for i in range(n)))
+    support = draw(st.lists(sparse_monomials(n), min_size=1, max_size=8, unique=True))
+
+    def polys(min_terms=0, max_terms=4):
+        return polynomials(ring, support=support, min_terms=min_terms, max_terms=max_terms)
+
+    divisors = draw(st.lists(polys(min_terms=1), max_size=3))
+    if divisors and draw(st.booleans()):
+        divisors = divisors[:1]
+        return draw(polys(max_terms=3)) * divisors[0], divisors, True
+    f = draw(polys())
+    for g in divisors:
+        if draw(st.booleans()):
+            f = f + draw(polys(max_terms=2)) * g
+    return f, divisors, False
+
+
 def assert_matches_the_reference_division(case):
     f, divisors, multiple = case
     record = normal_form(f, divisors)
@@ -222,6 +261,11 @@ class TestDivisionKernel:
         )
     )
     def test_matches_the_reference_division_on_large_rationals(self, case):
+        assert_matches_the_reference_division(case)
+
+    @settings(deadline=None)
+    @given(wide_divisions())
+    def test_matches_the_reference_division_across_layouts(self, case):
         assert_matches_the_reference_division(case)
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -833,8 +877,6 @@ class TestDimension:
 
 class TestSPolynomials:
     def test_all_reduce_to_zero(self, twisted_cubic):
-        from ciforge.poly import monomial_div, monomial_lcm
-
         basis = reduced_groebner(list(twisted_cubic))
         elements = list(basis.elements)
         for i in range(len(elements)):
@@ -852,3 +894,34 @@ class TestSPolynomials:
                 )
                 s = gi * si - gj * sj
                 assert normal_form(s, elements).remainder.is_zero()
+
+    @given(data=st.data())
+    def test_packed_s_polynomial_is_the_polynomial_one(self, data):
+        field = data.draw(st.sampled_from(FIELDS))
+        ring = PolynomialRing(field, ("T0", "T1", "T2"))
+        g = data.draw(forms(ring, data.draw(st.integers(1, 3))))
+        assume(not g.is_zero())
+        if data.draw(st.booleans()):
+            # A multiple of g by a monomial: the S-polynomial cancels to zero.
+            h = g * ring.variable(data.draw(st.integers(0, 2)))
+        else:
+            h = data.draw(forms(ring, data.draw(st.integers(1, 3))))
+            assume(not h.is_zero())
+        lcm = monomial_lcm(g.lead, h.lead)
+        degree = sum(lcm)
+        # Buchberger packs in the layout for the basis's highest degree,
+        # which may lie above this pair's.
+        layout = monomial_layout(3, degree + data.draw(st.integers(0, 9)))
+        s = groebner._s_polynomial(ring, layout, g, h, layout.pack(lcm), degree)
+
+        def lifted(p):
+            return p * ring.monomial(
+                monomial_div(lcm, p.lead), field.div(field.one, p.terms[p.lead])
+            )
+
+        expected = lifted(g) - lifted(h)
+        assert s.terms == expected.terms
+        assert all(c in field for c in s.terms.values())
+        assert s.degree == expected.degree
+        # The packed working map it carries is the one division would build.
+        assert s.packed_work(layout) == Polynomial(ring, s.terms).packed_work(layout)

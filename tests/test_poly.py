@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,6 +23,13 @@ from ciforge import (
     evaluate,
     parse_polynomial,
     reduced_groebner,
+)
+from ciforge import poly
+from ciforge.poly import (
+    grevlex_key,
+    monomial_divides,
+    monomial_layout,
+    monomial_mul,
 )
 
 from oracles import (
@@ -319,6 +327,70 @@ def test_parser_agrees_with_reference_parser_on_damaged_text(ring_and_text, data
 def test_print_is_grevlex_descending(p3):
     f = parse_polynomial("T3^2 + T0*T3 + T1*T2 + T0^2 + T2 + 1", p3)
     assert str(f) == "T0^2 + T1*T2 + T0*T3 + T3^2 + T2 + 1"
+
+
+# Tops on both sides of each step in the width of a layout's fields.
+LAYOUT_TOPS = (0, 1, 3, 4, 7, 8, 15, 16)
+
+
+def monomials_up_to(num_vars, top):
+    """Exponent tuples of total degree at most ``top``: each exponent is cut
+    to what the ones before it leave."""
+
+    def cut(exponents):
+        left, out = top, []
+        for e in exponents:
+            out.append(min(e, left))
+            left -= out[-1]
+        return tuple(out)
+
+    return st.lists(st.integers(0, top), min_size=num_vars, max_size=num_vars).map(cut)
+
+
+class TestMonomialLayout:
+    """One integer per monomial carries grevlex order, products and
+    divisibility for every monomial of degree at most the layout's top."""
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_packing_keeps_order_products_and_divisibility(self, data):
+        n = data.draw(st.integers(2, 12), label="variables")
+        top = data.draw(st.sampled_from(LAYOUT_TOPS), label="top")
+        layout = monomial_layout(n, top)
+        a = data.draw(monomials_up_to(n, top), label="a")
+        b = data.draw(monomials_up_to(n, top), label="b")
+        pa, pb = layout.pack(a), layout.pack(b)
+        assert layout.unpack(pa) == a
+        assert (pa > pb) == (grevlex_key(a) < grevlex_key(b))
+        assert (pa == pb) == (a == b)
+        assert (not (pb - pa) & layout.guard) == monomial_divides(a, b)
+        assert (not (pa - pb) & layout.guard) == monomial_divides(b, a)
+        c = data.draw(monomials_up_to(n, top - sum(a)), label="c")
+        ac = monomial_mul(a, c)
+        assert pa + layout.pack(c) == layout.pack(ac)
+        assert layout.unpack(pa + layout.pack(c)) == ac
+        more = data.draw(st.lists(monomials_up_to(n, top), max_size=40), label="more")
+        assert sorted(more, key=layout.pack, reverse=True) == sorted(more, key=grevlex_key)
+
+    def test_packed_order_is_grevlex_on_every_small_monomial(self):
+        for n in (2, 3, 4):
+            for top in LAYOUT_TOPS:
+                layout = monomial_layout(n, top)
+                every = [e for e in product(range(top + 1), repeat=n) if sum(e) <= top]
+                assert sorted(every, key=layout.pack, reverse=True) == sorted(
+                    every, key=grevlex_key
+                ), (n, top)
+
+    def test_unpacked_monomials_kept_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(poly, "_UNPACKED_LIMIT", 3)
+        layout = poly.MonomialLayout(2, 3)
+        for e in [(0, 1), (1, 0), (2, 1), (1, 1), (0, 1)]:
+            assert layout.unpack(layout.pack(e)) == e
+            assert len(layout._unpacked) <= 3
+
+    def test_one_layout_per_width(self):
+        assert monomial_layout(4, 4) is monomial_layout(4, 7)
+        assert monomial_layout(4, 7) is not monomial_layout(4, 8)
 
 
 class TestDegrees:
