@@ -5,7 +5,7 @@ Exit status convention, shared by all subcommands:
 * 0 — complete intersection / check passed
 * 3 — not a complete intersection / check refuted
 * 2 — precondition violated (point off the variety, point not smooth, ...)
-* 1 — usage, parse, or timeout problems
+* 1 — usage, parse, timeout or out-of-memory problems
 
 Reports go to standard output; diagnostics to standard error.
 """
@@ -265,6 +265,9 @@ def run_command(argv: Sequence[str]) -> int:
         return 1
     except (BuchbergerTimeout, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except ValueError as exc:
         # Precondition violations: point off the variety, not smooth, improper

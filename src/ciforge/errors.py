@@ -64,9 +64,9 @@ _deadline: ContextVar[float | None] = ContextVar("basis_deadline", default=None)
 
 @contextmanager
 def basis_time_limit(seconds: float) -> Iterator[None]:
-    """Bound the wall-clock time of parsing, basis computations, divisions,
-    row reductions, dimension searches and rewrite loops started in this
-    context."""
+    """Bound the wall-clock time of parsing, polynomial products, basis
+    computations, divisions, row reductions, dimension searches and rewrite
+    loops started in this context."""
     token = _deadline.set(time.monotonic() + seconds)
     try:
         yield

@@ -215,6 +215,9 @@ def _s_polynomial(
 class GroebnerBasis:
     """A reduced Groebner basis: monic, interreduced, sorted by leading monomial.
 
+    Its elements enter in non-decreasing degree, each irreducible by those
+    before it, so they come out minimal (see `reduced_groebner`).
+
     ``derivation`` has one row per polynomial the computation made: the
     remainder of a generator that the basis before it reduced but did not
     cancel, an S-pair remainder, or a monic, tail-reduced element.  A
@@ -287,13 +290,20 @@ def reduced_groebner(
     reduced basis of the ideal, independent of generator order.  Each
     polynomial it makes appends a derivation row.
 
+    Generators and pairs leave one queue lowest degree first, and a pair's
+    remainder has the pair's degree, so elements enter in non-decreasing
+    degree: at a pair of degree e, every element has degree at most e.  Each
+    is irreducible by those before it, and a later leading monomial, of no
+    lower degree, divides an earlier one only if equal to it.  So the basis
+    comes out minimal; reducing it makes each element monic and tail-reduced.
+
     ``through=d`` stops at degree d, giving a d-Groebner basis (Becker and
-    Weispfenning, *Groebner Bases*, 1993, §10.2): generators of degree above
-    d do not enter, and a pair of lcm degree above d is never reduced, though
-    it stays pending so the chain criterion sees what a full run would.  The
-    elements of degree at most d, and their derivation, are then those of a
-    full run; the rest are missing, so the result records the bound and an
-    `Ideal` over it refuses what needs a full basis.
+    Weispfenning, *Groebner Bases*, 1993, §10.2): no generator or pair of
+    degree above d is queued.  The chain criterion for a pair asks only
+    about pairs that divide its lcm, of no greater degree, so it sees what a
+    full run would.  The elements of degree at most d, and their derivation,
+    are then those of a full run; the rest are missing, so the result
+    records the bound and an `Ideal` over it refuses what needs a full basis.
 
     ``within=W``, an `Ideal` with a full basis, skips work that W's basis
     settles (Traverso's Hilbert-driven pair skipping, 1996).  If the
@@ -320,46 +330,36 @@ def reduced_groebner(
 
     basis: list[Polynomial] = []
     lms: list[Exponents] = []
-    lcs: list[Scalar] = []
     nodes: list[int] = []  # derivation node of each basis entry
     derivation: list[tuple] = []
     div, one = ring.field.div, ring.field.one
 
-    pending: set[frozenset[int]] = set()
-    # (lcm degree, j, i) for the pair i < j: lowest degree first, then the
-    # order `enter` creates pairs in.
-    queue: list[tuple[int, int, int]] = []
-
-    top = 0  # the highest degree of a leading monomial in the basis
+    # Generators and pairs wait in one heap, lowest degree first.  A generator
+    # is (degree, 0, position) and the pair i < j is (lcm degree, 1, j, i), so
+    # a generator enters just before the pairs of its degree and pairs keep
+    # the order `enter` creates them in.  g.degree raises NotHomogeneousError.
+    queue = [(g.degree, 0, p) for p, g in enumerate(source) if not g.is_zero()]
+    if through is not None:
+        queue = [event for event in queue if event[0] <= through]
+    heapq.heapify(queue)
+    pending: set[frozenset[int]] = set()  # the queued pairs
 
     def enter(element: Polynomial, node: int) -> None:
         """Add ``element`` to the basis and queue its pairs with the others."""
-        nonlocal top
         new, new_lm = len(basis), element.lead
-        top = max(top, sum(new_lm))
         for k, lm in enumerate(lms):
             degree = sum(monomial_lcm(lm, new_lm))
             if through is None or degree <= through:
-                heapq.heappush(queue, (degree, new, k))
-            pending.add(frozenset((k, new)))
+                heapq.heappush(queue, (degree, 1, new, k))
+                pending.add(frozenset((k, new)))
         basis.append(element)
         lms.append(new_lm)
-        lcs.append(element.terms[new_lm])
         nodes.append(node)
 
     def made(row: tuple) -> int:
         """Append a derivation row; the node of the polynomial it makes."""
         derivation.append(row)
         return len(source) + len(derivation) - 1
-
-    # (degree, position) of each nonzero generator, the next to enter last;
-    # g.degree raises NotHomogeneousError.
-    waiting = sorted(
-        ((g.degree, p) for p, g in enumerate(source) if not g.is_zero()),
-        reverse=True,
-    )
-    if through is not None:
-        waiting = [w for w in waiting if w[0] <= through]
 
     # (degree, leading monomial) of W's basis elements that no leading
     # monomial in ``lms`` is known to divide, the lowest degree last; None
@@ -385,10 +385,11 @@ def reduced_groebner(
             proven = True
         return True
 
-    while waiting or queue:
+    while queue:
         check_deadline("basis computation")
-        if waiting and (not queue or queue[0][0] >= waiting[-1][0]):
-            position = waiting.pop()[1]
+        event = heapq.heappop(queue)
+        if not event[1]:
+            position = event[2]
             g = source[position]
             record = normal_form(g, basis)
             if record.remainder.is_zero():
@@ -400,7 +401,7 @@ def reduced_groebner(
                 enter(g, position)
             continue
 
-        degree, j, i = heapq.heappop(queue)
+        degree, _, j, i = event
         pending.discard(frozenset((i, j)))
         lcm = monomial_lcm(lms[i], lms[j])
         # Coprime criterion: disjoint leading supports never yield new elements.
@@ -424,40 +425,24 @@ def reduced_groebner(
         if uncovered is not None and settled(degree):
             continue
 
-        # normal_form picks this layout too: no leading monomial in the
-        # basis has a degree above ``top``.
-        layout = monomial_layout(ring.num_vars, max(degree, top))
+        # normal_form picks this layout too: no element has a higher degree.
+        layout = monomial_layout(ring.num_vars, degree)
         s_poly = _s_polynomial(ring, layout, basis[i], basis[j], layout.pack(lcm), degree)
         record = normal_form(s_poly, basis)
         if record.remainder.is_zero():
             continue
-        mono_i = ring.monomial(monomial_div(lcm, lms[i]), div(one, lcs[i]))
-        mono_j = ring.monomial(monomial_div(lcm, lms[j]), div(one, lcs[j]))
+        mono_i = ring.monomial(monomial_div(lcm, lms[i]), div(one, basis[i].terms[lms[i]]))
+        mono_j = ring.monomial(monomial_div(lcm, lms[j]), div(one, basis[j].terms[lms[j]]))
         head = ((mono_i, nodes[i]), (mono_j, nodes[j]))
         enter(record.remainder, made(head + _nonzero_terms(record.quotients, nodes)))
 
-    # Minimalize: drop elements whose leading monomial another one divides.
-    keep: list[int] = []
-    for i in range(len(basis)):
-        if any(
-            k != i
-            and monomial_divides(lms[k], lms[i])
-            and (lms[k] != lms[i] or k < i)
-            for k in range(len(basis))
-        ):
-            continue
-        keep.append(i)
-
-    # Make each survivor monic and tail-reduce it.  Leading monomials are
-    # pairwise non-divisible at this point, so reduction only rewrites tails,
-    # whose monomials lie below the survivor's own leading monomial: only the
-    # survivors before it in ascending order can divide them.  One pass,
-    # dividing each by the reduced ones before it, yields the reduced form.
-    keep.sort(key=lambda i: grevlex_key(lms[i]), reverse=True)
+    # The basis is minimal, and a tail lies below its element's leading
+    # monomial: one ascending pass, dividing each element made monic by the
+    # reduced ones before it, yields the reduced basis.
     final: list[Polynomial] = []
     final_nodes: list[int] = []
-    for i in keep:
-        inv = div(one, lcs[i])
+    for i in sorted(range(len(basis)), key=lambda i: grevlex_key(lms[i]), reverse=True):
+        inv = div(one, basis[i].terms[lms[i]])
         record = normal_form(basis[i] * inv, final)
         head = ((inv, nodes[i]),)
         final.append(record.remainder)

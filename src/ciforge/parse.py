@@ -18,10 +18,10 @@ it, since it could not be printed; so is an exponent written with that many.
 
 Parsing honours `basis_time_limit`, through `errors.check_deadline`, so the
 parser does not depend on the basis computation.  It checks the limit once
-per unit of every ``^`` exponent, whatever the base, and before every product
-of parenthesised sums, so inputs such as ``(T0 + T1)^100000``,
-``T0^100000000`` or ``2^100000000`` stop with `BuchbergerTimeout` naming
-``parsing``.
+per unit of every ``^`` exponent, whatever the base, before every product of
+parenthesised sums and once per row inside one (`poly.mul_terms`), so inputs
+such as ``(T0 + T1)^100000``, ``(T0 + ... + T19)^9``, ``T0^100000000`` or
+``2^100000000`` stop with `BuchbergerTimeout` naming ``parsing``.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ class _Parser:
                     power = {(0,) * self.num_vars: one}
                     for _ in range(k):
                         check_deadline("parsing")
-                        power = mul_terms(field, power, inner)
+                        power = mul_terms(field, power, inner, "parsing")
                     inner = power
                 sums.append(inner)
             else:
@@ -198,7 +198,7 @@ class _Parser:
         result = sums[0]
         for factor in sums[1:]:
             check_deadline("parsing")
-            result = mul_terms(field, result, factor)
+            result = mul_terms(field, result, factor, "parsing")
         if coeff != one or any(exps):
             result = {monomial_mul(e, exps): mul(c, coeff) for e, c in result.items()}
         self.check_digits(result.values(), start)

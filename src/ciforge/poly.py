@@ -1,9 +1,12 @@
 """Sparse multivariate polynomials over an exact field.
 
 A polynomial is a mapping from exponent tuples to nonzero scalars; the zero
-polynomial has an empty term map.  All values here are immutable after
-construction and every operation is a pure function, so concurrent use on
-shared inputs is safe.
+polynomial has an empty term map.  A term map never changes once built, and
+every operation is a pure function of its inputs.  Polynomials fill their
+caches (``lead``, ``degree``, ``integral_terms``, the packed forms) on first
+use, and `MonomialLayout.unpack` keeps a memo that it clears when full; each
+cached value depends only on the terms or the packed monomial, so two threads
+that race on one compute the same value.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from functools import cache, cached_property
 from operator import add, le, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import NotHomogeneousError, RingMismatchError
+from .errors import NotHomogeneousError, RingMismatchError, check_deadline
 from .fields import Field, Scalar
 
 Exponents = tuple[int, ...]
@@ -56,13 +59,15 @@ def add_terms_into(
 
 
 def mul_terms(
-    field: Field, a: Mapping[Exponents, Scalar], b: Mapping[Exponents, Scalar]
+    field: Field, a: Mapping[Exponents, Scalar], b: Mapping[Exponents, Scalar], phase: str
 ) -> dict[Exponents, Scalar]:
     """The term map of the product of two term maps, by the field's own
-    operations; a coefficient that reaches zero drops its monomial."""
+    operations; a coefficient that reaches zero drops its monomial.  The time
+    limit is checked once per term of ``a``, naming ``phase``."""
     add, mul = field.add, field.mul
     out: dict[Exponents, Scalar] = {}
     for e1, c1 in a.items():
+        check_deadline(phase)
         for e2, c2 in b.items():
             exps = monomial_mul(e1, e2)
             prod = mul(c1, c2)
@@ -351,7 +356,8 @@ class Polynomial:
             terms = {e: mul(a, c) for e, a in self.terms.items()} if c else {}
             return Polynomial._trusted(self.ring, terms)
         self._require_same_ring(other)
-        return Polynomial._trusted(self.ring, mul_terms(ring_field, self.terms, other.terms))
+        terms = mul_terms(ring_field, self.terms, other.terms, "multiplication")
+        return Polynomial._trusted(self.ring, terms)
 
     __rmul__ = __mul__
 

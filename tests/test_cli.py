@@ -434,6 +434,18 @@ class TestUsageAndParsing:
         assert run_command(["decide", str(cubic_file)]) == 1
         assert "time limit" in capsys.readouterr().err
 
+    def test_running_out_of_memory_exits_1_without_a_traceback(
+        self, cubic_file, capsys, monkeypatch
+    ):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(ciforge.cli, "parse_ideal_file", exhausted)
+        assert run_command(["decide", str(cubic_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
+
     def test_parsing_honours_the_time_limit(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "huge_power.ideal"
         path.write_text("field: q\nvars: T0 T1\npoint: 1 -1\ngens:\n(T0 + T1)^100000\n")

@@ -820,6 +820,39 @@ class TestBoundedWork:
         assert len(calls) == 2 * len(cert.final_gens) + len(pairs) + len(basis.elements)
 
 
+class TestDegreeOrder:
+    """Generators and pairs leave one queue lowest degree first, so elements
+    enter the basis in non-decreasing degree; that is why it comes out
+    minimal with no minimalization pass."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        case=bounded_inputs(),
+        through=st.none() | st.integers(0, 5),
+        bounded=st.booleans(),
+    )
+    def test_divisions_by_the_growing_basis_rise_in_degree(self, case, through, bounded):
+        gens, w = case
+        calls = []
+        original = groebner.normal_form
+
+        def observing(f, basis):
+            calls.append((f, basis))
+            return original(f, basis)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(groebner, "normal_form", observing)
+            reduced_groebner(gens, ring=w.ring, through=through, within=w if bounded else None)
+        assume(calls)
+        # The first division enters a generator, by the list the basis is
+        # built in.  Membership proofs for ``within`` divide by W's basis,
+        # and the finishing pass by the list of reduced elements.
+        building = calls[0][1]
+        degrees = [f.degree for f, basis in calls if basis is building and not f.is_zero()]
+        assert degrees == sorted(degrees)
+        assert through is None or all(d <= through for d in degrees)
+
+
 class TestDimension:
     def test_twisted_cubic_is_a_curve(self, twisted_cubic):
         assert projective_dimension(list(twisted_cubic)) == 1

@@ -1,0 +1,36 @@
+"""The summary that `tools/perf_pairs.py` prints for alternating benchmark pairs."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "perf_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("perf_pairs", _PATH)
+perf_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(perf_pairs)
+
+
+def test_summary_gives_quartiles_median_change_and_wins():
+    parent = [{"decide_s": v, "rate": v} for v in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    change = [{"decide_s": v, "rate": v} for v in (0.5, 2.0, 2.5, 4.5, 1.0)]
+    lines = perf_pairs.summarize(parent, change, [("decide_s", "lower"), ("rate", "higher")])
+    # Change: 0.5, 1.0, 2.0, 2.5, 4.5.  Pair 2 is a tie; the change is lower
+    # in pairs 1, 3 and 5 and higher in pair 4.
+    assert lines == [
+        "decide_s: parent 3.000000 [2.000000, 4.000000]"
+        "  change 2.000000 [1.000000, 2.500000]"
+        "  median -33.3%  change won 3/5 (lower is better)",
+        "rate: parent 3.000000 [2.000000, 4.000000]"
+        "  change 2.000000 [1.000000, 2.500000]"
+        "  median -33.3%  change won 1/5 (higher is better)",
+    ]
+
+
+def test_summary_of_one_pair_and_of_a_zero_median():
+    lines = perf_pairs.summarize([{"m": 0.0}], [{"m": 0.0}], [("m", "lower")])
+    assert lines == [
+        "m: parent 0.000000 [0.000000, 0.000000]"
+        "  change 0.000000 [0.000000, 0.000000]"
+        "  median n/a  change won 0/1 (lower is better)"
+    ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ciforge import (
     QQ,
+    BuchbergerTimeout,
     NotHomogeneousError,
     ParseError,
     Polynomial,
@@ -19,12 +21,13 @@ from ciforge import (
     PrimeField,
     ProjectivePoint,
     RingMismatchError,
+    basis_time_limit,
     differential_at,
     evaluate,
     parse_polynomial,
     reduced_groebner,
 )
-from ciforge import poly
+from ciforge import errors, poly
 from ciforge.poly import (
     grevlex_key,
     monomial_divides,
@@ -108,6 +111,37 @@ class TestArithmetic:
         assert Polynomial(ring, {(1, 0): -1, (0, 1): 10}).terms == {(1, 0): 6, (0, 1): 3}
         assert Polynomial(ring, {(1, 0): 14}).is_zero()
         assert reduced_groebner([f]).elements == (ring.variable(1),)
+
+    @pytest.mark.parametrize("phase", ["multiplication", "parsing"])
+    def test_product_stops_within_one_row_of_the_time_limit(self, monkeypatch, phase):
+        ring = PolynomialRing(QQ, tuple(f"T{i}" for i in range(4)))
+        total = sum((ring.variable(i) for i in range(4)), ring.zero())
+        a, b = total**4, total**3  # 35 and 20 terms
+
+        def multiply():
+            if phase == "multiplication":
+                return (a * b).terms
+            return poly.mul_terms(QQ, a.terms, b.terms, phase)
+
+        calls, expiry = 0, math.inf
+
+        def monotonic():
+            nonlocal calls
+            calls += 1
+            return 0.0 if calls < expiry else math.inf
+
+        monkeypatch.setattr(errors.time, "monotonic", monotonic)
+        with basis_time_limit(3600.0):
+            product = multiply()
+        # One clock read to set the limit, then one per row of the product.
+        assert calls == 1 + len(a.terms)
+        assert product == (a * b).terms
+        calls, expiry = 0, 11
+        with basis_time_limit(3600.0):
+            with pytest.raises(BuchbergerTimeout, match=f"{phase} exceeded"):
+                multiply()
+        # The limit passed before the tenth row, which stopped the product.
+        assert calls == expiry
 
     def test_int_coefficients_become_fractions_over_q(self, p2):
         half = Fraction(1, 2)
