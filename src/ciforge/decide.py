@@ -102,8 +102,8 @@ def degree_sequence(system: GeneratorSystem) -> DegreeSequence:
     return DegreeSequence.from_degrees(g.degree for g in system.gens)
 
 
-def _require_on_variety(system: GeneratorSystem, x: ProjectivePoint) -> None:
-    for i, g in enumerate(system.gens):
+def _require_on_variety(gens: Sequence[Polynomial], x: ProjectivePoint) -> None:
+    for i, g in enumerate(gens):
         if evaluate(g, x):
             raise PointNotOnVarietyError(
                 f"generator {i} does not vanish at {x}: {g}"
@@ -345,7 +345,7 @@ def reduce_to_ci(
     position a step changes.  Every generator a step adds is an ideal
     member, so it vanishes at ``x`` and the point needs no re-check.
     """
-    _require_on_variety(system, x)
+    _require_on_variety(system.gens, x)
     ideal = Ideal(system.gens, ring=system.ring)
     report = smoothness_check(ideal, x)
     if not report.smooth:
@@ -426,11 +426,13 @@ def check_condition_iv(
     Computed linearly: d_x(f) must lie in the span of the family's
     differentials, that is, one elimination fed those and then d_x(f) must
     find this last column dependent; an empty family spans nothing, so then
-    the answer is "d_x(f) = 0".  All polynomials must be ideal members, each
-    family member of degree strictly below deg f.  A ``True`` answer on a
-    non-trivially contained ``f`` at a smooth point refutes the tangent-space
-    criterion.
+    the answer is "d_x(f) = 0".  ``x`` must lie on the variety
+    (`PointNotOnVarietyError`), and all polynomials must be ideal members,
+    each family member of degree strictly below deg f.  A ``True`` answer on
+    a non-trivially contained ``f`` at a smooth point refutes the
+    tangent-space criterion.
     """
+    _require_on_variety(ideal.gens, x)
     deg_f = _member_degree(ideal, f, "polynomial")
     elimination = ColumnElimination(ideal.ring.field)
     for b in family:
@@ -461,7 +463,7 @@ def verify_certificate(
         )
     if cert.field_tag != ring.field.tag or cert.var_names != ring.var_names:
         return False
-    _require_on_variety(system, x)
+    _require_on_variety(system.gens, x)
     if isinstance(cert, CICertificate):
         # First what needs no basis: codimension-many final generators, each
         # nonzero, homogeneous and of degree at least 1.

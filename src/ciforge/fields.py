@@ -12,12 +12,12 @@ Python frame.
 Division (``groebner.normal_form``) works on coefficients in each field's
 *working form*: over Q a ``(numerator, denominator)`` int pair in lowest
 terms with a positive denominator, over F_p the int itself; ``work_zero`` and
-``work_one`` are zero and one in it.  ``to_work`` and ``from_work`` convert a
-whole term map at the start and end of a division.  ``integral`` scales a
-divisor's coefficients to integers, ``ratio`` divides a working value by such
-an integer given in ``divisor_form`` (over F_p its inverse, so a divisor is
-inverted once, not at every step), and the fused step ``sub_mul(v, f, c)``
-gives v - f*c for working v and f and an integer c.
+``work_one`` are zero and one in it.  ``to_work`` converts a whole term map
+at the start of a division, ``from_work`` each result its caller keeps.
+``integral`` scales a divisor's coefficients to integers, ``ratio`` divides
+a working value by such an integer given in ``divisor_form`` (over F_p its
+inverse, so a divisor is inverted once, not at every step), and the fused
+step ``sub_mul(v, f, c)`` gives v - f*c for working v and f and an integer c.
 Over Q a step is integer arithmetic and one ``math.gcd``, not a `Fraction`
 per operation; over F_p it is one call where ``add`` and ``mul`` are two.
 

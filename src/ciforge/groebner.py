@@ -56,20 +56,21 @@ def _divide_terms(
     layout: MonomialLayout,
     work: dict[int, object],
     divisors: Sequence[tuple[int, int, Sequence[tuple[int, int]], int]],
-) -> tuple[list[dict[Exponents, Scalar]], dict[Exponents, Scalar]]:
+) -> tuple[list[dict[int, object]], dict[int, object]]:
     """Core division loop on packed monomials; returns the quotients and the
-    remainder as term maps over ``field``.
+    remainder as packed maps in the field's working form.
 
-    ``work`` is the dividend's packed working map (`Polynomial.packed_work`),
-    which the loop consumes.  Each divisor is its `Polynomial.packed_divisor`
-    form in ``layout``: (leading monomial, leading coefficient, other terms,
-    scale), its coefficients times ``scale`` made integers by
-    `Field.integral`.  At every step the current leading monomial of the work
-    polynomial is either cancelled by the first divisor whose leading
-    monomial divides it or moved to the remainder, so the loop strictly
-    descends in grevlex.  Coefficients stay in the field's working form
-    until the end, so a step costs one ``ratio`` and one fused ``sub_mul``
-    per divisor term.
+    ``work`` is the dividend's packed working map, which the loop
+    consumes.  Each divisor is its `Polynomial.packed_divisor` form in
+    ``layout``: (leading monomial, leading coefficient, other terms, scale),
+    its coefficients times ``scale`` made integers by `Field.integral`.  At
+    every step the current leading monomial of the work polynomial is either
+    cancelled by the first divisor whose leading monomial divides it or
+    moved to the remainder, so the loop strictly descends in grevlex.
+    Coefficients stay in the field's working form, so a step costs one
+    ``ratio`` and one fused ``sub_mul`` per divisor term.  A quotient map
+    times its divisor's scale is the quotient; nothing is unpacked here, so
+    a caller converts only what it keeps (`_polynomial`).
 
     A packed monomial is one integer (`MonomialLayout`): a product is ``+``,
     a greater integer is a grevlex-greater monomial, and the divisor's
@@ -78,8 +79,7 @@ def _divide_terms(
     negations, which pops the grevlex-greatest first.  A monomial is pushed
     when it enters the work polynomial; one that has left it since is
     skipped when popped.  Nothing at or above a processed monomial is ever
-    added again, so each monomial is processed once.  Only the quotients and
-    the remainder are unpacked, at the end.
+    added again, so each monomial is processed once.
     """
     heap = [-m for m in work]
     heapq.heapify(heap)
@@ -120,31 +120,29 @@ def _divide_terms(
                 break
         else:
             remainder[lm] = lc
-    from_work, unpack = field.from_work, layout.unpack
+    return quotients, remainder
 
-    def unpacked(terms: dict[int, object], scale: int = 1) -> dict[Exponents, Scalar]:
-        return {unpack(e): c for e, c in from_work(terms, scale).items()}
 
-    return (
-        [unpacked(q, d[3]) if q else {} for q, d in zip(quotients, divisors)],
-        unpacked(remainder),
+def _polynomial(
+    ring: PolynomialRing, layout: MonomialLayout, terms: dict[int, object], scale: int = 1
+) -> Polynomial:
+    """The polynomial of a packed map in the field's working form, each
+    coefficient times ``scale``."""
+    unpack = layout.unpack
+    return Polynomial._trusted(
+        ring, {unpack(e): c for e, c in ring.field.from_work(terms, scale).items()}
     )
 
 
-def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> QuotientRecord:
-    """Divide ``f`` by ``basis`` in grevlex.
+def _divide(
+    f: Polynomial, basis: Sequence[Polynomial]
+) -> tuple[MonomialLayout, list[tuple], list[dict[int, object]], dict[int, object]]:
+    """Divide ``f`` by ``basis`` on packed monomials: the layout, the packed
+    divisors, and `_divide_terms`' packed quotients and remainder.
 
-    Deterministic: the leading reducible monomial is always cancelled by the
-    first basis element whose leading monomial divides it.  The remainder has
-    no monomial divisible by any basis leading monomial.  A long division
-    honours `basis_time_limit`.
-
-    The division runs on packed monomials in the layout for the highest
-    degree among ``f``'s terms and the divisors' leading monomials, which
-    bounds every monomial the division meets.  Each polynomial keeps its
-    packed forms per layout, so a basis element is packed once, however many
-    divisions it takes part in.  ``f``'s own leading monomial is never
-    computed.
+    The layout is for the highest degree among ``f``'s terms and the
+    divisors' leading monomials, which bounds every monomial the division
+    meets.  ``f`` is packed afresh; its leading monomial is never computed.
     """
     ring = f.ring
     try:
@@ -159,33 +157,43 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> QuotientRecord:
         top = max(top, sum(g.lead))
     layout = monomial_layout(ring.num_vars, top)
     divisors = [g.packed_divisor(layout) for g in basis]
-    quotients, remainder = _divide_terms(
-        ring.field, layout, dict(f.packed_work(layout)), divisors
-    )
-    zero = ring.zero()
-    return QuotientRecord(
-        tuple(Polynomial._trusted(ring, q) if q else zero for q in quotients),
-        Polynomial._trusted(ring, remainder),
-    )
+    pack = layout.pack
+    work = {pack(e): c for e, c in ring.field.to_work(f.terms).items()}
+    return layout, divisors, *_divide_terms(ring.field, layout, work, divisors)
 
 
-def _s_polynomial(
-    ring: PolynomialRing,
-    layout: MonomialLayout,
-    g: Polynomial,
-    h: Polynomial,
-    lcm: int,
-    degree: int,
-) -> Polynomial:
-    """g * m_g / lc(g) - h * m_h / lc(h), where the monomials m_g and m_h
-    lift both leading monomials to the packed ``lcm`` of degree ``degree``.
+def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> QuotientRecord:
+    """Divide ``f`` by ``basis`` in grevlex.
 
-    It is built on the parents' packed divisor forms, so the polynomial
-    comes with its packed working map in ``layout`` and division does not
-    pack it again.  The leading terms cancel, and g's other terms stay
-    distinct after the shift, so only h's can meet one already there.
+    Deterministic: the leading reducible monomial is always cancelled by the
+    first basis element whose leading monomial divides it.  The remainder has
+    no monomial divisible by any basis leading monomial.  A long division
+    honours `basis_time_limit`.
+
+    The division runs on packed monomials (`_divide`).  Each divisor keeps
+    its packed form per layout, so a basis element is packed once, however
+    many divisions it takes part in.  Every quotient and the remainder are
+    unpacked at the end.
     """
-    field = ring.field
+    ring = f.ring
+    layout, divisors, quotients, remainder = _divide(f, basis)
+    return QuotientRecord(
+        tuple(_polynomial(ring, layout, q, d[3]) for q, d in zip(quotients, divisors)),
+        _polynomial(ring, layout, remainder),
+    )
+
+
+def _s_polynomial(layout: MonomialLayout, g: Polynomial, h: Polynomial, lcm: int) -> dict:
+    """The packed working map of g * m_g / lc(g) - h * m_h / lc(h), where
+    the monomials m_g and m_h lift both leading monomials to the packed
+    ``lcm``.
+
+    It is built on the parents' packed divisor forms in ``layout``, with no
+    `Polynomial` product, and goes to `_divide_terms` as it is.  The
+    leading terms cancel, and g's other terms stay distinct after the shift,
+    so only h's can meet one already there.
+    """
+    field = g.ring.field
     ratio, sub_mul, zero, one = field.ratio, field.sub_mul, field.work_zero, field.work_one
     g_lead, g_lc, g_rest, _ = g.packed_divisor(layout)
     h_lead, h_lc, h_rest, _ = h.packed_divisor(layout)
@@ -204,7 +212,7 @@ def _s_polynomial(
                 del work[e]
             else:
                 work[e] = value
-    return Polynomial._from_packed(ring, layout, work, degree if work else None)
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +268,6 @@ class GroebnerBasis:
             for multiplier, parent in subtracted:
                 weights[parent] = weights.get(parent, zero) - weight * multiplier
         return tuple(weights.get(i, zero) for i in range(sources))
-
-
-def _nonzero_terms(quotients: Sequence[Polynomial], divisor_nodes: Sequence[int]) -> tuple:
-    """(quotient, divisor node) for each nonzero division quotient."""
-    return tuple((q, n) for q, n in zip(quotients, divisor_nodes) if not q.is_zero())
 
 
 def reduced_groebner(
@@ -361,6 +364,11 @@ def reduced_groebner(
         derivation.append(row)
         return len(source) + len(derivation) - 1
 
+    def quotient_terms(layout: MonomialLayout, quotients: list, divisors: list) -> tuple:
+        """(quotient, divisor node) for each nonzero packed quotient map."""
+        entries = zip(quotients, divisors, nodes)
+        return tuple((_polynomial(ring, layout, q, d[3]), n) for q, d, n in entries if q)
+
     # (degree, leading monomial) of W's basis elements that no leading
     # monomial in ``lms`` is known to divide, the lowest degree last; None
     # once nothing may be skipped.
@@ -391,12 +399,12 @@ def reduced_groebner(
         if not event[1]:
             position = event[2]
             g = source[position]
-            record = normal_form(g, basis)
-            if record.remainder.is_zero():
+            layout, divisors, quotients, remainder = _divide(g, basis)
+            if not remainder:
                 continue
-            row = _nonzero_terms(record.quotients, nodes)
+            row = quotient_terms(layout, quotients, divisors)
             if row:
-                enter(record.remainder, made(((one, position),) + row))
+                enter(_polynomial(ring, layout, remainder), made(((one, position),) + row))
             else:
                 enter(g, position)
             continue
@@ -425,16 +433,18 @@ def reduced_groebner(
         if uncovered is not None and settled(degree):
             continue
 
-        # normal_form picks this layout too: no element has a higher degree.
+        # `_divide` would pick this layout too: no element has a higher degree.
         layout = monomial_layout(ring.num_vars, degree)
-        s_poly = _s_polynomial(ring, layout, basis[i], basis[j], layout.pack(lcm), degree)
-        record = normal_form(s_poly, basis)
-        if record.remainder.is_zero():
+        divisors = [g.packed_divisor(layout) for g in basis]
+        work = _s_polynomial(layout, basis[i], basis[j], layout.pack(lcm))
+        quotients, remainder = _divide_terms(ring.field, layout, work, divisors)
+        if not remainder:
             continue
         mono_i = ring.monomial(monomial_div(lcm, lms[i]), div(one, basis[i].terms[lms[i]]))
         mono_j = ring.monomial(monomial_div(lcm, lms[j]), div(one, basis[j].terms[lms[j]]))
         head = ((mono_i, nodes[i]), (mono_j, nodes[j]))
-        enter(record.remainder, made(head + _nonzero_terms(record.quotients, nodes)))
+        row = head + quotient_terms(layout, quotients, divisors)
+        enter(_polynomial(ring, layout, remainder), made(row))
 
     # The basis is minimal, and a tail lies below its element's leading
     # monomial: one ascending pass, dividing each element made monic by the
@@ -445,8 +455,9 @@ def reduced_groebner(
         inv = div(one, basis[i].terms[lms[i]])
         record = normal_form(basis[i] * inv, final)
         head = ((inv, nodes[i]),)
+        row = tuple((q, n) for q, n in zip(record.quotients, final_nodes) if not q.is_zero())
         final.append(record.remainder)
-        final_nodes.append(made(head + _nonzero_terms(record.quotients, final_nodes)))
+        final_nodes.append(made(head + row))
 
     return GroebnerBasis(ring, tuple(final), source, tuple(derivation), through)
 
@@ -491,9 +502,9 @@ class Ideal:
             )
 
     def __contains__(self, f: Polynomial) -> bool:
-        """Whether ``f`` is a member; composes no cofactors."""
+        """Whether ``f`` is a member; composes and converts nothing."""
         self._require_within_bound(f)
-        return normal_form(f, self.basis.elements).remainder.is_zero()
+        return not _divide(f, self.basis.elements)[3]
 
     def member(self, f: Polynomial) -> tuple[bool, QuotientRecord]:
         """Membership of ``f``, with cofactors over the generators.

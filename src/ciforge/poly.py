@@ -3,10 +3,11 @@
 A polynomial is a mapping from exponent tuples to nonzero scalars; the zero
 polynomial has an empty term map.  A term map never changes once built, and
 every operation is a pure function of its inputs.  Polynomials fill their
-caches (``lead``, ``degree``, ``integral_terms``, the packed forms) on first
-use, and `MonomialLayout.unpack` keeps a memo that it clears when full; each
-cached value depends only on the terms or the packed monomial, so two threads
-that race on one compute the same value.
+caches (``lead``, ``degree``, ``integral_terms``, the packed divisor forms)
+on first use, and `MonomialLayout.unpack` keeps a memo that it clears when
+full; each cached value depends only on the terms or the packed monomial, so
+two threads that race on one compute the same value.  A dividend's packed
+form belongs to the division that consumes it and is not kept.
 """
 
 from __future__ import annotations
@@ -259,10 +260,6 @@ class Polynomial:
     def _packed(self) -> dict[MonomialLayout, tuple]:
         return {}
 
-    @cached_property
-    def _packed_work(self) -> dict[MonomialLayout, dict]:
-        return {}
-
     def packed_divisor(self, layout: MonomialLayout) -> tuple[int, int, list, int]:
         """(leading monomial, leading coefficient, other terms, scale) in
         ``layout``, from `integral_terms`, computed once per layout.  The
@@ -279,32 +276,6 @@ class Polynomial:
                 scale,
             )
         return form
-
-    def packed_work(self, layout: MonomialLayout) -> dict:
-        """The term map with packed monomials and coefficients in the
-        field's working form, computed once per layout.  Division copies it
-        before changing it."""
-        work = self._packed_work.get(layout)
-        if work is None:
-            pack = layout.pack
-            work = self._packed_work[layout] = {
-                pack(e): c for e, c in self.ring.field.to_work(self.terms).items()
-            }
-        return work
-
-    @classmethod
-    def _from_packed(
-        cls, ring: PolynomialRing, layout: MonomialLayout, work: dict, degree: int | None
-    ) -> "Polynomial":
-        """The polynomial of a packed working map whose terms all have
-        ``degree`` (None for an empty map); the map is kept as its
-        `packed_work` in ``layout``."""
-        unpack = layout.unpack
-        terms = ring.field.from_work(work)
-        p = cls._trusted(ring, {unpack(e): c for e, c in terms.items()})
-        # Fill the cached properties `degree` and `_packed_work`.
-        p.__dict__.update(degree=degree, _packed_work={layout: work})
-        return p
 
     @cached_property
     def degree(self) -> int | None:

@@ -334,6 +334,28 @@ class TestOtherCommands:
         assert code == 3
         assert "contained: yes" in capsys.readouterr().out
 
+    def test_check_iv_at_a_point_off_the_variety_exit_2(self, cubic_file, capsys):
+        # T1^2 - T0*T2 is 4 - 5 at (1:2:5:7); decide and verify refuse the
+        # point the same way.
+        code = run_command(
+            [
+                "check-iv",
+                str(cubic_file),
+                "--point",
+                "1,2,5,7",
+                "--poly",
+                "T1^2 - T0*T2 - T1*T2 + T2^2 + T0*T3 - T1*T3",
+                "--family",
+                "",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: generator 0 does not vanish at (1:2:5:7): -T1^2 + T0*T2\n"
+        )
+
     def test_check_iv_passes(self, lqr_file, capsys):
         code = run_command(
             [

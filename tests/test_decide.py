@@ -499,6 +499,12 @@ class TestConditionIV:
             expected = not any(differential_at(f, ones))
             assert check_condition_iv(f, [], ones, ideal) == expected
 
+    def test_point_off_the_variety_refused(self, twisted_cubic_system, p3):
+        x = ProjectivePoint(tuple(QQ.scalar(c) for c in (1, 2, 5, 7)))
+        witness = parse_polynomial("T1^2 - T0*T2 - T1*T2 + T2^2 + T0*T3 - T1*T3", p3)
+        with pytest.raises(PointNotOnVarietyError, match="generator 0 does not vanish"):
+            check_condition_iv(witness, [], x, ideal_of(twisted_cubic_system))
+
     def test_degree_constraint(self, p3, ones):
         l = parse_polynomial("T0 - T1", p3)
         q = parse_polynomial("T0*T3 - T1*T2", p3)

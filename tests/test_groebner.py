@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 
@@ -293,6 +294,74 @@ class TestDivisionKernel:
         assert record.remainder.terms == remainder
 
 
+def packed(p, layout):
+    """``p``'s terms as the packed working map a division of ``p`` starts
+    from."""
+    return {layout.pack(e): c for e, c in p.ring.field.to_work(p.terms).items()}
+
+
+@dataclass(frozen=True)
+class Division:
+    """One call of the division kernel: its layout, the packed dividend as
+    it came in, the packed remainder, and how many quotients are nonzero."""
+
+    layout: object
+    dividend: dict
+    remainder: dict
+    nonzero_quotients: int
+
+    @property
+    def degree(self):
+        """The dividend's degree, None for a zero one; taken from one term,
+        since every dividend here is homogeneous."""
+        return sum(self.layout.unpack(next(iter(self.dividend)))) if self.dividend else None
+
+    def dividend_is_one_of(self, polys):
+        """Whether the dividend is one of ``polys``."""
+        return any(self.dividend == packed(p, self.layout) for p in polys)
+
+
+def watch_divisions(patch):
+    """The list that each later call of `groebner._divide_terms`, the kernel
+    every division passes through, appends its `Division` to."""
+    calls = []
+    original = groebner._divide_terms
+
+    def observing(field, layout, work, divisors):
+        dividend = dict(work)  # the kernel consumes ``work``
+        quotients, remainder = original(field, layout, work, divisors)
+        calls.append(Division(layout, dividend, remainder, sum(map(bool, quotients))))
+        return quotients, remainder
+
+    patch.setattr(groebner, "_divide_terms", observing)
+    return calls
+
+
+def mark_divisions_inside(patch, calls, owners):
+    """The set that receives the index in ``calls`` of each division made
+    inside a call of the functions ``owners`` names, as (owner, name)."""
+    inside = set()
+
+    def marking(original):
+        def wrapper(*args):
+            start = len(calls)
+            try:
+                return original(*args)
+            finally:
+                inside.update(range(start, len(calls)))
+
+        return wrapper
+
+    for owner, name in owners:
+        patch.setattr(owner, name, marking(getattr(owner, name)))
+    return inside
+
+
+#: Where a basis computation divides other than by the basis it is building:
+#: the finishing pass and the membership proofs for ``within``.
+NOT_BY_THE_GROWING_BASIS = ((groebner, "normal_form"), (Ideal, "__contains__"))
+
+
 class TestDivisionWork:
     """A polynomial's leading monomial is computed once, however many
     divisions it takes part in."""
@@ -315,21 +384,14 @@ class TestDivisionWork:
         "entry", [PLANTED_QUADRICS, RATIONAL_NORMAL_QUARTIC], ids=lambda e: e.name
     )
     def test_reduced_groebner(self, monkeypatch, computed, entry):
-        remainders = []
-        original = groebner.normal_form
-
-        def observing(f, basis):
-            record = original(f, basis)
-            remainders.append(record.remainder)
-            return record
-
-        monkeypatch.setattr(groebner, "normal_form", observing)
+        divisions = watch_divisions(monkeypatch)
         gens = entry.gens
         basis = reduced_groebner(list(gens))
+        remainders = [d.remainder for d in divisions]
         # Nonzero remainders are the S-polynomial reductions that enlarge the
         # basis and the tail-reduced final elements; each final element also
         # has a monic copy.
-        entered = sum(not r.is_zero() for r in remainders) + len(basis.elements)
+        entered = sum(map(bool, remainders)) + len(basis.elements)
         assert len(remainders) > len(basis.elements)
         assert len({id(p) for p in computed}) == len(computed)
         assert len(computed) <= len(gens) + entered
@@ -342,6 +404,75 @@ class TestDivisionWork:
         for g in gens:
             assert ideal.member(g * g)[0]
         assert len(computed) == before
+
+
+def count_conversions(patch, calls):
+    """The list that receives, for each packed map that `groebner` turns
+    into a `Polynomial` from now on, how many divisions ``calls`` held then."""
+    made = []
+    original = groebner._polynomial
+
+    def counting(*args):
+        made.append(len(calls))
+        return original(*args)
+
+    patch.setattr(groebner, "_polynomial", counting)
+    return made
+
+
+class TestConversion:
+    """Division hands back packed maps, and its callers turn into a
+    `Polynomial` only what they keep: membership converts nothing, and a
+    basis computation nothing of an entry or S-pair division with a zero
+    remainder, nor the remainder of a generator that enters untouched."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_membership_converts_nothing(self, monkeypatch, field):
+        ring = PolynomialRing(field, ("T0", "T1", "T2", "T3"))
+        f1, f2, f3 = (
+            parse_polynomial(text, ring)
+            for text in ("T0*T2 - T1^2", "T1*T3 - T2^2", "T0*T3 - T1*T2")
+        )
+        ideal = Ideal([f1, f2, f3])
+        calls = watch_divisions(monkeypatch)
+        made = count_conversions(monkeypatch, calls)
+        T0, T1, _, T3 = (ring.variable(i) for i in range(4))
+        assert f1 * T0 - f3 * T1 in ideal and f1 + f2 * 2 in ideal
+        assert f1 + T3 * T3 not in ideal and T0 * T1 * T3 not in ideal
+        assert len(calls) == 4
+        assert made == []
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_basis_converts_only_what_it_keeps(self, field):
+        ring = PolynomialRing(field, tuple(f"T{i}" for i in range(5)))
+        T = [ring.variable(i) for i in range(5)]
+        independent = [T[i] - T[4] * (i + 2) for i in range(4)]
+        cubic = [T[0] * T[2] - T[1] ** 2, T[1] * T[3] - T[2] ** 2, T[0] * T[3] - T[1] * T[2]]
+        inputs = [
+            # Untouched generators, and redundant ones that reduce to zero.
+            independent + [independent[0] + independent[1], independent[2] * 3],
+            # S-pairs that reduce to zero, and redundant generators.
+            cubic + [cubic[0] + cubic[1] * 2, cubic[2] * T[4]],
+            # A generator reduced to a new element, and a nonzero S-pair.
+            [T[0] - T[1], T[0] + T[1], T[0] * T[2] - T[3] ** 2, T[1] * T[2] - T[4] ** 2],
+        ]
+        seen_zero = seen_kept = 0
+        for gens in inputs:
+            with pytest.MonkeyPatch.context() as patch:
+                calls = watch_divisions(patch)
+                finishing = mark_divisions_inside(patch, calls, [(groebner, "normal_form")])
+                made = count_conversions(patch, calls)
+                basis = reduced_groebner(gens)
+            for k, d in enumerate(calls):
+                if k in finishing:
+                    continue
+                untouched = not d.nonzero_quotients and d.dividend_is_one_of(basis.source_gens)
+                kept = 0 if not d.remainder or untouched else 1 + d.nonzero_quotients
+                # Conversions made after division k and before the next one.
+                assert made.count(k + 1) == kept
+                seen_zero += not d.remainder
+                seen_kept += kept > 0
+        assert seen_zero and seen_kept
 
 
 class TestEntry:
@@ -358,21 +489,14 @@ class TestEntry:
         L0, L1, L2, L3 = independent
         redundant = [L0 + L1, L1 * 2 - L3, L0 + L1 + L2 + L3, L2 * 3, L3 - L0]
         gens = independent + redundant
-        dividends = []
-        original = groebner.normal_form
-
-        def observing(f, basis):
-            dividends.append(f)
-            return original(f, basis)
-
-        monkeypatch.setattr(groebner, "normal_form", observing)
+        divisions = watch_divisions(monkeypatch)
         basis = reduced_groebner(gens)
         k, m = len(independent), len(redundant)
         assert len(basis.elements) == k
         # One entry division per generator, in position order, then one
         # tail reduction per element: no S-pair is ever reduced.
-        assert len(dividends) == k + m + k
-        assert all(f is g for f, g in zip(dividends, gens))
+        assert len(divisions) == k + m + k
+        assert all(d.dividend == packed(g, d.layout) for d, g in zip(divisions, gens))
         # The independent forms are their own nodes; the final elements make
         # the only rows, and no row reads a dropped generator.
         assert len(basis.derivation) == k
@@ -761,27 +885,17 @@ class TestBoundedWork:
 
     @pytest.fixture
     def divisions(self, monkeypatch):
-        """(dividend, zero remainder) of every division from now on."""
-        calls = []
-        original = groebner.normal_form
-
-        def observing(f, basis):
-            record = original(f, basis)
-            calls.append((f, record.remainder.is_zero()))
-            return record
-
-        monkeypatch.setattr(groebner, "normal_form", observing)
-        return calls
+        """Every `Division` from now on."""
+        return watch_divisions(monkeypatch)
 
     @staticmethod
     def s_pairs(divisions, basis):
         """The S-pair divisions of one basis computation, which made every
-        division in ``divisions``: the others divide a generator (on entry,
-        or to prove it a member of the bounding ideal) or, last, tail-reduce
-        each element."""
-        sources = {id(g) for g in basis.source_gens}
-        rest = [(f, zero) for f, zero in divisions if id(f) not in sources]
-        return rest[: len(rest) - len(basis.elements)]
+        division in ``divisions``: the others tail-reduce each element, last,
+        or divide a generator (on entry, or to prove it a member of the
+        bounding ideal)."""
+        building = divisions[: len(divisions) - len(basis.elements)]
+        return [d for d in building if not d.dividend_is_one_of(basis.source_gens)]
 
     @pytest.mark.parametrize("entry", [PLANTED_QUADRICS, PLANTED_IN_P5], ids=lambda e: e.name)
     @pytest.mark.parametrize("degree", [3, 4])
@@ -791,10 +905,10 @@ class TestBoundedWork:
         ideal = Ideal(entry.gens)
         divisions.clear()
         below = ideal.truncated_ideal(degree)
-        assert all(f.degree == degree for f, _ in self.s_pairs(divisions, below.basis))
+        assert all(d.degree == degree for d in self.s_pairs(divisions, below.basis))
         divisions.clear()
         unbounded = reduced_groebner(below.gens)
-        assert any(f.degree != degree for f, _ in self.s_pairs(divisions, unbounded))
+        assert any(d.degree != degree for d in self.s_pairs(divisions, unbounded))
         low = tuple(g for g in unbounded.elements if g.degree <= degree)
         assert below.basis.elements == low
 
@@ -815,7 +929,7 @@ class TestBoundedWork:
         assert verify_certificate(cert, system, x)
         [(basis, calls)] = second
         pairs = self.s_pairs(calls, basis)
-        assert pairs and not any(zero for _, zero in pairs)
+        assert pairs and all(d.remainder for d in pairs)
         # One division per final generator proves it a member of the input.
         assert len(calls) == 2 * len(cert.final_gens) + len(pairs) + len(basis.elements)
 
@@ -833,22 +947,20 @@ class TestDegreeOrder:
     )
     def test_divisions_by_the_growing_basis_rise_in_degree(self, case, through, bounded):
         gens, w = case
-        calls = []
-        original = groebner.normal_form
-
-        def observing(f, basis):
-            calls.append((f, basis))
-            return original(f, basis)
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(groebner, "normal_form", observing)
+            calls = watch_divisions(patch)
+            others = mark_divisions_inside(patch, calls, NOT_BY_THE_GROWING_BASIS)
             reduced_groebner(gens, ring=w.ring, through=through, within=w if bounded else None)
-        assume(calls)
-        # The first division enters a generator, by the list the basis is
-        # built in.  Membership proofs for ``within`` divide by W's basis,
-        # and the finishing pass by the list of reduced elements.
-        building = calls[0][1]
-        degrees = [f.degree for f, basis in calls if basis is building and not f.is_zero()]
+        # The entry and S-pair divisions: membership proofs for ``within``
+        # divide by W's basis, and the finishing pass by the list of reduced
+        # elements.  Each queued generator is divided on entry.
+        building = [d for k, d in enumerate(calls) if k not in others]
+        queued = [
+            g for g in gens if not g.is_zero() and (through is None or g.degree <= through)
+        ]
+        assert len(building) >= len(queued)
+        assert bool(building) == bool(queued)
+        degrees = [d.degree for d in building if d.dividend]
         assert degrees == sorted(degrees)
         assert through is None or all(d <= through for d in degrees)
 
@@ -945,7 +1057,7 @@ class TestSPolynomials:
         # Buchberger packs in the layout for the basis's highest degree,
         # which may lie above this pair's.
         layout = monomial_layout(3, degree + data.draw(st.integers(0, 9)))
-        s = groebner._s_polynomial(ring, layout, g, h, layout.pack(lcm), degree)
+        s = groebner._s_polynomial(layout, g, h, layout.pack(lcm))
 
         def lifted(p):
             return p * ring.monomial(
@@ -953,8 +1065,10 @@ class TestSPolynomials:
             )
 
         expected = lifted(g) - lifted(h)
-        assert s.terms == expected.terms
-        assert all(c in field for c in s.terms.values())
-        assert s.degree == expected.degree
-        # The packed working map it carries is the one division would build.
-        assert s.packed_work(layout) == Polynomial(ring, s.terms).packed_work(layout)
+        terms = {layout.unpack(e): c for e, c in field.from_work(s).items()}
+        assert terms == expected.terms
+        assert all(c in field for c in terms.values())
+        assert Polynomial(ring, terms).degree == expected.degree
+        # The packed working map is the one a division of the polynomial
+        # would start from.
+        assert s == packed(expected, layout)

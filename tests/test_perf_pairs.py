@@ -1,9 +1,13 @@
-"""The summary that `tools/perf_pairs.py` prints for alternating benchmark pairs."""
+"""The seed lists `tools/perf_pairs.py` reads and the summary it prints for
+alternating benchmark pairs."""
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "perf_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("perf_pairs", _PATH)
@@ -33,4 +37,30 @@ def test_summary_of_one_pair_and_of_a_zero_median():
         "m: parent 0.000000 [0.000000, 0.000000]"
         "  change 0.000000 [0.000000, 0.000000]"
         "  median n/a  change won 0/1 (lower is better)"
+    ]
+
+
+def test_seed_lists_take_seeds_and_inclusive_ranges_in_order():
+    assert perf_pairs.parse_seeds("1-10,7919") == [*range(1, 11), 7919]
+    assert perf_pairs.parse_seeds("5") == [5]
+    assert perf_pairs.parse_seeds("3, 1-2 ,3-3") == [3, 1, 2, 3]
+
+
+@pytest.mark.parametrize("text", ["", "1,", "a", "1-", "-3", "2-1", "1-2-3", "1.5"])
+def test_bad_seed_lists_are_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        perf_pairs.parse_seeds(text)
+
+
+def test_each_workload_gets_a_header_and_its_own_summary():
+    parent = [{"decide_s": v} for v in (1.0, 3.0, 2.0)]
+    change = [{"decide_s": v} for v in (0.5, 3.5, 1.0)]
+    lines = perf_pairs.workload_summary(
+        "ci-descent-q", 1, "cert_digest: abc", parent, change, [("decide_s", "lower")]
+    )
+    assert lines == [
+        "workload: ci-descent-q  seed: 1  pairs: 3  cert_digest: abc",
+        "decide_s: parent 2.000000 [1.500000, 2.500000]"
+        "  change 1.000000 [0.750000, 2.250000]"
+        "  median -50.0%  change won 2/3 (lower is better)",
     ]

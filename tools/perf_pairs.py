@@ -1,19 +1,28 @@
 """Run the benchmark on two checkouts in alternating pairs and compare them.
 
-    python3 tools/perf_pairs.py PARENT CHANGE --workload W --pairs N --seconds S --seed K
+    python3 tools/perf_pairs.py PARENT CHANGE [--workload W ...] --pairs N \
+        --seconds S --seed K [--digest-seeds 1-10,7919]
 
-PARENT and CHANGE are two checkouts of the repository.  Each pair runs
-``perfbench/run.py`` (as it is in each checkout, with ``--trace 0``) once in
-each, the parent first in even pairs and the change first in odd ones.  Both
-checkouts must sit in the same directory: a run writes its instance files
-under its own checkout, so ``setup_s`` times that directory's file system
-too, and checkouts in different places read differently for the same code.
+PARENT and CHANGE are two checkouts of the repository.  ``--workload`` may
+be given several times; without it every workload in the change's
+``BENCHMARK.json`` runs, one after the other.  For each workload, each pair
+runs ``perfbench/run.py`` (as it is in each checkout, with ``--trace 0``)
+once in each, the parent first in even pairs and the change first in odd
+ones; ``--pairs 0`` runs none.  Both checkouts must sit in the same
+directory: a run writes its instance files under its own checkout, so
+``setup_s`` times that directory's file system too, and checkouts in
+different places read differently for the same code.
+
+``--digest-seeds`` takes seeds and inclusive ranges separated by commas.
+Before a workload's pairs, it makes one short run (``--seconds 0``) per
+listed seed in each checkout and compares their ``cert_digest`` lines.
 
 It fails (exit 1) if a run fails, reports ``correct: false``, or prints a
-``cert_digest`` line that differs from the others.  Otherwise it prints, for
-each end-to-end metric in the change's ``BENCHMARK.json``, each side's median
-and quartiles, the change of the median, and the number of pairs the change
-won; a tie counts for neither side.
+``cert_digest`` line that differs from the other checkout's at the same
+seed.  Otherwise it prints, per workload, each end-to-end metric in the
+change's ``BENCHMARK.json`` with each side's median and quartiles, the
+change of the median, and the number of pairs the change won; a tie counts
+for neither side.
 """
 
 from __future__ import annotations
@@ -59,11 +68,42 @@ def summarize(
     return lines
 
 
-def run_once(checkout: Path, args: argparse.Namespace) -> tuple[dict[str, float], str]:
+def parse_seeds(text: str) -> list[int]:
+    """The seeds of a list such as ``1-10,7919``: seeds and inclusive
+    ranges, separated by commas, in the order given."""
+    seeds = []
+    for piece in text.split(","):
+        low, dash, high = piece.strip().partition("-")
+        try:
+            first, last = int(low), int(high if dash else low)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from None
+        if first > last:
+            raise argparse.ArgumentTypeError(f"empty seed range {piece.strip()!r}")
+        seeds.extend(range(first, last + 1))
+    return seeds
+
+
+def workload_summary(
+    workload: str,
+    seed: int,
+    digest: str,
+    parent: list[dict[str, float]],
+    change: list[dict[str, float]],
+    metrics: list[tuple[str, str]],
+) -> list[str]:
+    """A workload's header line, then `summarize`'s lines for its pairs."""
+    header = f"workload: {workload}  seed: {seed}  pairs: {len(parent)}  {digest}"
+    return [header, *summarize(parent, change, metrics)]
+
+
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float
+) -> tuple[dict[str, float], str]:
     """The end-to-end metrics and the certificate digest of one benchmark run."""
     command = [
-        sys.executable, "perfbench/run.py", "--workload", args.workload,
-        "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -76,14 +116,51 @@ def run_once(checkout: Path, args: argparse.Namespace) -> tuple[dict[str, float]
     return {name: entry["value"] for name, entry in result["metrics"].items()}, digest
 
 
+def compare_digests(parent: Path, change: Path, workload: str, seeds: list[int]) -> None:
+    """One short run per seed in each checkout; raises RuntimeError at the
+    first seed whose two digests differ."""
+    for seed in seeds:
+        digests = [run_once(checkout, workload, seed, 0)[1] for checkout in (parent, change)]
+        if digests[0] != digests[1]:
+            raise RuntimeError(
+                f"{workload} seed {seed}: the certificate digests differ: "
+                f"parent {digests[0]}, change {digests[1]}"
+            )
+    if seeds:
+        print(f"{workload}: cert_digest equal at {len(seeds)} seeds", flush=True)
+
+
+def run_pairs(
+    parent: Path, change: Path, workload: str, args: argparse.Namespace,
+    metrics: list[tuple[str, str]],
+) -> list[str]:
+    """Run a workload's pairs; its `workload_summary`."""
+    runs: dict[Path, list[dict[str, float]]] = {parent: [], change: []}
+    digests = set()
+    for k in range(args.pairs):
+        for checkout in (parent, change) if k % 2 == 0 else (change, parent):
+            values, digest = run_once(checkout, workload, args.seed, args.seconds)
+            runs[checkout].append(values)
+            digests.add(digest)
+            print(f"{workload} pair {k + 1}/{args.pairs} {checkout.name}: "
+                  + " ".join(f"{name}={values[name]:.6f}" for name, _ in metrics),
+                  flush=True)
+        if len(digests) > 1:
+            raise RuntimeError(f"the certificate digests differ: {sorted(digests)}")
+    return workload_summary(
+        workload, args.seed, digests.pop(), runs[parent], runs[change], metrics
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--digest-seeds", type=parse_seeds, default=[])
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     if parent.parent != change.parent or parent == change:
@@ -92,26 +169,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     spec = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
-    runs: dict[Path, list[dict[str, float]]] = {parent: [], change: []}
-    digests = set()
-    for k in range(args.pairs):
-        for checkout in (parent, change) if k % 2 == 0 else (change, parent):
-            try:
-                values, digest = run_once(checkout, args)
-            except RuntimeError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            runs[checkout].append(values)
-            digests.add(digest)
-            print(f"pair {k + 1}/{args.pairs} {checkout.name}: "
-                  + " ".join(f"{name}={values[name]:.6f}" for name, _ in metrics),
-                  flush=True)
-        if len(digests) > 1:
-            print(f"error: the certificate digests differ: {sorted(digests)}", file=sys.stderr)
+    summaries = []
+    for workload in workloads:
+        try:
+            compare_digests(parent, change, workload, args.digest_seeds)
+            if args.pairs:
+                summaries.append(run_pairs(parent, change, workload, args, metrics))
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 1
-    print(f"workload: {args.workload}  seed: {args.seed}  pairs: {args.pairs}  {digests.pop()}")
-    print("\n".join(summarize(runs[parent], runs[change], metrics)))
+    for lines in summaries:
+        print("\n".join(lines))
     return 0
 
 
