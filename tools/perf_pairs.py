@@ -175,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload in workloads:
         try:
             compare_digests(parent, change, workload, args.digest_seeds)
-            if args.pairs:
+            if args.pairs > 0:
                 summaries.append(run_pairs(parent, change, workload, args, metrics))
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
