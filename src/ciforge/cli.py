@@ -204,7 +204,7 @@ def _cmd_check_iv(args: argparse.Namespace) -> tuple[list[str], int]:
         for piece in args.family.split(";")
         if piece.strip()
     ]
-    contained = check_condition_iv(f, family, x, Ideal(loaded.gens, ring=loaded.ring))
+    contained = check_condition_iv(f, family, x, Ideal(_system(loaded).gens, ring=loaded.ring))
     # Tangent containment at the point is exactly what the criterion forbids.
     return [f"contained: {'yes' if contained else 'no'}"], 3 if contained else 0
 

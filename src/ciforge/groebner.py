@@ -11,6 +11,7 @@ The four wrappers at the end of this module serve only the benchmark's tracer.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -134,32 +135,40 @@ def _polynomial(
     )
 
 
-def _divide(
-    f: Polynomial, basis: Sequence[Polynomial]
-) -> tuple[MonomialLayout, list[tuple], list[dict[int, object]], dict[int, object]]:
-    """Divide ``f`` by ``basis`` on packed monomials: the layout, the packed
-    divisors, and `_divide_terms`' packed quotients and remainder.
+#: A division's layout, packed divisors, and packed quotients and remainder.
+_Division = namedtuple("_Division", "layout divisors quotients remainder")
 
-    The layout is for the highest degree among ``f``'s terms and the
-    divisors' leading monomials, which bounds every monomial the division
-    meets.  ``f`` is packed afresh; its leading monomial is never computed.
+
+def _divide(
+    f: Polynomial | dict, basis: Sequence[Polynomial], layout: MonomialLayout | None = None
+) -> _Division:
+    """Divide ``f`` by ``basis`` on packed monomials, as every division here does.
+
+    Without ``layout``, ``f`` is a `Polynomial`, packed afresh in the layout
+    for the highest degree among its terms and the divisors' leading
+    monomials, which bounds every monomial the division meets.  With it,
+    ``f`` is an S-pair's packed working map, which the division consumes,
+    and ``basis`` is Buchberger's own, so it is not checked.
     """
-    ring = f.ring
-    try:
-        top = f.degree or 0
-    except NotHomogeneousError:
-        top = max(map(sum, f.terms))
-    for g in basis:
-        if g.ring is not ring and g.ring != ring:
-            raise RingMismatchError("divisor in a different ring")
-        if g.is_zero():
-            raise ValueError("zero divisor in basis")
-        top = max(top, sum(g.lead))
-    layout = monomial_layout(ring.num_vars, top)
+    if layout is not None:
+        field, work = basis[0].ring.field, f
+    else:
+        ring = f.ring
+        try:
+            top = f.degree or 0
+        except NotHomogeneousError:
+            top = max(map(sum, f.terms))
+        for g in basis:
+            if g.ring is not ring and g.ring != ring:
+                raise RingMismatchError("divisor in a different ring")
+            if g.is_zero():
+                raise ValueError("zero divisor in basis")
+            top = max(top, sum(g.lead))
+        layout = monomial_layout(ring.num_vars, top)
+        pack, field = layout.pack, ring.field
+        work = {pack(e): c for e, c in field.to_work(f.terms).items()}
     divisors = [g.packed_divisor(layout) for g in basis]
-    pack = layout.pack
-    work = {pack(e): c for e, c in ring.field.to_work(f.terms).items()}
-    return layout, divisors, *_divide_terms(ring.field, layout, work, divisors)
+    return _Division(layout, divisors, *_divide_terms(field, layout, work, divisors))
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> QuotientRecord:
@@ -170,10 +179,9 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> QuotientRecord:
     no monomial divisible by any basis leading monomial.  A long division
     honours `basis_time_limit`.
 
-    The division runs on packed monomials (`_divide`).  Each divisor keeps
-    its packed form per layout, so a basis element is packed once, however
-    many divisions it takes part in.  Every quotient and the remainder are
-    unpacked at the end.
+    It runs on packed monomials (`_divide`), each divisor packed once per
+    layout however many divisions it takes part in, and converts every
+    quotient and the remainder.
     """
     ring = f.ring
     layout, divisors, quotients, remainder = _divide(f, basis)
@@ -184,12 +192,11 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> QuotientRecord:
 
 
 def _s_polynomial(layout: MonomialLayout, g: Polynomial, h: Polynomial, lcm: int) -> dict:
-    """The packed working map of g * m_g / lc(g) - h * m_h / lc(h), where
-    the monomials m_g and m_h lift both leading monomials to the packed
-    ``lcm``.
+    """The packed working map of g * m_g / lc(g) - h * m_h / lc(h), where m_g
+    and m_h lift both leading monomials to the packed ``lcm``.
 
     It is built on the parents' packed divisor forms in ``layout``, with no
-    `Polynomial` product, and goes to `_divide_terms` as it is.  The
+    `Polynomial` product, and goes to `_divide` as it is.  The
     leading terms cancel, and g's other terms stay distinct after the shift,
     so only h's can meet one already there.
     """
@@ -203,15 +210,11 @@ def _s_polynomial(layout: MonomialLayout, g: Polynomial, h: Polynomial, lcm: int
     shift, factor = lcm - h_lead, ratio(one, h_lc)
     for e, c in h_rest:
         e += shift
-        value = work.get(e)
-        if value is None:
-            work[e] = sub_mul(zero, factor, c)
+        value = sub_mul(work.get(e, zero), factor, c)
+        if value == zero:
+            del work[e]  # only a term already there can cancel
         else:
-            value = sub_mul(value, factor, c)
-            if value == zero:
-                del work[e]
-            else:
-                work[e] = value
+            work[e] = value
     return work
 
 
@@ -364,10 +367,13 @@ def reduced_groebner(
         derivation.append(row)
         return len(source) + len(derivation) - 1
 
-    def quotient_terms(layout: MonomialLayout, quotients: list, divisors: list) -> tuple:
-        """(quotient, divisor node) for each nonzero packed quotient map."""
-        entries = zip(quotients, divisors, nodes)
-        return tuple((_polynomial(ring, layout, q, d[3]), n) for q, d, n in entries if q)
+    def keep(division: _Division, head: tuple, divisor_nodes: list[int]) -> tuple:
+        """A division's remainder and the node of the row that makes it:
+        ``head``, then (quotient, divisor node) for each nonzero quotient."""
+        layout = division.layout
+        entries = zip(division.quotients, division.divisors, divisor_nodes)
+        row = head + tuple((_polynomial(ring, layout, q, d[3]), n) for q, d, n in entries if q)
+        return _polynomial(ring, layout, division.remainder), made(row)
 
     # (degree, leading monomial) of W's basis elements that no leading
     # monomial in ``lms`` is known to divide, the lowest degree last; None
@@ -399,12 +405,11 @@ def reduced_groebner(
         if not event[1]:
             position = event[2]
             g = source[position]
-            layout, divisors, quotients, remainder = _divide(g, basis)
-            if not remainder:
+            division = _divide(g, basis)
+            if not division.remainder:
                 continue
-            row = quotient_terms(layout, quotients, divisors)
-            if row:
-                enter(_polynomial(ring, layout, remainder), made(((one, position),) + row))
+            if any(division.quotients):
+                enter(*keep(division, ((one, position),), nodes))
             else:
                 enter(g, position)
             continue
@@ -435,16 +440,14 @@ def reduced_groebner(
 
         # `_divide` would pick this layout too: no element has a higher degree.
         layout = monomial_layout(ring.num_vars, degree)
-        divisors = [g.packed_divisor(layout) for g in basis]
         work = _s_polynomial(layout, basis[i], basis[j], layout.pack(lcm))
-        quotients, remainder = _divide_terms(ring.field, layout, work, divisors)
-        if not remainder:
+        division = _divide(work, basis, layout)
+        if not division.remainder:
             continue
         mono_i = ring.monomial(monomial_div(lcm, lms[i]), div(one, basis[i].terms[lms[i]]))
         mono_j = ring.monomial(monomial_div(lcm, lms[j]), div(one, basis[j].terms[lms[j]]))
         head = ((mono_i, nodes[i]), (mono_j, nodes[j]))
-        row = head + quotient_terms(layout, quotients, divisors)
-        enter(_polynomial(ring, layout, remainder), made(row))
+        enter(*keep(division, head, nodes))
 
     # The basis is minimal, and a tail lies below its element's leading
     # monomial: one ascending pass, dividing each element made monic by the
@@ -453,11 +456,9 @@ def reduced_groebner(
     final_nodes: list[int] = []
     for i in sorted(range(len(basis)), key=lambda i: grevlex_key(lms[i]), reverse=True):
         inv = div(one, basis[i].terms[lms[i]])
-        record = normal_form(basis[i] * inv, final)
-        head = ((inv, nodes[i]),)
-        row = tuple((q, n) for q, n in zip(record.quotients, final_nodes) if not q.is_zero())
-        final.append(record.remainder)
-        final_nodes.append(made(head + row))
+        element, node = keep(_divide(basis[i] * inv, final), ((inv, nodes[i]),), final_nodes)
+        final.append(element)
+        final_nodes.append(node)
 
     return GroebnerBasis(ring, tuple(final), source, tuple(derivation), through)
 
@@ -504,7 +505,7 @@ class Ideal:
     def __contains__(self, f: Polynomial) -> bool:
         """Whether ``f`` is a member; composes and converts nothing."""
         self._require_within_bound(f)
-        return not _divide(f, self.basis.elements)[3]
+        return not _divide(f, self.basis.elements).remainder
 
     def member(self, f: Polynomial) -> tuple[bool, QuotientRecord]:
         """Membership of ``f``, with cofactors over the generators.

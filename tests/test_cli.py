@@ -334,27 +334,33 @@ class TestOtherCommands:
         assert code == 3
         assert "contained: yes" in capsys.readouterr().out
 
-    def test_check_iv_at_a_point_off_the_variety_exit_2(self, cubic_file, capsys):
+    def test_check_iv_at_a_point_off_the_variety_exit_2(self, cubic_file, tmp_path, capsys):
         # T1^2 - T0*T2 is 4 - 5 at (1:2:5:7); decide and verify refuse the
-        # point the same way.
-        code = run_command(
-            [
-                "check-iv",
-                str(cubic_file),
-                "--point",
-                "1,2,5,7",
-                "--poly",
-                "T1^2 - T0*T2 - T1*T2 + T2^2 + T0*T3 - T1*T3",
-                "--family",
-                "",
-            ]
-        )
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: generator 0 does not vanish at (1:2:5:7): -T1^2 + T0*T2\n"
-        )
+        # point the same way.  A zero generator before it is dropped, as
+        # decide drops it, so the failing generator keeps its number.
+        zero_first = tmp_path / "zero_first.ideal"
+        zero_first.write_text(TWISTED_CUBIC.replace("gens:\n", "gens:\n0\n"))
+        for path in (cubic_file, zero_first):
+            code = run_command(
+                [
+                    "check-iv",
+                    str(path),
+                    "--point",
+                    "1,2,5,7",
+                    "--poly",
+                    "T1^2 - T0*T2 - T1*T2 + T2^2 + T0*T3 - T1*T3",
+                    "--family",
+                    "",
+                ]
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: generator 0 does not vanish at (1:2:5:7): -T1^2 + T0*T2\n"
+            )
+            assert run_command(["decide", str(path), "--point", "1,2,5,7"]) == 2
+            assert capsys.readouterr().err == captured.err
 
     def test_check_iv_passes(self, lqr_file, capsys):
         code = run_command(

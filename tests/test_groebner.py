@@ -357,9 +357,10 @@ def mark_divisions_inside(patch, calls, owners):
     return inside
 
 
-#: Where a basis computation divides other than by the basis it is building:
-#: the finishing pass and the membership proofs for ``within``.
-NOT_BY_THE_GROWING_BASIS = ((groebner, "normal_form"), (Ideal, "__contains__"))
+def finishing_pass(calls, basis):
+    """The indices in ``calls`` of the finishing pass that made ``basis``:
+    one division per element, the last ones the computation makes."""
+    return set(range(len(calls) - len(basis.elements), len(calls)))
 
 
 class TestDivisionWork:
@@ -460,9 +461,9 @@ class TestConversion:
         for gens in inputs:
             with pytest.MonkeyPatch.context() as patch:
                 calls = watch_divisions(patch)
-                finishing = mark_divisions_inside(patch, calls, [(groebner, "normal_form")])
                 made = count_conversions(patch, calls)
                 basis = reduced_groebner(gens)
+            finishing = finishing_pass(calls, basis)
             for k, d in enumerate(calls):
                 if k in finishing:
                     continue
@@ -949,8 +950,11 @@ class TestDegreeOrder:
         gens, w = case
         with pytest.MonkeyPatch.context() as patch:
             calls = watch_divisions(patch)
-            others = mark_divisions_inside(patch, calls, NOT_BY_THE_GROWING_BASIS)
-            reduced_groebner(gens, ring=w.ring, through=through, within=w if bounded else None)
+            proofs = mark_divisions_inside(patch, calls, [(Ideal, "__contains__")])
+            basis = reduced_groebner(
+                gens, ring=w.ring, through=through, within=w if bounded else None
+            )
+        others = proofs | finishing_pass(calls, basis)
         # The entry and S-pair divisions: membership proofs for ``within``
         # divide by W's basis, and the finishing pass by the list of reduced
         # elements.  Each queued generator is divided on entry.

@@ -1,9 +1,8 @@
-"""The seed lists `tools/perf_pairs.py` reads and the summary it prints for
-alternating benchmark pairs."""
+"""The summary `tools/perf_pairs.py` prints for alternating benchmark pairs,
+and the runs it refuses."""
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 from pathlib import Path
 
@@ -40,18 +39,6 @@ def test_summary_of_one_pair_and_of_a_zero_median():
     ]
 
 
-def test_seed_lists_take_seeds_and_inclusive_ranges_in_order():
-    assert perf_pairs.parse_seeds("1-10,7919") == [*range(1, 11), 7919]
-    assert perf_pairs.parse_seeds("5") == [5]
-    assert perf_pairs.parse_seeds("3, 1-2 ,3-3") == [3, 1, 2, 3]
-
-
-@pytest.mark.parametrize("text", ["", "1,", "a", "1-", "-3", "2-1", "1-2-3", "1.5"])
-def test_bad_seed_lists_are_refused(text):
-    with pytest.raises(argparse.ArgumentTypeError):
-        perf_pairs.parse_seeds(text)
-
-
 def test_each_workload_gets_a_header_and_its_own_summary():
     parent = [{"decide_s": v} for v in (1.0, 3.0, 2.0)]
     change = [{"decide_s": v} for v in (0.5, 3.5, 1.0)]
@@ -64,3 +51,12 @@ def test_each_workload_gets_a_header_and_its_own_summary():
         "  change 1.000000 [0.750000, 2.250000]"
         "  median -50.0%  change won 2/3 (lower is better)",
     ]
+
+
+def test_a_negative_pair_count_is_refused_before_any_run(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    args = [str(parent), str(change), "--pairs", "-1", "--seconds", "1", "--seed", "1"]
+    assert perf_pairs.main(args) == 2
+    assert capsys.readouterr().err == "error: --pairs must not be negative\n"

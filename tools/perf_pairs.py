@@ -1,7 +1,7 @@
 """Run the benchmark on two checkouts in alternating pairs and compare them.
 
     python3 tools/perf_pairs.py PARENT CHANGE [--workload W ...] --pairs N \
-        --seconds S --seed K [--digest-seeds 1-10,7919]
+        --seconds S --seed K
 
 PARENT and CHANGE are two checkouts of the repository.  ``--workload`` may
 be given several times; without it every workload in the change's
@@ -13,9 +13,10 @@ directory: a run writes its instance files under its own checkout, so
 ``setup_s`` times that directory's file system too, and checkouts in
 different places read differently for the same code.
 
-``--digest-seeds`` takes seeds and inclusive ranges separated by commas.
-Before a workload's pairs, it makes one short run (``--seconds 0``) per
-listed seed in each checkout and compares their ``cert_digest`` lines.
+Before a workload's pairs, it makes one short run (``--seconds 0``) at each
+of `DIGEST_SEEDS` in each checkout and compares their ``cert_digest`` lines,
+so ``--pairs 0`` compares the digests alone.  A negative ``--pairs`` is
+refused (exit 2).
 
 It fails (exit 1) if a run fails, reports ``correct: false``, or prints a
 ``cert_digest`` line that differs from the other checkout's at the same
@@ -33,6 +34,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+#: The seeds at which the two checkouts' certificate digests must agree.
+DIGEST_SEEDS = [*range(1, 11), 7919]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -68,22 +72,6 @@ def summarize(
     return lines
 
 
-def parse_seeds(text: str) -> list[int]:
-    """The seeds of a list such as ``1-10,7919``: seeds and inclusive
-    ranges, separated by commas, in the order given."""
-    seeds = []
-    for piece in text.split(","):
-        low, dash, high = piece.strip().partition("-")
-        try:
-            first, last = int(low), int(high if dash else low)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from None
-        if first > last:
-            raise argparse.ArgumentTypeError(f"empty seed range {piece.strip()!r}")
-        seeds.extend(range(first, last + 1))
-    return seeds
-
-
 def workload_summary(
     workload: str,
     seed: int,
@@ -116,18 +104,17 @@ def run_once(
     return {name: entry["value"] for name, entry in result["metrics"].items()}, digest
 
 
-def compare_digests(parent: Path, change: Path, workload: str, seeds: list[int]) -> None:
-    """One short run per seed in each checkout; raises RuntimeError at the
-    first seed whose two digests differ."""
-    for seed in seeds:
+def compare_digests(parent: Path, change: Path, workload: str) -> None:
+    """One short run per digest seed in each checkout; raises RuntimeError
+    at the first seed whose two digests differ."""
+    for seed in DIGEST_SEEDS:
         digests = [run_once(checkout, workload, seed, 0)[1] for checkout in (parent, change)]
         if digests[0] != digests[1]:
             raise RuntimeError(
                 f"{workload} seed {seed}: the certificate digests differ: "
                 f"parent {digests[0]}, change {digests[1]}"
             )
-    if seeds:
-        print(f"{workload}: cert_digest equal at {len(seeds)} seeds", flush=True)
+    print(f"{workload}: cert_digest equal at {len(DIGEST_SEEDS)} seeds", flush=True)
 
 
 def run_pairs(
@@ -160,12 +147,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--digest-seeds", type=parse_seeds, default=[])
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     if parent.parent != change.parent or parent == change:
         print("error: the two checkouts must be different directories side by side",
               file=sys.stderr)
+        return 2
+    if args.pairs < 0:
+        print("error: --pairs must not be negative", file=sys.stderr)
         return 2
     spec = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
@@ -174,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     summaries = []
     for workload in workloads:
         try:
-            compare_digests(parent, change, workload, args.digest_seeds)
+            compare_digests(parent, change, workload)
             if args.pairs > 0:
                 summaries.append(run_pairs(parent, change, workload, args, metrics))
         except RuntimeError as exc:
