@@ -11,7 +11,6 @@ The four wrappers at the end of this module serve only the benchmark's tracer.
 from __future__ import annotations
 
 import heapq
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -135,8 +134,14 @@ def _polynomial(
     )
 
 
-#: A division's layout, packed divisors, and packed quotients and remainder.
-_Division = namedtuple("_Division", "layout divisors quotients remainder")
+@dataclass(slots=True)
+class _Division:
+    """A division's layout, packed divisors, and packed quotients and remainder."""
+
+    layout: MonomialLayout
+    divisors: list[tuple]
+    quotients: list[dict[int, object]]
+    remainder: dict[int, object]
 
 
 def _divide(
@@ -183,11 +188,11 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> QuotientRecord:
     layout however many divisions it takes part in, and converts every
     quotient and the remainder.
     """
-    ring = f.ring
-    layout, divisors, quotients, remainder = _divide(f, basis)
+    ring, division = f.ring, _divide(f, basis)
+    layout, divisors = division.layout, division.divisors
     return QuotientRecord(
-        tuple(_polynomial(ring, layout, q, d[3]) for q, d in zip(quotients, divisors)),
-        _polynomial(ring, layout, remainder),
+        tuple(_polynomial(ring, layout, q, d[3]) for q, d in zip(division.quotients, divisors)),
+        _polynomial(ring, layout, division.remainder),
     )
 
 
@@ -422,18 +427,13 @@ def reduced_groebner(
             continue
         # Chain criterion: a third element dividing the lcm whose pairs with
         # both ends are already settled makes this pair redundant.
-        redundant = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if (
-                monomial_divides(lms[k], lcm)
-                and frozenset((i, k)) not in pending
-                and frozenset((j, k)) not in pending
-            ):
-                redundant = True
-                break
-        if redundant:
+        if any(
+            k not in (i, j)
+            and monomial_divides(lms[k], lcm)
+            and frozenset((i, k)) not in pending
+            and frozenset((j, k)) not in pending
+            for k in range(len(basis))
+        ):
             continue
         if uncovered is not None and settled(degree):
             continue
