@@ -8,7 +8,7 @@ be given several times; without it every workload in the change's
 ``BENCHMARK.json`` runs, one after the other.  For each workload, each pair
 runs ``perfbench/run.py`` (as it is in each checkout, with ``--trace 0``)
 once in each, the parent first in even pairs and the change first in odd
-ones; ``--pairs 0`` runs none.  Both checkouts must sit in the same
+ones.  Both checkouts must sit in the same
 directory: a run writes its instance files under its own checkout, so
 ``setup_s`` times that directory's file system too, and checkouts in
 different places read differently for the same code.
