@@ -136,9 +136,9 @@ def _cmd_decide(args: argparse.Namespace) -> tuple[list[str], int]:
             "precondition means exactly 'Jacobian rank equals codimension'",
             file=sys.stderr,
         )
-    # The degree sequence before the loop and after each step.  A non-CI run
-    # stops at a step that has no "after", and still reports the input's.
-    trace = [degree_sequence(system)]
+    # The input's degree sequence, taken once `reduce_to_ci` has checked the
+    # input, then one after each step (a non-CI run's last step has none).
+    trace = []
 
     def record(before, outcome, after):
         trace.append(degree_sequence(after))
@@ -147,7 +147,7 @@ def _cmd_decide(args: argparse.Namespace) -> tuple[list[str], int]:
     payload = serialize_certificate(cert)
     lines = [f"codimension: {cert.codim}"]
     if len(system) > cert.codim:
-        lines.append("trace: " + " ".join(str(t) for t in trace))
+        lines.append("trace: " + " ".join(map(str, [degree_sequence(system), *trace])))
     if isinstance(cert, CICertificate):
         lines += ["decision: complete intersection"]
         lines += [f"generator: {g}" for g in cert.final_gens]

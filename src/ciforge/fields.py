@@ -9,7 +9,7 @@ this module does scalar arithmetic only through these, binding them to locals
 in hot loops.  Over Q they are the ``operator`` builtins, so they cost no
 Python frame.
 
-Division (``groebner.normal_form``) works on coefficients in each field's
+Division (``groebner._divide``) works on coefficients in each field's
 *working form*: over Q a ``(numerator, denominator)`` int pair in lowest
 terms with a positive denominator, over F_p the int itself; ``work_zero`` and
 ``work_one`` are zero and one in it.  ``to_work`` converts a whole term map

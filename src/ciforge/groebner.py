@@ -10,6 +10,7 @@ The four wrappers at the end of this module serve only the benchmark's tracer.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from typing import Sequence
@@ -322,9 +323,10 @@ def reduced_groebner(
     so once every leading monomial of W's basis of degree at most e is
     divisible by one of B, B agrees with W through degree e and a pair of
     degree e reduces to zero: it is skipped, making no row.  Membership of
-    the generators is proved at the first such pair, once; if one lies
-    outside W nothing is skipped.  So the result equals the unbounded one
-    for any generators.
+    the generators is one cached call, ``inside``, made at the first such
+    pair: one division per generator, up to the first outside W, after which
+    nothing is skipped.  So the result equals the unbounded one for any
+    generators.
     """
     if ring is None:
         if not gens:
@@ -367,42 +369,29 @@ def reduced_groebner(
         lms.append(new_lm)
         nodes.append(node)
 
-    def made(row: tuple) -> int:
-        """Append a derivation row; the node of the polynomial it makes."""
-        derivation.append(row)
-        return len(source) + len(derivation) - 1
-
     def keep(division: _Division, head: tuple, divisor_nodes: list[int]) -> tuple:
-        """A division's remainder and the node of the row that makes it:
-        ``head``, then (quotient, divisor node) for each nonzero quotient."""
+        """Append the row that makes a division's remainder, ``head`` then
+        (quotient, divisor node) per nonzero quotient; the remainder and its node."""
         layout = division.layout
         entries = zip(division.quotients, division.divisors, divisor_nodes)
-        row = head + tuple((_polynomial(ring, layout, q, d[3]), n) for q, d, n in entries if q)
-        return _polynomial(ring, layout, division.remainder), made(row)
+        derivation.append(
+            head + tuple((_polynomial(ring, layout, q, d[3]), n) for q, d, n in entries if q)
+        )
+        return _polynomial(ring, layout, division.remainder), len(source) + len(derivation) - 1
 
     # (degree, leading monomial) of W's basis elements that no leading
-    # monomial in ``lms`` is known to divide, the lowest degree last; None
-    # once nothing may be skipped.
-    uncovered = None
-    if within is not None:
-        uncovered = [(g.degree, g.lead) for g in reversed(within.basis.elements)]
-    proven = False
+    # monomial in ``lms`` is known to divide, the lowest degree last.
+    uncovered = [(g.degree, g.lead) for g in reversed(within.basis.elements)] if within else []
+    # Skipping is sound only for generators in W: one division each, once.
+    inside = functools.cache(lambda: all(g in within for g in source))
 
     def settled(degree: int) -> bool:
         """Whether W's basis shows that a pair of ``degree`` reduces to zero."""
-        nonlocal uncovered, proven
         while uncovered and uncovered[-1][0] <= degree:
-            target = uncovered[-1][1]
-            if not any(monomial_divides(lm, target) for lm in lms):
+            if not any(monomial_divides(lm, uncovered[-1][1]) for lm in lms):
                 return False
             uncovered.pop()
-        if not proven:
-            # Sound only for generators in W: one division each, once.
-            if not all(g in within for g in source):
-                uncovered = None
-                return False
-            proven = True
-        return True
+        return inside()
 
     while queue:
         check_deadline("basis computation")
@@ -435,7 +424,7 @@ def reduced_groebner(
             for k in range(len(basis))
         ):
             continue
-        if uncovered is not None and settled(degree):
+        if within is not None and settled(degree):
             continue
 
         # `_divide` would pick this layout too: no element has a higher degree.

@@ -15,18 +15,21 @@ power is multiplied out, term by term.
 A rational coefficient with more decimal digits than Python converts to a
 string (`sys.get_int_max_str_digits`) is a parse error at the term that makes
 it, since it could not be printed; so is an exponent written with that many.
+A number's power is one `Field.pow`, refused first if no coefficient could
+bring it back under that limit, so ``2^100000000`` over Q is refused at once.
 
 Parsing honours `basis_time_limit`, through `errors.check_deadline`, so the
 parser does not depend on the basis computation.  It checks the limit once
-per unit of every ``^`` exponent, whatever the base, before every product of
+per unit of a variable's or a sum's ``^`` exponent, before every product of
 parenthesised sums and once per row inside one (`poly.mul_terms`), so inputs
-such as ``(T0 + T1)^100000``, ``(T0 + ... + T19)^9``, ``T0^100000000`` or
-``2^100000000`` stop with `BuchbergerTimeout` naming ``parsing``.
+such as ``(T0 + T1)^100000``, ``(T0 + ... + T19)^9`` or ``T0^100000000``
+stop with `BuchbergerTimeout` naming ``parsing``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 import sys
 from typing import Iterable
@@ -95,6 +98,7 @@ class _Parser:
         limit = getattr(sys, "get_int_max_str_digits", int)()
         rational = not self.field.characteristic
         self.digit_bound = _digit_bound(limit) if limit and rational else None
+        self.power_bits = 2 * self.digit_bound.bit_length() if self.digit_bound else math.inf
 
     def parse(self) -> TermMap:
         result = self.expression()
@@ -154,11 +158,17 @@ class _Parser:
                     base = field.scalar_from_str(text)
                 except ParseError as exc:
                     raise ParseError(str(exc), pos) from exc
-                for _ in range(self.exponent()):
-                    check_deadline("parsing")
-                    # A coefficient that is one (always, at first) is not multiplied.
-                    coeff = base if coeff is one else mul(coeff, base)
-                if coeff is not base:  # a product, which can outgrow its factors
+                k, power = self.exponent(), base
+                if k != 1 and coeff:  # a zero coefficient stays zero
+                    # Refused uncomputed: a coefficient below the digit bound
+                    # cannot cancel twice the bound's bits.
+                    size = max(abs(base.numerator), base.denominator).bit_length() - 1
+                    if k * size >= self.power_bits:
+                        raise ParseError("coefficient has too many digits to print", start)
+                    power = field.pow(base, k)
+                # A coefficient that is one (always, at first) is not multiplied.
+                coeff = power if coeff is one else mul(coeff, power)
+                if coeff is not base:  # a power or a product, which can outgrow its factors
                     self.check_digits((coeff,), start)
             elif kind == "name":
                 index = self.var_index.get(text)

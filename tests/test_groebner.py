@@ -934,6 +934,44 @@ class TestBoundedWork:
         # One division per final generator proves it a member of the input.
         assert len(calls) == 2 * len(cert.final_gens) + len(pairs) + len(basis.elements)
 
+    @pytest.fixture
+    def proofs(self, monkeypatch):
+        """The (ideal, polynomial) of every `Ideal.__contains__` call from now on."""
+        calls = []
+        original = Ideal.__contains__
+
+        def recording(ideal, f):
+            calls.append((ideal, f))
+            return original(ideal, f)
+
+        monkeypatch.setattr(Ideal, "__contains__", recording)
+        return calls
+
+    def test_no_membership_proof_where_no_pair_is_settled(self, proofs, p3):
+        # The planted quadrics' one pair makes W's cubic element, so W's basis
+        # settles no pair; the linear forms' leading monomials are coprime.
+        Ideal(PLANTED_QUADRICS.gens).truncated_ideal(3)
+        linear = [parse_polynomial(t, p3) for t in ("T0 + T3", "T1 - 2*T3", "T2 + T3")]
+        reduced_groebner(linear, within=Ideal(linear))
+        assert proofs == []
+
+    def test_the_membership_proof_divides_each_generator_once(self, proofs):
+        ideal = Ideal(PLANTED_QUADRICS.gens)
+        below = ideal.truncated_ideal(4)
+        assert len(below.gens) == 3
+        assert proofs == [(ideal, g) for g in below.gens]
+
+    def test_the_membership_proof_stops_at_the_first_generator_outside(self, proofs):
+        # The inputs of test_generators_outside_the_bounding_ideal_skip_nothing.
+        ring = PolynomialRing(PrimeField(7), ("x", "y", "z"))
+        w = Ideal([parse_polynomial("2*x + 4*z", ring)])
+        gens = [
+            parse_polynomial(text, ring)
+            for text in ("6*x", "4*x*z + 6*y*z + 3*z^2", "4*y^2 + 5*z^2")
+        ]
+        reduced_groebner(gens, within=w)
+        assert proofs == [(w, gens[0])]
+
 
 class TestDegreeOrder:
     """Generators and pairs leave one queue lowest degree first, so elements

@@ -4,6 +4,7 @@ and the runs it refuses."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,41 @@ def test_a_negative_pair_count_is_refused_before_any_run(tmp_path, capsys):
     args = [str(parent), str(change), "--pairs", "-1", "--seconds", "1", "--seed", "1"]
     assert perf_pairs.main(args) == 2
     assert capsys.readouterr().err == "error: --pairs must not be negative\n"
+
+
+def test_verdicts_apply_the_bound_to_the_parent_median():
+    # Parent quartiles 1.0 [0.95, 1.05], 10% apart; the change's median is 1.3.
+    parent = [0.9, 0.95, 1.0, 1.05, 1.1]
+    change = [1.25, 1.3, 1.3, 1.35, 1.4]
+    assert perf_pairs.verdict(parent, change, "lower", 0.25) == "worse"
+    assert perf_pairs.verdict(parent, change, "lower", 0.35) == "within bound"
+    assert perf_pairs.verdict(parent, change, "higher", 0.25) == "within bound"
+    assert perf_pairs.verdict(change, parent, "higher", 0.2) == "worse"
+
+
+def test_a_wide_parent_spread_is_unresolved_unless_every_change_run_wins():
+    # Parent quartiles 1.0 [0.8, 1.2], 40% apart.
+    parent = [0.5, 0.8, 1.0, 1.2, 1.5]
+    assert perf_pairs.verdict(parent, [1.1, 1.1, 0.9, 1.0, 1.0], "lower", 0.25) == "unresolved"
+    assert perf_pairs.verdict(parent, [0.4] * 5, "lower", 0.25) == "within bound"
+    assert perf_pairs.verdict(parent, [0.4] * 4 + [0.6], "lower", 0.25) == "unresolved"
+
+
+def test_a_worse_verdict_fails_the_run(tmp_path, capsys, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    spec = {"workloads": [{"name": "w"}],
+            "end_to_end": [{"name": "decide_s", "better": "lower", "bound": 0.25}]}
+    (change / "BENCHMARK.json").write_text(json.dumps(spec))
+    times = {parent: 1.0, change: 1.5}
+    monkeypatch.setattr(
+        perf_pairs, "run_once",
+        lambda checkout, workload, seed, seconds: ({"decide_s": times[checkout]}, "d"),
+    )
+    args = [str(parent), str(change), "--pairs", "2", "--seconds", "1", "--seed", "1"]
+    assert perf_pairs.main(args) == 1
+    assert capsys.readouterr().out.endswith("verdict decide_s: worse\n")
+    times[change] = 1.1
+    assert perf_pairs.main(args) == 0
+    assert capsys.readouterr().out.endswith("verdict decide_s: within bound\n")

@@ -23,7 +23,8 @@ It fails (exit 1) if a run fails, reports ``correct: false``, or prints a
 seed.  Otherwise it prints, per workload, each end-to-end metric in the
 change's ``BENCHMARK.json`` with each side's median and quartiles, the
 change of the median, and the number of pairs the change won; a tie counts
-for neither side.
+for neither side.  Then it prints each metric's verdict against its
+``bound`` there (`verdict`), and fails if any reads ``worse``.
 """
 
 from __future__ import annotations
@@ -70,6 +71,23 @@ def summarize(
             f"  median {delta}  change won {won}/{len(before)} ({better} is better)"
         )
     return lines
+
+
+def verdict(before: list[float], after: list[float], better: str, bound: float) -> str:
+    """One metric's verdict from the parent's runs ``before`` and the
+    change's ``after``, ``bound`` a share of the parent's median: ``worse``
+    if the change's median is worse by more than the bound, ``unresolved``
+    if the parent's quartiles lie further apart than the bound and not every
+    change run beats every parent run, and ``within bound`` otherwise."""
+    sign = 1 if better == "lower" else -1
+    p_low, p_mid, p_high = quartiles(before)
+    if sign * (statistics.median(after) - p_mid) > bound * p_mid:
+        return "worse"
+    if p_high - p_low > bound * p_mid and not all(
+        sign * (b - a) > 0 for b in before for a in after
+    ):
+        return "unresolved"
+    return "within bound"
 
 
 def workload_summary(
@@ -119,9 +137,10 @@ def compare_digests(parent: Path, change: Path, workload: str) -> None:
 
 def run_pairs(
     parent: Path, change: Path, workload: str, args: argparse.Namespace,
-    metrics: list[tuple[str, str]],
-) -> list[str]:
-    """Run a workload's pairs; its `workload_summary`."""
+    metrics: list[tuple[str, str, float]],
+) -> tuple[list[str], bool]:
+    """Run a workload's pairs; its `workload_summary` and each metric's
+    `verdict`, and whether one reads ``worse``."""
     runs: dict[Path, list[dict[str, float]]] = {parent: [], change: []}
     digests = set()
     for k in range(args.pairs):
@@ -130,13 +149,21 @@ def run_pairs(
             runs[checkout].append(values)
             digests.add(digest)
             print(f"{workload} pair {k + 1}/{args.pairs} {checkout.name}: "
-                  + " ".join(f"{name}={values[name]:.6f}" for name, _ in metrics),
+                  + " ".join(f"{name}={values[name]:.6f}" for name, _, _ in metrics),
                   flush=True)
         if len(digests) > 1:
             raise RuntimeError(f"the certificate digests differ: {sorted(digests)}")
-    return workload_summary(
-        workload, args.seed, digests.pop(), runs[parent], runs[change], metrics
+    before, after = runs[parent], runs[change]
+    judged = [
+        (name, verdict([r[name] for r in before], [r[name] for r in after], better, bound))
+        for name, better, bound in metrics
+    ]
+    summary = workload_summary(
+        workload, args.seed, digests.pop(), before, after,
+        [(name, better) for name, better, _ in metrics],
     )
+    lines = summary + [f"verdict {name}: {v}" for name, v in judged]
+    return lines, any(v == "worse" for _, v in judged)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -157,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --pairs must not be negative", file=sys.stderr)
         return 2
     spec = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
     summaries = []
@@ -169,9 +196,9 @@ def main(argv: list[str] | None = None) -> int:
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    for lines in summaries:
+    for lines, _ in summaries:
         print("\n".join(lines))
-    return 0
+    return 1 if any(worse for _, worse in summaries) else 0
 
 
 if __name__ == "__main__":
