@@ -6,11 +6,20 @@ rationals only), declared variable names, ``+ - * ^``, and parentheses.  A
 is rejected, so there is no polynomial division.  ``^`` takes a nonnegative
 integer exponent.  Multiplication must be written out: ``2*T0``, not ``2T0``.
 
-The parser builds term maps (exponent tuple -> scalar) with the field's own
-operations and makes one `Polynomial` at the end.  A product of numbers and
-variable powers such as ``-3*T1^2*T4`` accumulates into one exponent list and
-one coefficient; only a parenthesised sum that is multiplied or raised to a
-power is multiplied out, term by term.
+After one scan that rejects any character outside this grammar, the parser
+reads the text one term at a time into a term map (exponent tuple -> scalar)
+and makes one `Polynomial` at the end.  A plain term, as `format_polynomial`
+prints it (``-3*T1^2*T4``, ``+ T2``, ``5``), is one match of `_TERM_RE`: a
+sign, an optional integer or ``a/b`` coefficient and a ``*`` chain of
+``name^k``, whose exponents fold into one list and whose signed literal
+becomes its coefficient in one call.  Any other term (a parenthesis, a
+number's ``^``, a number after ``*``, an unknown name or a literal the field
+refuses) is read from its start one token at a time, which gives every error
+its message and position.  There, a product of numbers and variable powers
+still folds into one coefficient and one exponent list; only a parenthesised
+sum that is multiplied or raised to a power is multiplied out, term by term,
+after a bound on the result's terms from its factors' sizes is checked
+against `MAX_TERMS`.
 
 A rational coefficient with more decimal digits than Python converts to a
 string (`sys.get_int_max_str_digits`) is a parse error at the term that makes
@@ -22,8 +31,8 @@ Parsing honours `basis_time_limit`, through `errors.check_deadline`, so the
 parser does not depend on the basis computation.  It checks the limit once
 per unit of a variable's or a sum's ``^`` exponent, before every product of
 parenthesised sums and once per row inside one (`poly.mul_terms`), so inputs
-such as ``(T0 + T1)^100000``, ``(T0 + ... + T19)^9`` or ``T0^100000000``
-stop with `BuchbergerTimeout` naming ``parsing``.
+such as ``(T0 + T1)^100000`` or ``T0^100000000`` stop with
+`BuchbergerTimeout` naming ``parsing``.
 """
 
 from __future__ import annotations
@@ -40,29 +49,40 @@ from .poly import (
     Exponents,
     Polynomial,
     PolynomialRing,
-    add_terms_into,
     monomial_mul,
     mul_terms,
 )
 
+#: The most terms a product or power of parenthesised sums may have: a larger
+#: bound on them is a parse error before they are built.  The bound comes from
+#: the factors' sizes, not from the monomials they can make, so it can refuse
+#: a small result: ``(1 + T0 + ... + T0^999)^2`` has 1999 terms, but a bound
+#: of C(1001, 2) = 500500.  ``(T0 + T1)^100000``, with 100001 terms, passes,
+#: and meets the time limit instead.
+MAX_TERMS = 200_000
+
+# The grammar's tokens and spaces, matched as `_TOKEN_RE` reads them: the
+# match ends at the first character no token starts, or a ``/`` outside one.
+_LEXEMES_RE = re.compile(
+    r"[-+*^()\s]*(?:(?:\d+(?:/\d+)?|[A-Za-z_][A-Za-z0-9_]*)[-+*^()\s]*)*"
+)
 _TOKEN_RE = re.compile(
-    r"""
-    \s*
-    (?:
-        (?P<number>\d+(?:/\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>[-+*^()])
-      | (?P<slash>/)
-      | (?P<bad>\S)
-    )
-    """,
-    re.VERBOSE,
+    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*^()])|(?P<end>\Z))"
+)
+_FACTOR = r"[A-Za-z_][A-Za-z0-9_]*(?:\s*\^\s*\d+)?"
+_CHAIN = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+# A plain term.  Groups: the sign, the literal, and the chain after it or
+# alone.  A match ends before a sign, a ``)`` or the end, so it spans whole
+# tokens.
+_TERM_RE = re.compile(
+    rf"\s*([-+]?)\s*(?:(\d+(?:/\d+)?)(?:\s*\*\s*({_CHAIN}))?|({_CHAIN}))\s*(?=[-+)]|\Z)"
 )
 
-# A token is (kind, text, pos), kind one of "number", "name", "op" or "end".
-# Only an op token's text is one of ``+ - * ^ ( )``, so the parser tests the
-# text alone.
-Token = tuple[str, str, int]
+# A token is (kind, text, start, end), kind one of "number", "name", "op" or
+# "end".  Only an op token's text is one of ``+ - * ^ ( )``, so the parser
+# tests the text alone.
+Token = tuple[str, str, int, int]
 TermMap = dict[Exponents, Scalar]
 
 
@@ -72,24 +92,26 @@ def _digit_bound(limit: int) -> int:
     return 10**limit
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens = [
-        (m.lastgroup, m[m.lastindex], m.start(m.lastindex))
-        for m in _TOKEN_RE.finditer(text)
-    ]
-    for kind, token, pos in tokens:
-        if kind == "bad":
-            raise ParseError(f"unexpected character {token!r}", pos)
-        if kind == "slash":
-            raise ParseError("division is not supported outside rational literals", pos)
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _power_size(n: int, k: int) -> int:
+    """C(n - 1 + k, k), which bounds the terms of a sum of n terms to the k,
+    counted until it passes `MAX_TERMS` (each step at least doubles it)."""
+    size, small, large = 1, min(n - 1, k), max(n - 1, k)
+    for j in range(1, small + 1):
+        size = size * (large + j) // j
+        if size > MAX_TERMS:
+            break
+    return size
 
 
 class _Parser:
     def __init__(self, text: str, ring: PolynomialRing):
-        self.tokens = _tokenize(text)
-        self.index = 0
+        end = _LEXEMES_RE.match(text).end()
+        if end < len(text):
+            if text[end] == "/":
+                raise ParseError("division is not supported outside rational literals", end)
+            raise ParseError(f"unexpected character {text[end]!r}", end)
+        self.text = text
+        self.pos = 0
         self.field = ring.field
         self.num_vars = ring.num_vars
         self.var_index = {name: i for i, name in enumerate(ring.var_names)}
@@ -100,35 +122,87 @@ class _Parser:
         self.digit_bound = _digit_bound(limit) if limit and rational else None
         self.power_bits = 2 * self.digit_bound.bit_length() if self.digit_bound else math.inf
 
+    def peek(self) -> Token:
+        """The next token, not taken; ``self.pos = token[3]`` takes it."""
+        m = _TOKEN_RE.match(self.text, self.pos)
+        kind = m.lastgroup
+        return kind, m[kind], m.start(kind), m.end()
+
+    def take(self) -> Token:
+        token = self.peek()
+        self.pos = token[3]
+        return token
+
     def parse(self) -> TermMap:
         result = self.expression()
-        kind, text, pos = self.tokens[self.index]
+        kind, text, pos, _ = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", pos)
         return result
 
     def expression(self) -> TermMap:
-        """Signed terms added into one map."""
-        tokens = self.tokens
+        """Signed terms added into one map; the first one's sign is optional."""
         out: TermMap = {}
-        negative = False
-        sign = tokens[self.index][1]
-        if sign == "+" or sign == "-":
-            self.index += 1
-            negative = sign == "-"
+        text, add = self.text, self.field.add
         while True:
-            pos = tokens[self.index][2]
-            size = len(out)
-            terms = self.term(negative)
-            add_terms_into(self.field, out, terms)
-            if len(out) != size + len(terms):
-                # Coefficients were added, and a sum can outgrow its terms.
-                self.check_digits([out[e] for e in terms if e in out], pos)
-            sign = tokens[self.index][1]
+            m = _TERM_RE.match(text, self.pos)
+            term = self.plain(m) if m else None
+            if term is None:
+                _, sign, _, end = self.peek()
+                if sign == "+" or sign == "-":
+                    self.pos = end
+                pos = self.peek()[2]
+                terms = self.term(sign == "-").items()
+                sign = self.peek()[1]
+            else:
+                pos = m.start(2) if m[2] else m.start(4)
+                terms = (term,)
+                self.pos = m.end()
+                sign = text[self.pos : self.pos + 1]
+            for exps, coeff in terms:
+                old = out.get(exps)
+                if old is None:
+                    if coeff:
+                        out[exps] = coeff
+                elif new := add(old, coeff):
+                    out[exps] = new
+                    # A sum can outgrow its terms.
+                    self.check_digits((new,), pos)
+                else:
+                    del out[exps]
             if sign != "+" and sign != "-":
                 return out
-            self.index += 1
-            negative = sign == "-"
+
+    def plain(self, m: re.Match) -> tuple[Exponents, Scalar] | None:
+        """The monomial and coefficient of the plain term `_TERM_RE` matched,
+        or None if the token loop must read it: a name is unknown, an
+        exponent has too many digits or the field refuses the literal."""
+        exps = [0] * self.num_vars
+        units = 0
+        chain = m[3] or m[4]
+        for factor in chain.split("*") if chain else ():
+            name, _, k = factor.partition("^")
+            index = self.var_index.get(name.strip())
+            if index is None:
+                return None
+            try:
+                k = int(k) if k else 1  # int() skips the spaces around k
+            except ValueError:  # more digits than int() converts
+                return None
+            exps[index] += k
+            units += k
+        signed = m[1] + (m[2] or "1")
+        field = self.field
+        try:
+            if "/" in signed:
+                coeff = field.scalar_from_str(signed)
+            else:
+                coeff = field.scalar(int(signed))
+        except (ParseError, ValueError):  # a literal the field refuses
+            return None
+        for _ in range(units):
+            check_deadline("parsing")
+        return tuple(exps), coeff
 
     def check_digits(self, coefficients: Iterable[Scalar], pos: int) -> None:
         """Reject a coefficient, made by the term at ``pos``, with too many
@@ -139,20 +213,26 @@ class _Parser:
                 if abs(c.numerator) >= bound or c.denominator >= bound:
                     raise ParseError("coefficient has too many digits to print", pos)
 
+    @staticmethod
+    def check_size(bound: int, pos: int) -> None:
+        """Reject an expansion, made by the term at ``pos``, that could have
+        more than `MAX_TERMS` terms."""
+        if bound > MAX_TERMS:
+            raise ParseError(f"expansion could exceed the limit of {MAX_TERMS} terms", pos)
+
     def term(self, negative: bool) -> TermMap:
-        """A ``*`` chain: its sign, numbers and variable powers fold into one
-        coefficient and one exponent list; parenthesised sums are multiplied
-        out left to right, and the monomial then scales their product."""
-        tokens = self.tokens
-        start = tokens[self.index][2]
+        """A ``*`` chain, read token by token: its sign, numbers and variable
+        powers fold into one coefficient and one exponent list; parenthesised
+        sums are multiplied out left to right, and the monomial then scales
+        their product."""
+        start = self.peek()[2]
         field = self.field
         mul, one = field.mul, field.one
         coeff = one
         exps = [0] * self.num_vars
         sums: list[TermMap] = []
         while True:
-            kind, text, pos = tokens[self.index]
-            self.index += 1
+            kind, text, pos, _ = self.take()
             if kind == "number":
                 try:
                     base = field.scalar_from_str(text)
@@ -166,10 +246,8 @@ class _Parser:
                     if k * size >= self.power_bits:
                         raise ParseError("coefficient has too many digits to print", start)
                     power = field.pow(base, k)
-                # A coefficient that is one (always, at first) is not multiplied.
-                coeff = power if coeff is one else mul(coeff, power)
-                if coeff is not base:  # a power or a product, which can outgrow its factors
-                    self.check_digits((coeff,), start)
+                coeff = mul(coeff, power)
+                self.check_digits((coeff,), start)
             elif kind == "name":
                 index = self.var_index.get(text)
                 if index is None:
@@ -180,12 +258,12 @@ class _Parser:
                 exps[index] += k
             elif text == "(":
                 inner = self.expression()
-                _, close, close_pos = tokens[self.index]
+                _, close, close_pos, _ = self.take()
                 if close != ")":
                     raise ParseError("expected ')'", close_pos)
-                self.index += 1
                 k = self.exponent()
                 if k != 1:
+                    self.check_size(_power_size(len(inner), k), start)
                     power = {(0,) * self.num_vars: one}
                     for _ in range(k):
                         check_deadline("parsing")
@@ -196,9 +274,10 @@ class _Parser:
                 raise ParseError(
                     "expected a number, variable, or parenthesized expression", pos
                 )
-            if tokens[self.index][1] != "*":
+            _, star, _, end = self.peek()
+            if star != "*":
                 break
-            self.index += 1
+            self.pos = end
         if negative:
             coeff = field.neg(coeff)
         if not coeff:
@@ -208,6 +287,7 @@ class _Parser:
         result = sums[0]
         for factor in sums[1:]:
             check_deadline("parsing")
+            self.check_size(len(result) * len(factor), start)
             result = mul_terms(field, result, factor, "parsing")
         if coeff != one or any(exps):
             result = {monomial_mul(e, exps): mul(c, coeff) for e, c in result.items()}
@@ -216,12 +296,13 @@ class _Parser:
 
     def exponent(self) -> int:
         """The exponent after a ``^`` at the current token; 1 without one."""
-        if self.tokens[self.index][1] != "^":
+        _, caret, _, end = self.peek()
+        if caret != "^":
             return 1
-        kind, text, pos = self.tokens[self.index + 1]
+        self.pos = end
+        kind, text, pos, _ = self.take()
         if kind != "number" or "/" in text:
             raise ParseError("exponent must be a nonnegative integer", pos)
-        self.index += 2
         try:
             return int(text)
         except ValueError:  # more digits than int() converts

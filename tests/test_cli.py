@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ciforge
+from ciforge import parse
 from ciforge.cli import run_command
 
 TWISTED_CUBIC = """\
@@ -489,6 +490,21 @@ class TestUsageAndParsing:
         monkeypatch.setenv("CIFORGE_TIMEOUT_SECS", "1")
         assert run_command(["decide", str(path)]) == 1
         assert "parsing exceeded its time limit" in capsys.readouterr().err
+
+    def test_a_dense_power_is_refused_by_the_expansion_limit(self, tmp_path, capsys):
+        # (T0 + ... + T19)^9 has C(28, 9), about 6.9 million, terms; the
+        # bound is taken from the sum's size before any product is built.
+        names = " ".join(f"T{i}" for i in range(20))
+        dense = "(" + " + ".join(names.split()) + ")^9 - T0^9"
+        path = tmp_path / "dense_power.ideal"
+        path.write_text(f"field: q\nvars: {names}\ngens:\n{dense}\n")
+        assert run_command(["dim", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: expansion could exceed the limit of {parse.MAX_TERMS} terms"
+            " (at position 0)\n"
+        )
 
     @pytest.mark.parametrize(
         "gen", ["T0^100000000 - T1^100000000"], ids=["variable-power"]

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,7 +30,8 @@ from ciforge import (
     parse_polynomial,
     reduced_groebner,
 )
-from ciforge import errors, poly
+from ciforge import errors, parse, poly
+from ciforge.certificates import parse_certificate
 from ciforge.poly import (
     grevlex_key,
     monomial_divides,
@@ -35,6 +39,7 @@ from ciforge.poly import (
     monomial_mul,
 )
 
+from corpus import CORPUS
 from oracles import (
     reference_differential_at,
     reference_evaluate,
@@ -215,8 +220,9 @@ class TestParsing:
             ("y - (10^2200*x + y)^2", 4),  # a product of sums
             ("9*10^4299*x + 10^4299*x", 14),  # a sum of coefficients
             ("y + 1/10^4300*x", 4),  # a denominator
+            ("9" * 4300 + "*x + " + "9" * 4300 + "*x", 4305),  # a sum of plain terms
         ],
-        ids=["numbers", "sums", "sum", "denominator"],
+        ids=["numbers", "sums", "sum", "denominator", "plain-sum"],
     )
     def test_coefficient_too_long_to_print(self, p2, text, position):
         # Every coefficient over Q must stay printable (4300 digits by
@@ -278,26 +284,43 @@ def test_print_form_matches_the_reference_printer(f):
 
 # -- the parser against the reference parser ----------------------------------
 
+# Names that share a prefix, as the benchmark's files have them.
+GRAMMAR_VARS = ("T0", "T1", "T10", "x")
+
+
+def spaced(draw, op: str) -> str:
+    """``op`` with or without a space on either side."""
+    return draw(st.sampled_from(["", " "])) + op + draw(st.sampled_from(["", " "]))
+
 
 @st.composite
 def expression_texts(draw, rational: bool, depth: int = 2) -> str:
-    """An expression in x, y, z: signed terms, each a ``*`` chain of integer
-    or (over Q) rational literals, variables and parenthesised expressions,
-    each optionally raised to ``^0``..``^4``, with a term that cancels
-    another now and then."""
+    """An expression in `GRAMMAR_VARS`: signed terms, each a ``*`` chain of
+    integer or (over Q) rational literals, variables and parenthesised
+    expressions, each optionally raised to ``^0``..``^4``, now and then led by
+    an explicit ``1*`` or ``0*``, with a term that cancels another now and
+    then, and spaces or none around every operator."""
     pieces = []
     for i in range(draw(st.integers(1, 3 if depth else 4))):
-        signs = ["", "-", "+"] if i == 0 else [" + ", " - ", "-", "+"]
-        pieces.append(draw(st.sampled_from(signs)) + draw(term_texts(rational, depth)))
+        sign = draw(st.sampled_from(["", "-", "+"] if i == 0 else ["-", "+"]))
+        if sign and (i or draw(st.booleans())):
+            sign = spaced(draw, sign)
+        pieces.append(sign + draw(term_texts(rational, depth)))
     if draw(st.booleans()):
         cancelled = draw(term_texts(rational, depth))
-        pieces.insert(draw(st.integers(1, len(pieces))), f" + {cancelled} - {cancelled}")
+        pieces.insert(
+            draw(st.integers(1, len(pieces))),
+            f"{spaced(draw, '+')}{cancelled}{spaced(draw, '-')}{cancelled}",
+        )
     return "".join(pieces)
 
 
 @st.composite
 def term_texts(draw, rational: bool, depth: int) -> str:
     factors = []
+    lead = draw(st.sampled_from(["", "", "1", "0"]))
+    if lead:
+        factors.append(lead)
     for _ in range(draw(st.integers(1, 4))):
         kinds = ["integer", "variable", "variable"]
         if rational:
@@ -310,18 +333,21 @@ def term_texts(draw, rational: bool, depth: int) -> str:
         elif kind == "rational":
             factor = f"{draw(st.integers(0, 40))}/{draw(st.integers(1, 12))}"
         elif kind == "variable":
-            factor = draw(st.sampled_from(["x", "y", "z"]))
+            factor = draw(st.sampled_from(GRAMMAR_VARS))
         else:
             factor = "(" + draw(expression_texts(rational, depth - 1)) + ")"
         if draw(st.integers(0, 2)) == 0:
-            factor += f"^{draw(st.integers(0, 4))}"
+            factor += spaced(draw, "^") + str(draw(st.integers(0, 4)))
         factors.append(factor)
-    return "*".join(factors)
+    text = factors[0]
+    for factor in factors[1:]:
+        text += spaced(draw, "*") + factor
+    return text
 
 
 @st.composite
 def field_expressions(draw):
-    ring = PolynomialRing(draw(st.sampled_from(FIELDS)), ("x", "y", "z"))
+    ring = PolynomialRing(draw(st.sampled_from(FIELDS)), GRAMMAR_VARS)
     return ring, draw(expression_texts(ring.field is QQ))
 
 
@@ -349,13 +375,173 @@ def test_parser_agrees_with_reference_parser(ring_and_text):
 def test_parser_agrees_with_reference_parser_on_damaged_text(ring_and_text, data):
     ring, text = ring_and_text
     i = data.draw(st.integers(0, len(text) - 1))
-    replacement = data.draw(st.sampled_from(["", *"0379/xyzw+-*^() ?."]))
+    replacement = data.draw(st.sampled_from(["", *"01379/Txw+-*^() ?."]))
     damaged = text[:i] + replacement + text[i + 1 :]
     # Damage may join digits into a large exponent on a sum; keep it cheap.
     assume(all(int(e) <= 6 for e in re.findall(r"\^\s*(\d+)", damaged)))
     assert parse_outcome(parse_polynomial, damaged, ring) == parse_outcome(
         reference_parse, damaged, ring
     )
+
+
+@contextmanager
+def token_loop_counted(raises: bool = False):
+    """Count the terms the parser reads token by token, or fail on the first."""
+    calls = []
+    term = parse._Parser.term
+
+    def counted(self, negative):
+        calls.append(self.pos)
+        if raises:
+            raise AssertionError(f"token loop at {self.pos} in {self.text!r}")
+        return term(self, negative)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parse._Parser, "term", counted)
+        yield calls
+
+
+LONG_EXPONENT = "T0^" + "9" * 4301
+
+# Texts that look like plain terms but are not: the token loop reads each,
+# and parses it or raises the reference parser's error.
+FALLBACKS = [
+    ("T0*U9*T1", FIELDS, ("unknown variable 'U9'", 3)),
+    ("T1 + 1/0*T0", (QQ,), ("bad rational literal '1/0'", 5)),
+    ("2/3*T0", FIELDS[1:], ("rational literals are only accepted over the rationals", 0)),
+    (LONG_EXPONENT, FIELDS, ("exponent has too many digits", 3)),
+    ("T0 + " + "9" * 4301 + "*T1", (QQ,), (f"bad rational literal '{'9' * 4301}'", 5)),
+    ("T0^", FIELDS, ("exponent must be a nonnegative integer", 3)),
+    ("2*3*T0", FIELDS, None),
+    ("T0^2^3", FIELDS, ("unexpected '^'", 4)),
+    ("T0 2", FIELDS, ("unexpected '2'", 3)),
+    ("2T0", FIELDS, ("unexpected 'T0'", 1)),
+    ("T0*-T1", FIELDS, ("expected a number, variable, or parenthesized expression", 3)),
+    ("--T0", FIELDS, ("expected a number, variable, or parenthesized expression", 1)),
+    ("T0 +", FIELDS, ("expected a number, variable, or parenthesized expression", 4)),
+    ("T0 + 2^3*T1 - 1*T10", FIELDS, None),
+    ("-T1*(T0 - T10)", FIELDS, None),
+]
+
+
+@pytest.mark.parametrize(
+    "text, field, error",
+    [
+        pytest.param(text, field, error, id=f"{text[:12]}-{field}")
+        for text, fields, error in FALLBACKS
+        for field in fields
+    ],
+)
+def test_the_token_loop_reads_what_is_not_a_plain_term(text, field, error):
+    ring = PolynomialRing(field, GRAMMAR_VARS)
+    with token_loop_counted() as calls:
+        outcome = parse_outcome(parse_polynomial, text, ring)
+    assert calls
+    if error is None:
+        assert outcome[0] == "parsed"
+    else:
+        message, position = error
+        assert outcome == ("error", f"{message} (at position {position})", position)
+    # The reference parser calls int() on an exponent, which raises
+    # ValueError past 4300 digits.
+    if text != LONG_EXPONENT:
+        assert outcome == parse_outcome(reference_parse, text, ring)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("U9*T0 + ?", "unexpected character '?'", 8),
+        ("1/0*T0 - 3 / 4*T1", "division is not supported outside rational literals", 11),
+        ("T0^100000000 - ?", "unexpected character '?'", 15),
+        ("(T0 + T1)^100000 + T1/T0", "division is not supported outside rational literals", 21),
+    ],
+)
+def test_a_character_outside_the_grammar_is_reported_before_anything_else(
+    text, message, position
+):
+    # The whole text is scanned before any term is read, so no term's error,
+    # exponent charge or product comes first.
+    ring = PolynomialRing(QQ, GRAMMAR_VARS)
+    with token_loop_counted() as calls, basis_time_limit(2.0):
+        outcome = parse_outcome(parse_polynomial, text, ring)
+    assert outcome == ("error", f"{message} (at position {position})", position)
+    assert calls == []
+    if "^" not in text:
+        assert outcome == parse_outcome(reference_parse, text, ring)
+
+
+def test_every_golden_and_corpus_polynomial_is_read_as_plain_terms():
+    # The printed form must never reach the token loop: every corpus
+    # generator's, over every field, and every polynomial in the golden
+    # certificates parse with the token loop made to fail.
+    golden = json.loads((Path(__file__).parent / "golden_certificates.json").read_text())
+    gens = [g for entry in CORPUS for field in FIELDS for g in entry.over(field).gens]
+    with token_loop_counted(raises=True) as calls:
+        assert [parse_polynomial(str(g), g.ring) for g in gens] == gens
+        for text in golden.values():
+            assert parse_certificate(text)
+    assert calls == []
+
+
+@settings(max_examples=100)
+@given(printable_polys())
+def test_the_printed_form_is_read_as_plain_terms(f):
+    with token_loop_counted(raises=True):
+        assert parse_polynomial(str(f), f.ring) == f
+
+
+class TestExpansionLimit:
+    """A product or power of parenthesised sums that could pass
+    `parse.MAX_TERMS` terms is refused before it is built; a sum is not."""
+
+    SUM20 = "(" + " + ".join(f"T{i}" for i in range(20)) + ")"
+    RING20 = PolynomialRing(QQ, tuple(f"T{i}" for i in range(20)))
+
+    def test_a_dense_power_is_refused_before_any_product(self, monkeypatch):
+        monkeypatch.setattr(parse, "MAX_TERMS", 100)
+
+        def no_product(*args):
+            raise AssertionError("a product was built")
+
+        monkeypatch.setattr(parse, "mul_terms", no_product)
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(f"T1 - {self.SUM20}^9 - T0^9", self.RING20)
+        assert str(info.value) == "expansion could exceed the limit of 100 terms (at position 5)"
+        assert info.value.position == 5
+
+    def test_a_power_within_the_limit_parses(self, monkeypatch):
+        monkeypatch.setattr(parse, "MAX_TERMS", 100)
+        f = parse_polynomial("(T0 + T1)^50", self.RING20)
+        assert len(f.terms) == 51
+        assert f == reference_parse("(T0 + T1)^50", self.RING20)
+        # C(19 + 1, 1) = 20 terms, then C(19 + 2, 2) = 210.
+        assert len(parse_polynomial(f"{self.SUM20}^1", self.RING20).terms) == 20
+        with pytest.raises(ParseError, match="limit of 100 terms"):
+            parse_polynomial(f"{self.SUM20}^2", self.RING20)
+
+    def test_a_product_past_the_limit_is_refused(self, monkeypatch, p2):
+        # Two 6-term sums multiplied: at most 36 terms.
+        text = "x + (x + y + z)^2*(x + y + z)^2"
+        monkeypatch.setattr(parse, "MAX_TERMS", 35)
+        with pytest.raises(ParseError, match="limit of 35 terms") as info:
+            parse_polynomial(text, p2)
+        assert info.value.position == 4
+        monkeypatch.setattr(parse, "MAX_TERMS", 36)
+        assert parse_polynomial(text, p2) == reference_parse(text, p2)
+
+    @pytest.mark.parametrize("order", ["product first", "product last", "token-loop monomial"])
+    def test_a_sum_longer_than_the_limit_parses_in_any_order(self, monkeypatch, p2, order):
+        monkeypatch.setattr(parse, "MAX_TERMS", 100)
+        plain = " + ".join(f"x^{k}" for k in range(10, 160))
+        text = {
+            "product first": f"(x + y + z)^3*(x - y) + {plain}",
+            "product last": f"{plain} + (x + y + z)^3*(x - y)",
+            "token-loop monomial": f"{plain} + 2*3*x",
+        }[order]
+        f = parse_polynomial(text, p2)
+        assert len(f.terms) > 100
+        assert f == reference_parse(text, p2)
 
 
 def test_print_is_grevlex_descending(p3):
