@@ -5,7 +5,7 @@ Exit status convention, shared by all subcommands:
 * 0 — complete intersection / check passed
 * 3 — not a complete intersection / check refuted
 * 2 — precondition violated (point off the variety, point not smooth, ...)
-* 1 — usage, parse, timeout or out-of-memory problems
+* 1 — usage, parse, file read or write, timeout or out-of-memory problems
 
 Reports go to standard output; diagnostics to standard error.
 """
@@ -156,13 +156,16 @@ def _cmd_decide(args: argparse.Namespace) -> tuple[list[str], int]:
         lines += ["decision: not a complete intersection", f"witness: {cert.witness}"]
         code = 3
     if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc}") from exc
     return lines, code
 
 
 def _cmd_groebner(args: argparse.Namespace) -> tuple[list[str], int]:
     loaded = _load(args)
-    return [str(g) for g in Ideal(loaded.gens, ring=loaded.ring).basis.elements], 0
+    return [str(g) for g in Ideal(loaded.gens, ring=loaded.ring).elements], 0
 
 
 def _cmd_dim(args: argparse.Namespace) -> tuple[list[str], int]:

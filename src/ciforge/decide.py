@@ -174,7 +174,7 @@ def trivially_contains(ideal: Ideal, f: Polynomial) -> TrivialContainment:
     d = f.degree
     if d is None:
         raise ValueError("polynomial must be nonzero")
-    elements = ideal.basis.elements
+    elements = ideal.elements
     truncated, remainder = (), f
     if elements and elements[0].degree < d:  # the elements ascend in degree
         below = ideal.truncated_ideal(d)
@@ -479,7 +479,7 @@ def verify_certificate(
         # The input's basis settles every pair once the final generators'
         # basis covers its leading monomials, so the rest are skipped.
         final = reduced_groebner(cert.final_gens, ring=ring, within=ideal)
-        return final.elements == ideal.basis.elements
+        return final.elements == ideal.elements
     ideal = Ideal(system.gens, ring=ring)
     report = smoothness_check(ideal, x)
     if cert.codim != report.codim or not report.smooth or cert.point != x:

@@ -33,6 +33,7 @@ F_p it reduces them mod p.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -44,6 +45,10 @@ MAX_PRIME = 2**31
 
 Scalar = Fraction | int
 Key = TypeVar("Key")
+
+# The one scalar literal both fields read, as ``str`` prints a scalar and the
+# polynomial grammar reads a number: an integer, over Q optionally ``/`` another.
+_LITERAL_RE = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
 def _is_prime(n: int) -> bool:
@@ -145,12 +150,15 @@ class RationalField:
         return type(value) is Fraction
 
     def scalar_from_str(self, text: str) -> Fraction:
-        literal = text.strip()
-        try:
-            # An integer literal skips Fraction's string parser.
-            return Fraction(int(literal)) if literal.isdecimal() else Fraction(literal)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {text!r}") from exc
+        """The scalar of an integer or ``a/b`` literal (`_LITERAL_RE`)."""
+        m = _LITERAL_RE.fullmatch(text)
+        if m is not None:
+            n, d = m.groups()
+            try:
+                return Fraction(int(n), int(d)) if d else Fraction(int(n))
+            except (ValueError, ZeroDivisionError):  # too many digits, or over 0
+                pass
+        raise ParseError(f"bad rational literal {text!r}")
 
     def __str__(self) -> str:
         return self.tag
@@ -256,13 +264,16 @@ class PrimeField:
         return type(value) is int and 0 <= value < self.p
 
     def scalar_from_str(self, text: str) -> int:
+        """The scalar of an integer literal (`_LITERAL_RE`)."""
         text = text.strip()
         if "/" in text:
             raise ParseError("rational literals are only accepted over the rationals")
-        try:
-            return self.scalar(int(text))
-        except ValueError as exc:
-            raise ParseError(f"bad integer literal {text!r}") from exc
+        if _LITERAL_RE.fullmatch(text):
+            try:
+                return self.scalar(int(text))
+            except ValueError:  # more digits than int() converts
+                pass
+        raise ParseError(f"bad integer literal {text!r}")
 
     def __str__(self) -> str:
         return self.tag

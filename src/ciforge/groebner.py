@@ -1,9 +1,10 @@
 """Division with quotient tracking, and Buchberger's algorithm, in grevlex.
 
-The basis computation records how it made each polynomial, so membership can
-compose explicit cofactors over the original generators on demand, without
-solving anything afresh.  Cofactors are valid but not canonical; only the
-reduced basis itself is a canonical object.
+An `Ideal` is the one object for an ideal and its reduced basis: the basis
+computation (`reduced_groebner`) builds it, recording how it made each
+polynomial, so membership can compose explicit cofactors over the original
+generators on demand, without solving anything afresh.  Cofactors are valid
+but not canonical; only the reduced basis itself is a canonical object.
 
 The four wrappers at the end of this module serve only the benchmark's tracer.
 """
@@ -228,65 +229,14 @@ def _s_polynomial(layout: MonomialLayout, g: Polynomial, h: Polynomial, lcm: int
 # Buchberger.
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """A reduced Groebner basis: monic, interreduced, sorted by leading monomial.
-
-    Its elements enter in non-decreasing degree, each irreducible by those
-    before it, so they come out minimal (see `reduced_groebner`).
-
-    ``derivation`` has one row per polynomial the computation made: the
-    remainder of a generator that the basis before it reduced but did not
-    cancel, an S-pair remainder, or a monic, tail-reduced element.  A
-    generator that reduced to zero on entry was dropped and appears in no
-    row; one left untouched entered as its own node.  Nodes ``0 ..
-    len(source_gens) - 1`` are the source generators and node
-    ``len(source_gens) + r`` is what row ``r`` made: its first multiplier (a
-    polynomial or a scalar) times that node, minus each further multiplier
-    times its node.  The last ``len(elements)`` rows make the elements.
-
-    ``through`` is None for a full basis.  A basis computed ``through=d``
-    holds only the reduced basis's elements of degree at most d.
-    """
-
-    ring: PolynomialRing
-    elements: tuple[Polynomial, ...]
-    source_gens: tuple[Polynomial, ...]
-    derivation: tuple[tuple[tuple[Polynomial | Scalar, int], ...], ...]
-    through: int | None = None
-
-    def leading_monomials(self) -> list[Exponents]:
-        return [g.lead for g in self.elements]
-
-    def cofactors(self, quotients: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
-        """Cofactors over ``source_gens`` of sum(quotients[k] * elements[k]).
-
-        Back-substitutes from the highest node down.  A node's parents are
-        earlier nodes, so its weight is complete when the walk reaches it,
-        including what the walk itself passed down to it.
-        """
-        sources, zero = len(self.source_gens), self.ring.zero()
-        top = sources + len(self.derivation)
-        weights = dict(zip(range(top - len(self.elements), top), quotients))
-        for node in range(top - 1, sources - 1, -1):
-            weight = weights.pop(node, zero)
-            if weight.is_zero():
-                continue
-            (multiplier, parent), *subtracted = self.derivation[node - sources]
-            weights[parent] = weights.get(parent, zero) + weight * multiplier
-            for multiplier, parent in subtracted:
-                weights[parent] = weights.get(parent, zero) - weight * multiplier
-        return tuple(weights.get(i, zero) for i in range(sources))
-
-
 def reduced_groebner(
     gens: Sequence[Polynomial],
     *,
     ring: PolynomialRing | None = None,
     through: int | None = None,
     within: "Ideal | None" = None,
-) -> GroebnerBasis:
-    """Reduced grevlex Groebner basis of the ideal generated by ``gens``.
+) -> "Ideal":
+    """The `Ideal` generated by ``gens``, with its reduced grevlex Groebner basis.
 
     Buchberger's algorithm with the coprime and chain criteria and normal pair
     selection (lowest lcm degree first, ties by pair creation order).  Every
@@ -300,7 +250,7 @@ def reduced_groebner(
     as its own source node; any other enters as its remainder, made by one
     row ``((1, position), (quotient, node)...)``.  The result is the unique
     reduced basis of the ideal, independent of generator order.  Each
-    polynomial it makes appends a derivation row.
+    polynomial it makes appends a row to the ideal's ``derivation``.
 
     Generators and pairs leave one queue lowest degree first, and a pair's
     remainder has the pair's degree, so elements enter in non-decreasing
@@ -314,8 +264,8 @@ def reduced_groebner(
     degree above d is queued.  The chain criterion for a pair asks only
     about pairs that divide its lcm, of no greater degree, so it sees what a
     full run would.  The elements of degree at most d, and their derivation,
-    are then those of a full run; the rest are missing, so the result
-    records the bound and an `Ideal` over it refuses what needs a full basis.
+    are then those of a full run; the rest are missing, so the ideal records
+    the bound and refuses what needs a full basis.
 
     ``within=W``, an `Ideal` with a full basis, skips work that W's basis
     settles (Traverso's Hilbert-driven pair skipping, 1996).  If the
@@ -338,7 +288,7 @@ def reduced_groebner(
     if within is not None:
         if within.ring != ring:
             raise RingMismatchError("the bounding ideal belongs to a different ring")
-        if within.basis.through is not None:
+        if within.through is not None:
             raise ValueError("the bounding ideal needs a full basis")
 
     basis: list[Polynomial] = []
@@ -381,7 +331,7 @@ def reduced_groebner(
 
     # (degree, leading monomial) of W's basis elements that no leading
     # monomial in ``lms`` is known to divide, the lowest degree last.
-    uncovered = [(g.degree, g.lead) for g in reversed(within.basis.elements)] if within else []
+    uncovered = [(g.degree, g.lead) for g in reversed(within.elements)] if within else []
     # Skipping is sound only for generators in W: one division each, once.
     inside = functools.cache(lambda: all(g in within for g in source))
 
@@ -449,43 +399,80 @@ def reduced_groebner(
         final.append(element)
         final_nodes.append(node)
 
-    return GroebnerBasis(ring, tuple(final), source, tuple(derivation), through)
+    ideal = object.__new__(Ideal)
+    ideal.ring, ideal.gens, ideal.elements = ring, source, tuple(final)
+    ideal.derivation, ideal.through, ideal._below = tuple(derivation), through, {}
+    return ideal
 
 
 class Ideal:
-    """The ideal generated by ``gens``, with its reduced basis computed once.
+    """The ideal generated by ``gens`` and its reduced grevlex Groebner basis,
+    computed once.
 
-    Membership, the below-degree part and the dimension are all read off that
-    one basis.  The reduced basis of each below-degree part is kept by degree:
-    it depends only on the ideal and the degree, so every containment test in
-    one degree shares one computation.
+    ``Ideal(gens, ring=..., through=..., within=...)`` is one call of
+    `reduced_groebner`, which builds the ideal.  ``elements`` is the basis:
+    monic, interreduced and sorted by leading monomial.  Membership, the
+    below-degree part and the dimension are all read off it.  The reduced
+    basis of each below-degree part is kept by degree: it depends only on the
+    ideal and the degree, so every containment test in one degree shares one
+    computation.
 
-    ``through`` and ``within`` go to `reduced_groebner`.  An ideal whose
-    basis stops at degree d answers membership only up to degree d and
-    refuses `dimension`, which needs the whole basis (`ValueError`).
+    ``derivation`` has one row per polynomial the computation made: the
+    remainder of a generator that the basis before it reduced but did not
+    cancel, an S-pair remainder, or a monic, tail-reduced element.  A
+    generator that reduced to zero on entry was dropped and appears in no
+    row; one left untouched entered as its own node.  Nodes ``0 ..
+    len(gens) - 1`` are the generators and node ``len(gens) + r`` is what
+    row ``r`` made: its first multiplier (a polynomial or a scalar) times
+    that node, minus each further multiplier times its node.  The last
+    ``len(elements)`` rows make the elements.
+
+    ``through`` is None for a full basis.  An ideal computed ``through=d``
+    holds only the reduced basis's elements of degree at most d, answers
+    membership only up to degree d and refuses `dimension`, which needs the
+    whole basis (`ValueError`).
     """
 
-    def __init__(
-        self,
+    ring: PolynomialRing
+    gens: tuple[Polynomial, ...]
+    elements: tuple[Polynomial, ...]
+    derivation: tuple[tuple[tuple[Polynomial | Scalar, int], ...], ...]
+    through: int | None
+    _below: dict[int, Ideal]  # `truncated_ideal` by degree
+
+    def __new__(
+        cls,
         gens: Sequence[Polynomial],
         *,
         ring: PolynomialRing | None = None,
         through: int | None = None,
         within: "Ideal | None" = None,
-    ) -> None:
-        self.basis = reduced_groebner(gens, ring=ring, through=through, within=within)
-        self._below: dict[int, Ideal] = {}
+    ) -> "Ideal":
+        # The module-level name, so that a wrapper bound there sees every basis.
+        return reduced_groebner(gens, ring=ring, through=through, within=within)
 
-    @property
-    def ring(self) -> PolynomialRing:
-        return self.basis.ring
+    def cofactors(self, quotients: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
+        """Cofactors over ``gens`` of sum(quotients[k] * elements[k]).
 
-    @property
-    def gens(self) -> tuple[Polynomial, ...]:
-        return self.basis.source_gens
+        Back-substitutes from the highest node down.  A node's parents are
+        earlier nodes, so its weight is complete when the walk reaches it,
+        including what the walk itself passed down to it.
+        """
+        sources, zero = len(self.gens), self.ring.zero()
+        top = sources + len(self.derivation)
+        weights = dict(zip(range(top - len(self.elements), top), quotients))
+        for node in range(top - 1, sources - 1, -1):
+            weight = weights.pop(node, zero)
+            if weight.is_zero():
+                continue
+            (multiplier, parent), *subtracted = self.derivation[node - sources]
+            weights[parent] = weights.get(parent, zero) + weight * multiplier
+            for multiplier, parent in subtracted:
+                weights[parent] = weights.get(parent, zero) - weight * multiplier
+        return tuple(weights.get(i, zero) for i in range(sources))
 
     def _require_within_bound(self, f: Polynomial) -> None:
-        through = self.basis.through
+        through = self.through
         if through is not None and not f.is_zero() and f.degree > through:
             raise ValueError(
                 f"membership in degree {f.degree}, but the basis stops at degree {through}"
@@ -494,7 +481,7 @@ class Ideal:
     def __contains__(self, f: Polynomial) -> bool:
         """Whether ``f`` is a member; composes and converts nothing."""
         self._require_within_bound(f)
-        return not _divide(f, self.basis.elements).remainder
+        return not _divide(f, self.elements).remainder
 
     def member(self, f: Polynomial) -> tuple[bool, QuotientRecord]:
         """Membership of ``f``, with cofactors over the generators.
@@ -502,12 +489,12 @@ class Ideal:
         Returns (member, record) where the record expresses f over ``gens``:
         f = sum(cofactor_i * gens_i) + remainder, remainder zero exactly when
         f is a member.  Cofactors come from composing the division quotients
-        with the basis derivation.
+        with the ``derivation``.
         """
         f.degree  # raises NotHomogeneousError
         self._require_within_bound(f)
-        record = normal_form(f, self.basis.elements)
-        cofactors = self.basis.cofactors(record.quotients)
+        record = normal_form(f, self.elements)
+        cofactors = self.cofactors(record.quotients)
         return record.remainder.is_zero(), QuotientRecord(cofactors, record.remainder)
 
     def truncated(self, m: int) -> tuple[Polynomial, ...]:
@@ -520,7 +507,7 @@ class Ideal:
         < m is a combination of basis elements of degree < m, and conversely
         each such element is itself a member of degree < m.
         """
-        return tuple(g for g in self.basis.elements if g.degree < m)
+        return tuple(g for g in self.elements if g.degree < m)
 
     def truncated_ideal(self, m: int) -> "Ideal":
         """The ideal generated by ``truncated(m)``, its basis computed through
@@ -548,14 +535,11 @@ class Ideal:
         the problem is NP-hard in general, so every node checks the time
         limit.  Returns −1 for the empty projective locus.
         """
-        if self.basis.through is not None:
+        if self.through is not None:
             raise ValueError("the dimension needs a full basis")
-        if any(g.degree == 0 for g in self.basis.elements):
+        if any(g.degree == 0 for g in self.elements):
             raise ImproperIdealError("ideal contains a nonzero constant")
-        supports = {
-            sum(1 << i for i, e in enumerate(lm) if e)
-            for lm in self.basis.leading_monomials()
-        }
+        supports = {sum(1 << i for i, e in enumerate(g.lead) if e) for g in self.elements}
         # Every support is nonempty, so all the variables meet each one.
         best = self.ring.num_vars
         stack = [(list(supports), 0)]

@@ -566,8 +566,12 @@ class _ReferenceParser:
             if kind != "number" or "/" in text:
                 raise ParseError("exponent must be a nonnegative integer", pos)
             self.advance()
+            try:
+                k = int(text)
+            except ValueError:  # more digits than int() converts
+                raise ParseError("exponent has too many digits", pos) from None
             result = self.ring.one()
-            for _ in range(int(text)):
+            for _ in range(k):
                 result = result * base
             return result
         return base

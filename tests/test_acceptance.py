@@ -105,7 +105,7 @@ def test_criterion_3_ideal_invariance():
 
 
 def _package_slice_dim(gens, ring, degree: int) -> int:
-    lms = reduced_groebner(list(gens), ring=ring).leading_monomials()
+    lms = [g.lead for g in reduced_groebner(list(gens), ring=ring).elements]
     return sum(
         1
         for m in degree_monomials(ring.num_vars, degree)

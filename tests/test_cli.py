@@ -100,6 +100,15 @@ class TestDecide:
         data = json.loads(cert_path.read_text())
         assert data["kind"] == "non-ci"
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_path_is_an_error(self, cubic_file, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "cert.json" if where == "missing-directory" else tmp_path
+        assert run_command(["decide", str(cubic_file), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in captured.err
+
     def test_singular_point_exit_2(self, tmp_path, capsys):
         path = tmp_path / "nodal.ideal"
         path.write_text(

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ciforge import QQ, PrimeField
+from ciforge import QQ, ParseError, PrimeField, basis_time_limit
 
 PRIME_FIELDS = [PrimeField(7), PrimeField(32003)]
 
@@ -174,3 +175,36 @@ class TestRationalField:
             QQ.pow(QQ.zero, -1)
         with pytest.raises(ZeroDivisionError):
             QQ.div(QQ.scalar(1), QQ.scalar(0))
+
+
+# Both fields read ``[+-]?\d+``, over Q optionally ``/\d+``, what a scalar
+# prints as; None marks a literal both refuse.
+LITERALS = [
+    ("3", Fraction(3)),
+    ("+4", Fraction(4)),
+    ("-3/2", Fraction(-3, 2)),
+    (" 7 ", Fraction(7)),
+    ("1.5", None),
+    ("1e3", None),
+    ("1_000", None),
+    ("3 / 2", None),
+    ("nan", None),
+    ("1e30000000", None),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, *PRIME_FIELDS], ids=str)
+@pytest.mark.parametrize("text, value", LITERALS)
+def test_both_fields_read_one_literal_grammar(field, text, value):
+    over_q = field is QQ
+    with basis_time_limit(1.0):
+        start = time.perf_counter()
+        if value is not None and (over_q or value.denominator == 1):
+            assert field.scalar_from_str(text) == (value if over_q else reduced(value, field.p))
+        else:
+            # Refused as written, nothing computed: 10^30000000 would take
+            # far longer than the limit.
+            message = "bad rational literal" if over_q else "(bad integer|rational) literal"
+            with pytest.raises(ParseError, match=message):
+                field.scalar_from_str(text)
+        assert time.perf_counter() - start < 1.0

@@ -467,7 +467,7 @@ class TestConversion:
             for k, d in enumerate(calls):
                 if k in finishing:
                     continue
-                untouched = not d.nonzero_quotients and d.dividend_is_one_of(basis.source_gens)
+                untouched = not d.nonzero_quotients and d.dividend_is_one_of(basis.gens)
                 kept = 0 if not d.remainder or untouched else 1 + d.nonzero_quotients
                 # Conversions made after division k and before the next one.
                 assert made.count(k + 1) == kept
@@ -517,7 +517,7 @@ class TestEntry:
             unit = [p3.zero()] * 2
             unit[k] = p3.one()
             record = QuotientRecord(basis.cofactors(unit), p3.zero())
-            assert expand(record, basis.source_gens) == element
+            assert expand(record, basis.gens) == element
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())
@@ -616,7 +616,7 @@ class TestReducedBasis:
                 unit = [ring.zero()] * len(basis.elements)
                 unit[k] = ring.one()
                 record = QuotientRecord(basis.cofactors(unit), ring.zero())
-                assert expand(record, basis.source_gens) == element
+                assert expand(record, basis.gens) == element
 
     def test_non_homogeneous_rejected(self, p3):
         with pytest.raises(NotHomogeneousError):
@@ -824,6 +824,11 @@ def bounded_inputs(draw):
     return gens, Ideal(w_gens)
 
 
+def recorded(ideal):
+    """Everything a basis computation records, to compare two of them."""
+    return ideal.ring, ideal.gens, ideal.elements, ideal.derivation, ideal.through
+
+
 class TestBounds:
     """``through`` keeps a full run's elements up to its degree; ``within``
     changes nothing in the result, whatever the generators."""
@@ -836,7 +841,7 @@ class TestBounds:
         unbounded = reduced_groebner(gens, ring=ring)
         # Skipped pairs would have reduced to zero, which makes no row, so
         # the derivation is the same too.
-        assert reduced_groebner(gens, ring=ring, within=w) == unbounded
+        assert recorded(reduced_groebner(gens, ring=ring, within=w)) == recorded(unbounded)
         low = tuple(g for g in unbounded.elements if g.degree <= through)
         for bounding in (None, w):
             bounded = reduced_groebner(gens, ring=ring, through=through, within=bounding)
@@ -854,7 +859,7 @@ class TestBounds:
             for text in ("6*x", "4*x*z + 6*y*z + 3*z^2", "4*y^2 + 5*z^2")
         ]
         basis = reduced_groebner(gens, within=w)
-        assert basis == reduced_groebner(gens)
+        assert recorded(basis) == recorded(reduced_groebner(gens))
         assert "z^3" in strs(basis.elements)
 
     def test_bounding_ideal_needs_a_full_basis_of_the_same_ring(self, p3):
@@ -867,7 +872,7 @@ class TestBounds:
 
     def test_bounded_ideal_refuses_what_needs_the_whole_basis(self):
         below = Ideal(PLANTED_QUADRICS.gens).truncated_ideal(3)
-        assert below.basis.through == 3
+        assert below.through == 3
         with pytest.raises(ValueError, match="full basis"):
             below.dimension()
         ring = below.ring
@@ -877,6 +882,40 @@ class TestBounds:
             cubic * ring.variable(1) in below
         with pytest.raises(ValueError, match="stops at degree 3"):
             below.member(cubic * ring.variable(1))
+
+
+class TestOneCallPerBasis:
+    """Every basis is one call of the module-level `reduced_groebner`, the
+    name the benchmark's tracer wraps: it builds each `Ideal`, the input's
+    and each truncated one's alike."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        compute = groebner.reduced_groebner
+
+        def counting(gens, **kwargs):
+            calls.append(tuple(gens))
+            return compute(gens, **kwargs)
+
+        monkeypatch.setattr(groebner, "reduced_groebner", counting)
+        return calls
+
+    def test_an_ideal_is_one_basis_computation(self, calls):
+        gens = tuple(PLANTED_QUADRICS.gens)
+        ideal = Ideal(gens)
+        assert calls == [gens]
+        below = ideal.truncated_ideal(3)
+        assert calls == [gens, below.gens]
+        assert ideal.truncated_ideal(3) is below
+        assert len(calls) == 2
+        ideal.truncated_ideal(4)
+        assert len(calls) == 3
+
+    def test_reduced_groebner_returns_the_ideal(self, calls):
+        basis = reduced_groebner(PLANTED_QUADRICS.gens)  # the unwrapped function
+        assert type(basis) is Ideal and calls == []
+        assert basis.elements == Ideal(PLANTED_QUADRICS.gens).elements
 
 
 class TestBoundedWork:
@@ -896,7 +935,7 @@ class TestBoundedWork:
         or divide a generator (on entry, or to prove it a member of the
         bounding ideal)."""
         building = divisions[: len(divisions) - len(basis.elements)]
-        return [d for d in building if not d.dividend_is_one_of(basis.source_gens)]
+        return [d for d in building if not d.dividend_is_one_of(basis.gens)]
 
     @pytest.mark.parametrize("entry", [PLANTED_QUADRICS, PLANTED_IN_P5], ids=lambda e: e.name)
     @pytest.mark.parametrize("degree", [3, 4])
@@ -906,12 +945,12 @@ class TestBoundedWork:
         ideal = Ideal(entry.gens)
         divisions.clear()
         below = ideal.truncated_ideal(degree)
-        assert all(d.degree == degree for d in self.s_pairs(divisions, below.basis))
+        assert all(d.degree == degree for d in self.s_pairs(divisions, below))
         divisions.clear()
         unbounded = reduced_groebner(below.gens)
         assert any(d.degree != degree for d in self.s_pairs(divisions, unbounded))
         low = tuple(g for g in unbounded.elements if g.degree <= degree)
-        assert below.basis.elements == low
+        assert below.elements == low
 
     @pytest.mark.parametrize("entry", [PLANTED_QUADRICS, PLANTED_IN_P5], ids=lambda e: e.name)
     def test_ci_verifier_reduces_no_pair_to_zero(self, monkeypatch, divisions, entry):
