@@ -12,7 +12,7 @@ codimension-sized generating set exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .certificates import (
@@ -112,14 +112,10 @@ def _require_on_variety(gens: Sequence[Polynomial], x: ProjectivePoint) -> None:
 
 @dataclass(frozen=True)
 class SmoothnessReport:
-    """``jacobian`` holds the generators' differentials at the point, one
-    row per generator in order."""
-
     codim: int
     smooth: bool
     dimension: int
     jacobian_rank: int
-    jacobian: tuple[tuple[Scalar, ...], ...] = field(repr=False, compare=False)
 
 
 def smoothness_check(ideal: Ideal, x: ProjectivePoint) -> SmoothnessReport:
@@ -134,7 +130,7 @@ def smoothness_check(ideal: Ideal, x: ProjectivePoint) -> SmoothnessReport:
     codim = (ideal.ring.num_vars - 1) - dimension
     rows = tuple(differential_at(g, x) for g in ideal.gens)
     jac_rank = rank(ExactMatrix.from_rows(ideal.ring.field, rows))
-    return SmoothnessReport(codim, jac_rank == codim, dimension, jac_rank, rows)
+    return SmoothnessReport(codim, jac_rank == codim, dimension, jac_rank)
 
 
 @dataclass(frozen=True)
@@ -337,40 +333,53 @@ def reduce_to_ci(
 
     ``on_iteration`` observes (before, outcome, after) triples.
 
-    Every rewrite keeps the ideal, so its basis is computed once, here, and
-    serves the smoothness check and every containment test.  Likewise each
-    input generator's differential at ``x`` is computed once, as a row of the
-    smoothness check's Jacobian, and carried to the systems it survives
-    into, and so is the elimination of the differentials up to the first
-    position a step changes.  Every generator a step adds is an ideal
-    member, so it vanishes at ``x`` and the point needs no re-check.
+    Each input generator's differential at ``x`` is computed once, before
+    the loop, and carried as a column to the systems it survives into, and
+    so is the elimination of the columns up to the first position a step
+    changes.  Every generator a step adds is an ideal member, so it vanishes
+    at ``x`` and the point needs no re-check.  The loop runs while the
+    system exceeds r, the rank of the input's columns: a smooth point has
+    codimension r.  A `Removed` step drops a column in the span of the
+    others, so it keeps r and needs only the columns.  Every rewrite keeps
+    the ideal, so its basis is built once, from the system at the first
+    `Replaced` step or, when there is none, from the final one, and serves
+    the smoothness check (its codimension must be r) and every containment
+    test.  A non-smooth point cannot end the loop unchecked, and so runs its
+    `Removed` steps before `NotSmoothError`.
     """
     _require_on_variety(system.gens, x)
-    ideal = Ideal(system.gens, ring=system.ring)
-    report = smoothness_check(ideal, x)
-    if not report.smooth:
-        raise NotSmoothError(
-            f"point {x} is not a smooth point: Jacobian rank "
-            f"{report.jacobian_rank}, codimension {report.codim}"
-        )
-    codim = report.codim
     ring = system.ring
-    fingerprint = input_fingerprint(ring, system.gens, x)
+    columns = [differential_at(g, x) for g in system.gens]
+    # The codimension if x is smooth; checked where the basis is built.
+    codim = rank(ExactMatrix.from_rows(ring.field, columns))
 
+    def smooth_ideal(gens: tuple[Polynomial, ...]) -> Ideal:
+        built = Ideal(gens, ring=ring)
+        actual = (ring.num_vars - 1) - built.dimension()
+        if actual != codim:
+            raise NotSmoothError(
+                f"point {x} is not a smooth point: Jacobian rank "
+                f"{codim}, codimension {actual}"
+            )
+        return built
+
+    ideal: Ideal | None = None
+    fingerprint = input_fingerprint(ring, system.gens, x)
     current = system
     previous = degree_sequence(current)
-    columns = list(report.jacobian)
     elimination = ColumnElimination(ring.field)
     while len(current) > codim:
         check_deadline("rewrite loop")
         outcome = subst_step(current, x, columns, elimination)
         if outcome is None:
             raise AssertionError(
-                "differentials independent although the system exceeds the codimension"
+                "differentials independent although the system exceeds their rank"
             )
         if isinstance(outcome, Removed):
             new_system = current.without(outcome.index)
         else:
+            if ideal is None:
+                ideal = smooth_ideal(current.gens)
             containment = trivially_contains(ideal, outcome.new_poly)
             if not containment.trivial:
                 return NonCICertificate(
@@ -404,7 +413,9 @@ def reduce_to_ci(
         elimination.truncate(outcome.index)
         current = new_system
 
-    assert len(current) == codim, "system shrank below the codimension"
+    assert len(current) == codim, "system shrank below the Jacobian rank"
+    if ideal is None:
+        smooth_ideal(current.gens)
     return CICertificate(
         input_hash=fingerprint,
         field_tag=ring.field.tag,

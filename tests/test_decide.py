@@ -42,6 +42,7 @@ from ciforge import (
     verify_certificate,
 )
 from ciforge.certificates import input_fingerprint
+from ciforge.cli import run_command
 from ciforge.groebner import ideal_equal
 
 from corpus import (
@@ -439,6 +440,37 @@ class TestReduceToCI:
         with pytest.raises(NotSmoothError):
             reduce_to_ci(system, node)
 
+    @pytest.mark.parametrize("tag", ["q", "fp 32003"])
+    def test_singular_point_refused_after_the_removed_steps(self, tag, tmp_path, capsys):
+        # T0 and 2*T0 share a differential and T1^2 has none: rank 1, while
+        # (T0, T1^2) has codimension 2.  The loop drops 2*T0 on the Jacobian
+        # relation alone; the Replaced step after it builds the basis.
+        field = QQ if tag == "q" else PrimeField(32003)
+        ring = PolynomialRing(field, ("T0", "T1", "T2"))
+        system = GeneratorSystem.from_polynomials(
+            [parse_polynomial(s, ring) for s in ("T0", "2*T0", "T1^2")], ring
+        )
+        x = ProjectivePoint((field.zero, field.zero, field.one))
+        message = "point (0:0:1) is not a smooth point: Jacobian rank 1, codimension 2"
+        outcomes = []
+        with pytest.raises(NotSmoothError) as raised:
+            reduce_to_ci(
+                system, x, on_iteration=lambda before, outcome, after: outcomes.append(outcome)
+            )
+        assert str(raised.value) == message
+        assert len(outcomes) == 1 and isinstance(outcomes[0], Removed)
+
+        path = tmp_path / "singular.ideal"
+        path.write_text(f"field: {tag}\nvars: T0 T1 T2\npoint: 0 0 1\ngens:\nT0\n2*T0\nT1^2\n")
+        assert run_command(["decide", str(path)]) == 2
+        captured = capsys.readouterr()
+        warning = (
+            "warning: over F_32003 the smooth-point precondition means exactly "
+            "'Jacobian rank equals codimension'\n"
+        )
+        assert captured.out == ""
+        assert captured.err == (warning if field.characteristic else "") + f"error: {message}\n"
+
     def test_point_from_another_field_refused(self):
         c = LINE_QUADRIC_REDUNDANT.over(PrimeField(7))
         rational = ProjectivePoint(tuple(QQ.scalar(v) for v in c.point_coords))
@@ -661,7 +693,9 @@ def _count_bases(monkeypatch) -> list[tuple[Polynomial, ...]]:
 
 
 class TestBasisWork:
-    """The input ideal's basis is computed once per decide and per verify."""
+    """The ideal's basis is computed once per decide and per verify; decide
+    builds it from the system at its first Replaced step, or from the final
+    system when every step is Removed."""
 
     @pytest.mark.parametrize(
         "entry", [LINE_QUADRIC_REDUNDANT, PLANTED_QUADRICS], ids=lambda e: e.name
@@ -678,6 +712,43 @@ class TestBasisWork:
         reduce_to_ci(system, x, on_iteration=observe)
         assert degrees, "the instance must exercise Replaced steps"
         assert calls[0] == system.gens
+        assert len(calls) <= 1 + len(degrees)
+
+    def test_decide_removed_steps_alone_build_the_final_systems_basis(
+        self, monkeypatch, linear_combinations
+    ):
+        system, x = linear_combinations
+        outcomes = []
+        calls = _count_bases(monkeypatch)
+        cert = reduce_to_ci(
+            system, x, on_iteration=lambda before, outcome, after: outcomes.append(outcome)
+        )
+        assert isinstance(cert, CICertificate)
+        assert len(outcomes) == 5
+        assert all(isinstance(o, Removed) for o in outcomes)
+        assert calls == [cert.final_gens]
+
+    def test_decide_builds_the_basis_at_the_first_replaced_step(self, monkeypatch):
+        # A same-degree combination of the two quadrics, right after them, is
+        # the first dependent column and drops out before any Replaced step.
+        gens = PLANTED_QUADRICS.gens
+        ring = PLANTED_QUADRICS.ring
+        system = GeneratorSystem(ring, gens[:2] + (gens[0] + gens[1] * 2,) + gens[2:])
+        x = PLANTED_QUADRICS.point
+        outcomes, degrees, first_replaced = [], set(), []
+
+        def observe(before, outcome, after):
+            outcomes.append(outcome)
+            if isinstance(outcome, Replaced):
+                degrees.add(outcome.new_poly.degree)
+                if not first_replaced:
+                    first_replaced.append(before.gens)
+
+        calls = _count_bases(monkeypatch)
+        assert isinstance(reduce_to_ci(system, x, on_iteration=observe), CICertificate)
+        assert isinstance(outcomes[0], Removed) and outcomes[0].index == 2
+        assert first_replaced, "the instance must exercise Replaced steps"
+        assert calls[0] == first_replaced[0] == PLANTED_QUADRICS.system.gens
         assert len(calls) <= 1 + len(degrees)
 
     def test_decide_divides_no_trivial_replacement_by_the_input_basis(self, monkeypatch):

@@ -81,6 +81,43 @@ def test_a_wide_parent_spread_is_unresolved_unless_every_change_run_wins():
     assert perf_pairs.verdict(parent, [0.4] * 4 + [0.6], "lower", 0.25) == "unresolved"
 
 
+def test_a_gain_is_claimable_at_nine_tenths_of_the_pairs_and_a_gap_above_the_iqr():
+    # Parent quartiles 1.0 [0.9825, 1.0175]: an IQR of 0.035.
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.04, 0.96]
+    change = [p - 0.1 for p in parent]
+    assert perf_pairs.claimable(parent, change, "lower") == (
+        "claimable (change won 10/10, median gap 0.100000, parent IQR 0.035000)"
+    )
+    assert perf_pairs.claimable(parent, change[:9] + [1.2], "lower") == (
+        "claimable (change won 9/10, median gap 0.095000, parent IQR 0.035000)"
+    )
+    assert perf_pairs.claimable(parent, change[:8] + [1.2, 1.2], "lower") == (
+        "not claimable (change won 8/10, median gap 0.095000, parent IQR 0.035000)"
+    )
+    # Higher is better: the same runs read the other way round.
+    assert perf_pairs.claimable(change, parent, "higher") == (
+        "claimable (change won 10/10, median gap 0.100000, parent IQR 0.035000)"
+    )
+    assert perf_pairs.claimable(parent, change, "higher") == (
+        "not claimable (change won 0/10, median gap -0.100000, parent IQR 0.035000)"
+    )
+
+
+def test_winning_every_pair_is_not_claimable_within_the_parent_spread():
+    # Parent quartiles 3 [2, 4]; the change's median 1 is exactly the IQR away.
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert perf_pairs.claimable(parent, [0.5, 1.5, 1.0, 3.5, 0.75], "lower") == (
+        "not claimable (change won 5/5, median gap 2.000000, parent IQR 2.000000)"
+    )
+    assert perf_pairs.claimable(parent, [0.5, 1.5, 0.875, 3.5, 0.75], "lower") == (
+        "claimable (change won 5/5, median gap 2.125000, parent IQR 2.000000)"
+    )
+    # Ties count for neither side.
+    assert perf_pairs.claimable(parent, [0.5, 2.0, 0.875, 3.5, 0.75], "lower") == (
+        "not claimable (change won 4/5, median gap 2.125000, parent IQR 2.000000)"
+    )
+
+
 def test_a_worse_verdict_fails_the_run(tmp_path, capsys, monkeypatch):
     parent, change = tmp_path / "parent", tmp_path / "change"
     parent.mkdir()
@@ -96,6 +133,13 @@ def test_a_worse_verdict_fails_the_run(tmp_path, capsys, monkeypatch):
     args = [str(parent), str(change), "--pairs", "2", "--seconds", "1", "--seed", "1"]
     assert perf_pairs.main(args) == 1
     assert capsys.readouterr().out.endswith("verdict decide_s: worse\n")
+    times[change] = 0.5
+    assert perf_pairs.main(args) == 0
+    assert capsys.readouterr().out.endswith(
+        "claim decide_s: claimable"
+        " (change won 2/2, median gap 0.500000, parent IQR 0.000000)\n"
+        "verdict decide_s: within bound\n"
+    )
     times[change] = 1.1
     assert perf_pairs.main(args) == 0
     assert capsys.readouterr().out.endswith("verdict decide_s: within bound\n")

@@ -24,7 +24,11 @@ seed.  Otherwise it prints, per workload, each end-to-end metric in the
 change's ``BENCHMARK.json`` with each side's median and quartiles, the
 change of the median, and the number of pairs the change won; a tie counts
 for neither side.  Then it prints each metric's verdict against its
-``bound`` there (`verdict`), and fails if any reads ``worse``.
+``bound`` there (`verdict`), and fails if any reads ``worse``.  Before the
+verdicts it prints, per metric, whether the change may claim a gain on it
+(`claimable`): it won at least nine tenths of the pairs, and the medians
+differ in its favour by more than the distance between the parent's
+quartiles.
 """
 
 from __future__ import annotations
@@ -48,6 +52,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return low, median, high
 
 
+def wins(before: list[float], after: list[float], better: str) -> int:
+    """The pairs in which the change's run ``after[k]`` beats the parent's
+    ``before[k]``; a tie counts for neither side."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (b - a) > 0 for b, a in zip(before, after))
+
+
 def summarize(
     parent: list[dict[str, float]],
     change: list[dict[str, float]],
@@ -60,8 +71,7 @@ def summarize(
     for name, better in metrics:
         before = [run[name] for run in parent]
         after = [run[name] for run in change]
-        sign = 1 if better == "lower" else -1
-        won = sum(sign * (b - a) > 0 for b, a in zip(before, after))
+        won = wins(before, after, better)
         p_low, p_mid, p_high = quartiles(before)
         c_low, c_mid, c_high = quartiles(after)
         delta = f"{(c_mid - p_mid) / p_mid:+.1%}" if p_mid else "n/a"
@@ -88,6 +98,24 @@ def verdict(before: list[float], after: list[float], better: str, bound: float) 
     ):
         return "unresolved"
     return "within bound"
+
+
+def claimable(before: list[float], after: list[float], better: str) -> str:
+    """Whether the change may claim a gain on one metric, from the parent's
+    runs ``before`` and the change's ``after`` (pair k is ``before[k]``,
+    ``after[k]``): ``claimable`` if it won at least nine tenths of the pairs
+    and its median beats the parent's by more than the parent's
+    interquartile range, ``not claimable`` otherwise; then the figures."""
+    sign = 1 if better == "lower" else -1
+    won = wins(before, after, better)
+    p_low, p_mid, p_high = quartiles(before)
+    gap = sign * (p_mid - statistics.median(after))
+    iqr = p_high - p_low
+    met = 10 * won >= 9 * len(before) and gap > iqr
+    return (
+        f"{'claimable' if met else 'not claimable'} (change won {won}/{len(before)},"
+        f" median gap {gap:.6f}, parent IQR {iqr:.6f})"
+    )
 
 
 def workload_summary(
@@ -139,8 +167,9 @@ def run_pairs(
     parent: Path, change: Path, workload: str, args: argparse.Namespace,
     metrics: list[tuple[str, str, float]],
 ) -> tuple[list[str], bool]:
-    """Run a workload's pairs; its `workload_summary` and each metric's
-    `verdict`, and whether one reads ``worse``."""
+    """Run a workload's pairs; its `workload_summary`, each metric's
+    `claimable` line and then each one's `verdict`, and whether a verdict
+    reads ``worse``."""
     runs: dict[Path, list[dict[str, float]]] = {parent: [], change: []}
     digests = set()
     for k in range(args.pairs):
@@ -162,7 +191,12 @@ def run_pairs(
         workload, args.seed, digests.pop(), before, after,
         [(name, better) for name, better, _ in metrics],
     )
-    lines = summary + [f"verdict {name}: {v}" for name, v in judged]
+    claims = [
+        f"claim {name}: "
+        + claimable([r[name] for r in before], [r[name] for r in after], better)
+        for name, better, _ in metrics
+    ]
+    lines = summary + claims + [f"verdict {name}: {v}" for name, v in judged]
     return lines, any(v == "worse" for _, v in judged)
 
 
