@@ -13,6 +13,8 @@ codimension-sized generating set exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 from typing import Callable, Sequence
 
 from .certificates import (
@@ -30,9 +32,9 @@ from .errors import (
     PointNotOnVarietyError,
     check_deadline,
 )
-from .fields import Scalar
+from .fields import IntegralVector, Scalar
 from .groebner import Ideal, QuotientRecord, reduced_groebner
-from .linalg import ColumnElimination, ExactMatrix, rank
+from .linalg import ColumnElimination, ExactMatrix, integral_rank, rank, scalar_relation
 from .poly import (
     Polynomial,
     PolynomialRing,
@@ -40,6 +42,7 @@ from .poly import (
     differential_at,
     distinct_nonzero,
     evaluate,
+    integral_differential,
 )
 
 
@@ -96,10 +99,16 @@ class GeneratorSystem:
     def __len__(self) -> int:
         return len(self.gens)
 
+    @cached_property
+    def degree_sequence(self) -> DegreeSequence:
+        """Per-degree generator counts, computed on first use and then kept."""
+        return DegreeSequence.from_degrees(g.degree for g in self.gens)
+
 
 def degree_sequence(system: GeneratorSystem) -> DegreeSequence:
-    """Per-degree generator counts of the system."""
-    return DegreeSequence.from_degrees(g.degree for g in system.gens)
+    """Per-degree generator counts of the system.  The system keeps them, so
+    the rewrite loop and an observer that both ask scan it once."""
+    return system.degree_sequence
 
 
 def _require_on_variety(gens: Sequence[Polynomial], x: ProjectivePoint) -> None:
@@ -214,16 +223,17 @@ RewriteOutcome = Removed | Replaced
 def subst_step(
     system: GeneratorSystem,
     x: ProjectivePoint,
-    differentials: Sequence[Sequence[Scalar]],
+    differentials: Sequence[IntegralVector],
     elimination: ColumnElimination | None = None,
 ) -> RewriteOutcome | None:
     """One rewrite step from a linear relation among differentials at ``x``.
 
-    ``differentials`` are the generators' differentials at ``x``, in order;
-    the caller has checked that ``x`` lies on the variety.  ``elimination``,
-    when given, holds the elimination of a prefix of these columns, all
-    independent, as a previous step left it; it is extended in place up to
-    the first dependent column.
+    ``differentials`` are the generators' differentials at ``x``, in order,
+    each as integers over a scale (`integral_differential`); the caller has
+    checked that ``x`` lies on the variety.  ``elimination``, when given,
+    holds the elimination of a prefix of these columns, all independent, as
+    a previous step left it; it is extended in place up to the first
+    dependent column.
 
     Takes the first canonical kernel vector of the differential matrix and
     lifts it to a polynomial combination with vanishing differential: lower
@@ -237,43 +247,58 @@ def subst_step(
     top-degree generators of the support are linearly dependent as
     polynomials only when they are the whole support and the relation's
     combination of them is zero: that case is the zero combination.
+
+    The lift runs on integers.  The relation is the elimination's integer
+    combination c over its last entry c_last, the inverse of the pivot
+    coordinate x_k is num/den (`Field.integral_vector` of the point), and
+    generator i, of lift l_i below the top lift L, is its integral form over
+    its scale s_i.  Every multiplier then goes over c_last * den^L, and the
+    sum over c_last * den^L * lcm(s).  Scalars are made only for what the
+    step hands out: a `Removed` step's multipliers, or a `Replaced` step's
+    relation, cofactors and new generator.
     """
     if len(differentials) != len(system.gens):
         raise ValueError("need one differential per generator")
     ring = system.ring
+    field = ring.field
     if elimination is None:
-        elimination = ColumnElimination(ring.field)
+        elimination = ColumnElimination(field)
     elif not len(elimination.reduced) == elimination.width <= len(differentials):
         raise ValueError("a carried elimination must cover independent leading columns")
-    relation = elimination.first_relation(differentials)
-    if relation is None:
+    combination = elimination.first_dependent(differentials)
+    if combination is None:
         return None
     gens = system.gens
-    support = [i for i, c in enumerate(relation) if c]
+    support = sorted(combination)
     degrees = {i: gens[i].degree for i in support}
     top_degree = max(degrees.values())
     lifts = {i: top_degree - d for i, d in degrees.items()}
+    top_lift = max(lifts.values())
 
-    field = ring.field
     k = x.pivot
-    inv_xk = field.div(field.one, x.coords[k])
-    scales = {i: field.mul(relation[i], field.pow(inv_xk, lifts[i])) for i in support}
+    coords, num = field.integral_vector(x.coords)
+    den = coords[k]
+    # Generator i's multiplier relation_i * (num/den)^(l_i) is numerators[i]
+    # over c_last * den^L.
+    numerators = {
+        i: combination[i] * num ** lifts[i] * den ** (top_lift - lifts[i]) for i in support
+    }
+    below = den**top_lift
+    denominator = combination[support[-1]] * below
     # Sum the lift once, on integers: generator i is its integral form over
     # its own scale (``integral_terms`` is lead coefficient, other terms,
-    # scale), and every multiplier goes over one common denominator.
-    weights, denominator = field.integral(
-        {i: field.div(scales[i], gens[i].integral_terms[2]) for i in support}
-    )
+    # scale), and every weight goes over one common denominator.
+    common = lcm(*(gens[i].integral_terms[2] for i in support))
     total: dict[tuple[int, ...], int] = {}
     get = total.get
     for i in support:
-        lead_coefficient, rest, _ = gens[i].integral_terms
-        weight, lift = weights[i], lifts[i]
+        lead_coefficient, rest, scale = gens[i].integral_terms
+        weight, lift = numerators[i] * (common // scale), lifts[i]
         for e, c in ((gens[i].lead, lead_coefficient), *rest):
             if lift:
                 e = e[:k] + (e[k] + lift,) + e[k + 1 :]
             total[e] = get(e, 0) + weight * c
-    combined = field.from_integral(total, denominator)
+    combined = field.from_integral(total, denominator * common)
 
     def lifted(i: int, scale: Scalar) -> Polynomial:
         exponents = [0] * ring.num_vars
@@ -282,35 +307,41 @@ def subst_step(
 
     j = max(i for i in support if not lifts[i])
     zero = ring.zero()
-    multipliers = [zero] * len(relation)
+    multipliers = [zero] * len(gens)
     if not combined:
         # The lifted combination collapses; the relation already expresses
-        # generator j (top block, constant multiplier) over the others.
-        inv = field.div(field.one, field.neg(relation[j]))
-        for i in support:
-            multipliers[i] = lifted(i, field.mul(scales[i], inv))
+        # generator j (top block, constant multiplier) over the others, each
+        # multiplier over minus generator j's.
+        scales = field.from_integral(
+            {i: -n for i, n in numerators.items() if i != j}, combination[j] * below
+        )
+        for i, scale in scales.items():
+            multipliers[i] = lifted(i, scale)
         del multipliers[j]
         return Removed(j, QuotientRecord(tuple(multipliers), zero))
 
     new_poly = Polynomial._trusted(ring, combined)
-    assert not any(differential_at(new_poly, x)), "replacement differential is nonzero"
-    for i in support:
-        multipliers[i] = lifted(i, scales[i])
+    ints, _ = integral_differential(new_poly, x)
+    assert not any(ints), "replacement differential is nonzero"
+    scales = field.from_integral(numerators, denominator)
+    for i, scale in scales.items():
+        multipliers[i] = lifted(i, scale)
+    relation = scalar_relation(field, combination, len(gens))
     return Replaced(j, new_poly, relation, tuple(multipliers))
 
 
 def _carried_differentials(
     before: GeneratorSystem,
-    columns: list[tuple[Scalar, ...]],
+    columns: list[IntegralVector],
     after: GeneratorSystem,
     x: ProjectivePoint,
-) -> list[tuple[Scalar, ...]]:
+) -> list[IntegralVector]:
     """The differentials of ``after``'s generators at ``x``: a generator that
     survives from ``before`` (the same object) keeps its column, and only a
     spliced-in member is differentiated."""
     known = {id(g): column for g, column in zip(before.gens, columns)}
     return [
-        known[id(g)] if id(g) in known else differential_at(g, x) for g in after.gens
+        known[id(g)] if id(g) in known else integral_differential(g, x) for g in after.gens
     ]
 
 
@@ -334,7 +365,8 @@ def reduce_to_ci(
     ``on_iteration`` observes (before, outcome, after) triples.
 
     Each input generator's differential at ``x`` is computed once, before
-    the loop, and carried as a column to the systems it survives into, and
+    the loop, as integers over a scale (`integral_differential`), and
+    carried as a column to the systems it survives into, and
     so is the elimination of the columns up to the first position a step
     changes.  Every generator a step adds is an ideal member, so it vanishes
     at ``x`` and the point needs no re-check.  The loop runs while the
@@ -349,9 +381,9 @@ def reduce_to_ci(
     """
     _require_on_variety(system.gens, x)
     ring = system.ring
-    columns = [differential_at(g, x) for g in system.gens]
+    columns = [integral_differential(g, x) for g in system.gens]
     # The codimension if x is smooth; checked where the basis is built.
-    codim = rank(ExactMatrix.from_rows(ring.field, columns))
+    codim = integral_rank(ring.field, [ints for ints, _ in columns])
 
     def smooth_ideal(gens: tuple[Polynomial, ...]) -> Ideal:
         built = Ideal(gens, ring=ring)
@@ -452,8 +484,8 @@ def check_condition_iv(
             raise ValueError(
                 f"family member degree {deg_b} not below the polynomial degree {deg_f}"
             )
-        elimination.add(differential_at(b, x))
-    return elimination.add(differential_at(f, x)) is not None
+        elimination.add(integral_differential(b, x))
+    return elimination.add(integral_differential(f, x)) is not None
 
 
 def verify_certificate(

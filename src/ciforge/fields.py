@@ -21,13 +21,18 @@ step ``sub_mul(v, f, c)`` gives v - f*c for working v and f and an integer c.
 Over Q a step is integer arithmetic and one ``math.gcd``, not a `Fraction`
 per operation; over F_p it is one call where ``add`` and ``mul`` are two.
 
-Fraction-free elimination (``linalg.ColumnElimination``) and the lifted
-combination of a rewrite step (``decide.subst_step``) run on integers
-instead.  ``integral_vector`` is ``integral`` for a sequence,
-``from_integral`` is its inverse (integers over a nonzero scale back to
-scalars, zeros dropped), and ``primitive`` keeps a vector's integers small
-without changing the line it spans: over Q it divides by their gcd, over
-F_p it reduces them mod p.
+The rewrite loop runs on integers instead, from a generator's differential
+(``poly.integral_differential``) through fraction-free elimination
+(``linalg.ColumnElimination``) to the lifted combination of a step
+(``decide.subst_step``): a vector there is a list of integers over one
+positive scale (`IntegralVector`).  ``integral_vector`` is ``integral`` for
+a sequence, ``reduced`` puts integers computed from an integral form back
+into it (over F_p it reduces them mod p), and ``from_integral`` and
+``from_integral_vector`` are the inverse (integers over a nonzero scale back
+to scalars, zeros dropped from a map and kept in a vector), so scalars are
+made only for what a step hands out.  ``primitive`` keeps a vector's
+integers small without changing the line it spans: over Q it divides by
+their gcd, over F_p it reduces them mod p.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Collection, Mapping, TypeVar
+from typing import Collection, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import ParseError
 
@@ -45,6 +50,8 @@ MAX_PRIME = 2**31
 
 Scalar = Fraction | int
 Key = TypeVar("Key")
+# Integers and a positive scale: the vector of ints[i] / scale.
+IntegralVector = tuple[Sequence[int], int]
 
 # The one scalar literal both fields read, as ``str`` prints a scalar and the
 # polynomial grammar reads a number: an integer, over Q optionally ``/`` another.
@@ -111,6 +118,16 @@ class RationalField:
     def from_integral(terms: Mapping[Key, int], scale: int) -> dict[Key, Fraction]:
         """Each nonzero integer over the nonzero integer ``scale``."""
         return {k: Fraction(v, scale) for k, v in terms.items() if v}
+
+    @staticmethod
+    def from_integral_vector(ints: Iterable[int], scale: int) -> tuple[Fraction, ...]:
+        """Each integer over the nonzero integer ``scale``, zeros kept."""
+        return tuple(Fraction(v, scale) for v in ints)
+
+    @staticmethod
+    def reduced(ints: list[int]) -> list[int]:
+        """The integers of an integral form as they are."""
+        return ints
 
     @staticmethod
     def primitive(
@@ -239,6 +256,17 @@ class PrimeField:
         p = self.p
         inv = pow(scale, -1, p)
         return {k: r for k, v in terms.items() if (r := v * inv % p)}
+
+    def from_integral_vector(self, ints: Iterable[int], scale: int) -> tuple[int, ...]:
+        """Each integer over ``scale`` (nonzero mod p) in [0, p), zeros kept."""
+        p = self.p
+        inv = pow(scale, -1, p)
+        return tuple(v * inv % p for v in ints)
+
+    def reduced(self, ints: list[int]) -> list[int]:
+        """The integers of an integral form reduced mod p."""
+        p = self.p
+        return [v % p for v in ints]
 
     def primitive(
         self, ints: list[int], more: Mapping[Key, int]

@@ -430,26 +430,35 @@ def evaluate(p: Polynomial, x: ProjectivePoint) -> Scalar:
     return total
 
 
-def differential_at(p: Polynomial, x: ProjectivePoint) -> tuple[Scalar, ...]:
-    """All partial derivatives of a homogeneous ``p`` evaluated at ``x``.
+def integral_differential(p: Polynomial, x: ProjectivePoint) -> tuple[list[int], int]:
+    """All partial derivatives of a homogeneous ``p`` at ``x``, as integers
+    over a positive scale: ``differential_at(p, x)[i] == ints[i] / scale``.
 
-    The result depends on the chosen homogeneous coordinates of ``x``; callers
-    must only rely on scale-invariant facts (vanishing, span membership).
+    The coefficients enter as integers over a scale s (`Field.integral`),
+    and the coordinates as integers over their common denominator D
+    (`Field.integral_vector`), so every partial of a degree-d polynomial is
+    an integer over s * D^(d-1).  Over F_p both scales are 1 and the
+    integers are reduced mod p.  The point is used as given: rescaling it by
+    a factor would scale the differential of a degree-d generator by its
+    (d-1)th power, and so change the relation a rewrite step reads.
 
     A term with no variable at a zero coordinate feeds every partial of a
     variable it contains.  One whose only such variable is T_j, to the first
     power, feeds the partial by T_j alone; any other term feeds none.  Each
     coordinate power above the first is computed once per call.
     """
-    p.degree  # raises NotHomogeneousError
+    d = p.degree  # raises NotHomogeneousError
     _require_point_of(p.ring, x)
     ring_field = p.ring.field
-    add, mul, power = ring_field.add, ring_field.mul, ring_field.pow
-    coords = x.coords
+    coords, point_scale = ring_field.integral_vector(x.coords)
     every = range(len(coords))
-    powers: dict[tuple[int, int], Scalar] = {}
-    out = [ring_field.zero] * len(coords)
-    for exps, coeff in p.terms.items():
+    out = [0] * len(coords)
+    if not d:  # zero or constant
+        return out, 1
+    # Not `integral_terms`: a differential needs no leading monomial.
+    ints, scale = ring_field.integral(p.terms)
+    powers: dict[tuple[int, int], int] = {}
+    for exps, coeff in ints.items():
         at_zero = None
         for j, e in enumerate(exps):
             if e and not coords[j]:
@@ -461,18 +470,28 @@ def differential_at(p: Polynomial, x: ProjectivePoint) -> tuple[Scalar, ...]:
                 ei = exps[i]
                 if not ei:
                     continue
-                value = coeff if ei == 1 else mul(coeff, ei)
+                value = coeff * ei
                 for j, ej in enumerate(exps):
                     k = ej - 1 if j == i else ej
                     if k == 1:
-                        value = mul(value, coords[j])
+                        value *= coords[j]
                     elif k:
                         c = powers.get((j, k))
                         if c is None:
-                            c = powers[j, k] = power(coords[j], k)
-                        value = mul(value, c)
-                out[i] = add(out[i], value)
-    return tuple(out)
+                            c = powers[j, k] = coords[j] ** k
+                        value *= c
+                out[i] += value
+    return ring_field.reduced(out), scale * point_scale ** (d - 1)
+
+
+def differential_at(p: Polynomial, x: ProjectivePoint) -> tuple[Scalar, ...]:
+    """All partial derivatives of a homogeneous ``p`` evaluated at ``x``, as
+    scalars: `integral_differential` over its scale.
+
+    The result depends on the chosen homogeneous coordinates of ``x``; callers
+    must only rely on scale-invariant facts (vanishing, span membership).
+    """
+    return p.ring.field.from_integral_vector(*integral_differential(p, x))
 
 
 def format_polynomial(p: Polynomial) -> str:

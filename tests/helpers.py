@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ciforge import differential_at
+from ciforge.poly import integral_differential
 
 
 def leading_coefficient(p):
@@ -31,5 +31,6 @@ def multiply_vector(matrix, v):
 
 
 def differentials(system, x):
-    """The columns `subst_step` reads: each generator's differential at ``x``."""
-    return [differential_at(g, x) for g in system.gens]
+    """The columns `subst_step` reads: each generator's differential at
+    ``x``, as integers over a scale."""
+    return [integral_differential(g, x) for g in system.gens]

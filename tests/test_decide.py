@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ciforge import decide, errors, groebner, linalg
+from ciforge import decide, errors, groebner, linalg, poly
 from ciforge import (
     BuchbergerTimeout,
     CICertificate,
@@ -29,6 +29,7 @@ from ciforge import (
     Replaced,
     RingMismatchError,
     CertificateMismatchError,
+    DegreeSequence,
     basis_time_limit,
     check_condition_iv,
     degree_sequence,
@@ -42,6 +43,7 @@ from ciforge import (
     verify_certificate,
 )
 from ciforge.certificates import input_fingerprint
+from ciforge.poly import integral_differential
 from ciforge.cli import run_command
 from ciforge.groebner import ideal_equal
 
@@ -336,6 +338,32 @@ class TestSmoothnessAgainstTheOracle:
         report = smoothness_check(ideal_of(system), x)
         rows = [reference_differential_at(g, x) for g in system.gens]
         assert report.jacobian_rank == row_reduce_rank(rows, system.ring.field)
+
+
+class TestIntegralDifferential:
+    """The rewrite loop reads each differential as integers over a scale;
+    over that scale they are the differential's scalars."""
+
+    @given(vanishing_systems())
+    def test_integers_over_the_scale_are_the_differential(self, case):
+        system, x = case
+        field = system.ring.field
+        for g in system.gens:
+            ints, scale = integral_differential(g, x)
+            assert scale > 0
+            if field.characteristic:
+                assert scale == 1 and all(0 <= v < field.p for v in ints)
+            values = tuple(field.div(field.scalar(v), field.scalar(scale)) for v in ints)
+            assert values == differential_at(g, x) == reference_differential_at(g, x)
+
+    def test_fractional_coordinates_keep_the_point_as_given(self):
+        ring = PolynomialRing(QQ, ("T0", "T1", "T2"))
+        g = parse_polynomial("1/2*T0^2*T1 - 3*T1*T2^2 + 2/3*T2^3", ring)
+        x = ProjectivePoint((Fraction(1, 2), Fraction(-2, 3), QQ.scalar(3)))
+        ints, scale = integral_differential(g, x)
+        assert tuple(Fraction(v, scale) for v in ints) == reference_differential_at(g, x)
+        # Coefficient scale 6, coordinates over their denominator 6, degree 3.
+        assert scale == 6 * 6**2
 
 
 class TestAgainstReferenceStep:
@@ -848,6 +876,28 @@ class TestCofactorWork:
         assert composed == []
 
 
+class TestDegreeSequences:
+    def test_each_system_counts_its_degrees_once(self, monkeypatch, linear_combinations):
+        # The loop and the CLI's observer both read every system's sequence.
+        system, x = linear_combinations
+        scans = []
+        from_degrees = DegreeSequence.from_degrees.__func__
+
+        def counting(cls, degrees):
+            scans.append(1)
+            return from_degrees(cls, degrees)
+
+        monkeypatch.setattr(DegreeSequence, "from_degrees", classmethod(counting))
+        seen = [degree_sequence(system)]
+
+        def record(before, outcome, after):
+            seen.append(degree_sequence(after))
+
+        reduce_to_ci(system, x, on_iteration=record)
+        assert len(seen) == 6
+        assert len(scans) == len(seen)
+
+
 class TestStepWork:
     """A rewrite step costs only what changed: each input generator is
     evaluated and differentiated at the point a bounded number of times per
@@ -855,14 +905,18 @@ class TestStepWork:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"evaluate": 0, "differential_at": 0}
-        for name in counts:
+        # Every differential, the scalar view `differential_at` too, is one
+        # `integral_differential` call, so counting that counts them all.
+        counts = {"evaluate": 0, "integral_differential": 0}
+        patched = {"evaluate": [decide], "integral_differential": [poly, decide]}
+        for name, modules in patched.items():
 
             def counting(*args, _name=name, _original=getattr(decide, name)):
                 counts[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(decide, name, counting)
+            for module in modules:
+                monkeypatch.setattr(module, name, counting)
         return counts
 
     def test_removed_steps(self, counts, linear_combinations):
@@ -874,8 +928,33 @@ class TestStepWork:
         assert isinstance(cert, CICertificate)
         assert len(outcomes) >= 5
         assert all(isinstance(o, Removed) for o in outcomes)
-        assert counts["evaluate"] <= len(system)
-        assert counts["differential_at"] <= len(system)
+        assert 0 < counts["evaluate"] <= len(system)
+        assert 0 < counts["integral_differential"] <= len(system)
+
+    def test_removed_step_builds_one_fraction_per_support_member(
+        self, monkeypatch, linear_combinations
+    ):
+        # The relation, the lift and the check stay on integers; only the
+        # multipliers the step hands out become Fractions.
+        system, x = linear_combinations
+        built = 0
+        construct = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return construct(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        current, steps = system, 0
+        while (outcome := subst_step(current, x, differentials(current, x))) is not None:
+            assert isinstance(outcome, Removed)
+            support = 1 + sum(not q.is_zero() for q in outcome.representation.quotients)
+            assert 0 < built <= support
+            built = 0
+            current = current.without(outcome.index)
+            steps += 1
+        assert steps == 5
 
     def test_removed_steps_resume_the_elimination(self, monkeypatch, linear_combinations):
         # Each independent column stays in the kept prefix and each dependent
@@ -913,15 +992,16 @@ class TestStepWork:
         cert = reduce_to_ci(system, x)
         counts["evaluate"] = 0
         assert verify_certificate(cert, system, x)
-        assert counts["evaluate"] <= len(system)
+        assert 0 < counts["evaluate"] <= len(system)
 
     def test_ci_verify_differentiates_nothing(self, counts):
         # Only a non-CI claim rests on smoothness at the point.
         system, x = PLANTED_QUADRICS.system, PLANTED_QUADRICS.point
         cert = reduce_to_ci(system, x)
-        counts["differential_at"] = 0
+        assert counts["integral_differential"] > 0
+        counts["integral_differential"] = 0
         assert verify_certificate(cert, system, x)
-        assert counts["differential_at"] == 0
+        assert counts["integral_differential"] == 0
 
     def test_removed_steps_do_not_revalidate(self, monkeypatch, linear_combinations):
         system, x = linear_combinations
@@ -955,5 +1035,5 @@ class TestStepWork:
 
         reduce_to_ci(system, x, on_iteration=observe)
         assert replaced, "the instance must exercise Replaced steps"
-        assert counts["evaluate"] <= len(system)
-        assert counts["differential_at"] <= len(system) + spliced + replaced
+        assert 0 < counts["evaluate"] <= len(system)
+        assert 0 < counts["integral_differential"] <= len(system) + spliced + replaced

@@ -15,6 +15,7 @@ from ciforge.linalg import (
     kernel_basis,
     linear_relation_polys,
     rank,
+    scalar_relation,
 )
 from ciforge import (
     BuchbergerTimeout,
@@ -274,13 +275,52 @@ class TestResumedElimination:
         # them too, then cut back to the first dependent column.
         field, columns, _ = case
         elimination = ColumnElimination(field)
-        relations = [elimination.add(column) for column in columns]
+        relations = [elimination.add(field.integral_vector(column)) for column in columns]
         rows = [list(r) for r in zip(*columns)]
         assert len(elimination.reduced) == row_reduce_rank(rows, field)
         first = next((j for j, r in enumerate(relations) if r is not None), len(columns))
         elimination.truncate(first)
         assert elimination.width == len(elimination.reduced) == first
         assert elimination.first_relation(columns) == self.fresh(field, columns)
+
+    @given(column_edits())
+    def test_integer_relation_made_scalar_is_the_relation(self, case):
+        # The loop reads each relation as the elimination's integer
+        # combination, fed integer columns; over its entry at the dependent
+        # column it is the relation `first_relation` returns for the scalar
+        # columns, fresh and after each edit.
+        field, columns, edits = case
+        integral, scalar = ColumnElimination(field), ColumnElimination(field)
+        end = len(columns)
+        for edit in [None, *edits]:
+            if edit is not None:
+                if not columns:
+                    break
+                kind, where, column = edit
+                i = where % end
+                if kind == "delete":
+                    del columns[i]
+                else:
+                    columns[i] = column
+                integral.truncate(i)
+                scalar.truncate(i)
+            combination = integral.first_dependent(
+                [field.integral_vector(column) for column in columns]
+            )
+            relation = scalar.first_relation(columns)
+            assert (combination is None) == (relation is None)
+            if combination is None:
+                end = len(columns)
+                continue
+            last = max(combination)
+            end = last + 1
+            assert all(combination.values())
+            assert scalar_relation(field, combination, len(columns)) == relation
+            assert relation == tuple(
+                field.div(field.scalar(combination.get(k, 0)), field.scalar(combination[last]))
+                for k in range(len(columns))
+            )
+            assert relation[last] == field.one
 
     def test_truncate_keeps_only_the_prefix(self):
         elimination = ColumnElimination(QQ)
